@@ -3,7 +3,8 @@
 Every subcommand writes a machine-readable document (JSON by default, TSV or
 DOT where it makes sense) to stdout or --output and is byte-deterministic
 for fixed inputs.  Exit status: 0 on success, 1 when a verification ran and
-found a failure, 2 on usage errors.  TILTCELL_MAX_WORK caps sweep sizes.
+found a failure, 2 on usage errors.  TILTCELL_MAX_WORK caps sweep sizes and
+the vertex count of a preset quiver, checked before it is built.
 
 `verify` output carries per-check item/failure counts plus the failing items
 themselves; passing items of large sweeps are not echoed.  `quiver-check`
@@ -119,24 +120,18 @@ def _weights_list(raw: list[str]) -> dict[int, int]:
 
 
 def _build_preset(args) -> tuple[qv.Quiver, qv.RelationSet]:
-    scalars = _parse_scalars(getattr(args, "scalars", None))
+    preset = qv.PRESETS[args.preset]
+    window = preset.window if args.window is None else args.window
+    scalars = _parse_scalars(args.scalars)
+    names = preset.scalar_names(args.p)
+    for key in scalars:
+        if key not in names:
+            raise UsageError(f"unknown scalar {key!r}; valid: {', '.join(names) or 'none'}")
+    guard_work(preset.vertex_count(args.p, window))
     try:
-        if args.preset == "p1":
-            return qv.build_p1_quiver(args.p, window=args.window)
-        if args.preset == "p2":
-            return qv.build_p2_quiver(
-                args.p,
-                window=args.window,
-                scalars=scalars or None,
-                boundary_loops=not args.no_boundary_loops,
-            )
-        if args.preset == "sl3":
-            return qv.build_sl3_quiver(
-                a=scalars.get("a", 1), b=scalars.get("b", 1), r=scalars.get("r", 0)
-            )
+        return preset.build(args.p, window, scalars, not args.no_boundary_loops)
     except (qv.QuiverConfigError, ValueError) as exc:
         raise UsageError(str(exc))
-    raise UsageError(f"unknown preset {args.preset!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +303,9 @@ def cmd_quiver_build(args) -> int:
     return 0
 
 
-def cmd_export_dot(args) -> int:
-    quiver, _ = _build_preset(args)
-    _emit(args, qv.export_dot(quiver))
-    return 0
-
-
 def cmd_quiver_check(args) -> int:
     quiver, rels = _build_preset(args)
-    max_len = args.max_len or qv.default_max_len(quiver)
+    max_len = args.max_len or qv.PRESETS[args.preset].max_len
     # rough path-object count; monomial pruning keeps the real work below this
     guard_work(len(quiver.vertices) * 4**max_len)
     try:
@@ -380,13 +369,9 @@ def _run_suite(name: str, args) -> list[Report]:
         elif name == "steinberg":
             raise UsageError("the steinberg suite needs --r >= 2")
     if name in ("quiver", "all"):
-        for preset in ("p1", "p2", "sl3"):
-            if preset == "p1":
-                quiver, rels = qv.build_p1_quiver(ctx.p, window=2)
-            elif preset == "p2":
-                quiver, rels = qv.build_p2_quiver(ctx.p, window=1)
-            else:
-                quiver, rels = qv.build_sl3_quiver()
+        for preset in qv.PRESETS.values():
+            guard_work(preset.vertex_count(ctx.p, preset.window))
+            quiver, rels = preset.build(ctx.p, preset.window, {}, True)
             result = qv.quotient_dims(quiver, rels)
             reports.append(qv.check_against_cellular(quiver, result, scalars=rels.scalars))
     return reports
@@ -466,27 +451,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--principal-block", action="store_true")
     sp.set_defaults(func=cmd_generators)
 
-    for name, func in (
-        ("quiver-build", cmd_quiver_build),
-        ("export-dot", cmd_export_dot),
-        ("quiver-check", cmd_quiver_check),
+    # export-dot is quiver-build with the format fixed to dot
+    for name, func, formats in (
+        ("quiver-build", cmd_quiver_build, ("json", "dot")),
+        ("export-dot", cmd_quiver_build, ("dot",)),
+        ("quiver-check", cmd_quiver_check, ("json", "tsv")),
     ):
         sp = sub.add_parser(name, help=f"{name.replace('-', ' ')} for a preset quiver")
-        sp.add_argument("--preset", choices=("p1", "p2", "sl3"), required=True)
+        sp.add_argument("--preset", choices=tuple(qv.PRESETS), required=True)
         sp.add_argument("--p", type=int, default=3)
         sp.add_argument("--window", type=int, default=None)
         sp.add_argument("--scalars", default=None, help="comma separated key=value pairs")
         sp.add_argument("--no-boundary-loops", action="store_true")
-        if name == "quiver-check":
-            sp.add_argument("--max-len", type=int, default=None)
-            sp.add_argument("--allow-unsaturated", action="store_true")
-            sp.add_argument("--format", choices=("json", "tsv"), default="json")
-        elif name == "quiver-build":
-            sp.add_argument("--format", choices=("json", "dot"), default="json")
-        else:
-            sp.add_argument("--format", choices=("dot",), default="dot")
+        sp.add_argument("--format", choices=formats, default=formats[0])
         sp.add_argument("--output", default="-")
         sp.set_defaults(func=func)
+    sp = sub.choices["quiver-check"]
+    sp.add_argument("--max-len", type=int, default=None)
+    sp.add_argument("--allow-unsaturated", action="store_true")
 
     sp = sub.add_parser("verify", help="run a verification suite")
     _add_common(sp, fmt=("json",))
@@ -501,8 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "window", None) is None and getattr(args, "preset", None) in ("p1", "p2"):
-        args.window = 2 if args.preset == "p1" else 1
     try:
         return args.func(args)
     except UsageError as exc:

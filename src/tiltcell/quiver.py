@@ -21,6 +21,9 @@ Presentations
   arrows, their duals, and the block's relations with scalar parameters
   (a, b, r).
 
+`PRESETS` is the one place a preset is defined; the CLI and the engines read
+every preset-specific choice (window, truncation, oracle, ...) from it.
+
 Conventions
 -----------
 A path is a tuple of arrow ids in application order: (x, y) means "apply x,
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .cellbasis import SL3_ELEMENTS, SL3_LENGTH, sl3_hom_dim
 from .deltafilt import delta_factors, hom_dim
@@ -109,10 +112,7 @@ class Quiver:
         for i, a in enumerate(self.arrows):
             self.out_ids[a.source].append(i)
             self.in_ids[a.target].append(i)
-        if self.preset == "sl3":
-            self.cell_rank = {v: -SL3_LENGTH[v] for v in self.vertices}
-        else:
-            self.cell_rank = dict(self.weights)
+        self.cell_rank = PRESETS[self.preset].cell_rank(self)
 
     def arrow_id(self, name: str) -> int:
         return self.by_name[name]
@@ -258,14 +258,10 @@ def left_neighbor(j: int, p: int) -> int:
     return 2 * p * (j // p) - j
 
 
-_DEFAULT_MAXLEN = {"p1": 4, "p2": 5, "sl3": 7}
+_MARGIN = 2  # windows of padding around the core of a ladder
 
 
-def default_max_len(quiver: Quiver) -> int:
-    return _DEFAULT_MAXLEN[quiver.preset]
-
-
-def build_p1_quiver(p: int, window: int = 2, margin: int = 2) -> tuple[Quiver, RelationSet]:
+def build_p1_quiver(p: int, window: int = 2, margin: int = _MARGIN) -> tuple[Quiver, RelationSet]:
     """The zigzag chain on positions [-2(window+margin), 2(window+margin)];
     positions within 2*window of zero form the trusted core."""
     if window < 2:
@@ -315,7 +311,7 @@ def build_p2_quiver(
     p: int,
     window: int = 1,
     scalars: Mapping[str, object] | None = None,
-    margin: int = 2,
+    margin: int = _MARGIN,
     boundary_loops: bool = True,
 ) -> tuple[Quiver, RelationSet]:
     """The level-two ladder on columns [-2p(window+margin), 2p(window+margin)].
@@ -482,6 +478,49 @@ def build_sl3_quiver(a=1, b=1, r=0) -> tuple[Quiver, RelationSet]:
     return quiver, bld.finish({"a": a, "b": b, "r": r})
 
 
+@dataclass(frozen=True)
+class Preset:
+    """Everything that differs between the presentations.  The callables look
+    builders and oracles up on this module when they run, so replacing
+    `build_*`, `hom_dim` or `sl3_hom_dim` here reaches every caller."""
+
+    # build(p, window, scalars, boundary_loops); scalars holds validated overrides
+    build: Callable[[int, int | None, dict, bool], tuple[Quiver, RelationSet]]
+    window: int | None  # None: the preset has no window
+    max_len: int  # default truncation of the linear engine
+    vertex_count: Callable[[int, int | None], int]  # from p and window, before building
+    # the ladders' choices: no scalars, common-factor Hom counts, cells ranked by weight
+    scalar_names: Callable[[int], list[str]] = lambda p: []
+    oracle: Callable[..., int] = lambda lam, mu, ctx: hom_dim(lam, mu, ctx)
+    cell_rank: Callable[[Quiver], dict] = lambda quiver: dict(quiver.weights)
+
+
+PRESETS: dict[str, Preset] = {
+    "p1": Preset(
+        build=lambda p, window, scalars, loops: build_p1_quiver(p, window, _MARGIN),
+        window=2,
+        max_len=4,
+        vertex_count=lambda p, window: 4 * (window + _MARGIN) + 1,
+    ),
+    "p2": Preset(
+        build=lambda p, window, scalars, loops: build_p2_quiver(p, window, scalars, _MARGIN, loops),
+        window=1,
+        max_len=5,
+        vertex_count=lambda p, window: 4 * p * (window + _MARGIN) + 1,
+        scalar_names=p2_scalar_names,
+    ),
+    "sl3": Preset(
+        build=lambda p, window, scalars, loops: build_sl3_quiver(**scalars),
+        window=None,
+        max_len=7,
+        vertex_count=lambda p, window: len(SL3_ELEMENTS),
+        scalar_names=lambda p: ["a", "b", "r"],
+        oracle=lambda lam, mu, ctx: sl3_hom_dim(lam, mu),
+        cell_rank=lambda quiver: {v: -SL3_LENGTH[v] for v in quiver.vertices},
+    ),
+}
+
+
 # ---------------------------------------------------------------------------
 # linear engine
 # ---------------------------------------------------------------------------
@@ -536,6 +575,31 @@ def surviving_paths(quiver: Quiver, rels: RelationSet, max_len: int) -> dict[Pai
     return _alive_paths(quiver, max_len, rels.zero_redexes())
 
 
+def _relation_rows(
+    nonmono: list[PathElement], alive: dict, pair: Pair, max_len: int, zeros: set, zlens: list
+) -> Iterator[dict[Path, Fraction]]:
+    """Nonzero rows x*rel*y from s to t of length <= max_len, one per non-monomial
+    relation instance; composites containing a monomial relation are dropped."""
+    s, t = pair
+    for rel in nonmono:
+        span = max(len(term) for term in rel.terms)
+        for x in alive.get((s, rel.source), ()):
+            room = max_len - span - len(x)
+            if room < 0:
+                continue
+            for y in alive.get((rel.target, t), ()):
+                if len(y) > room:
+                    continue
+                row: dict[Path, Fraction] = {}
+                for term, coeff in rel.terms.items():
+                    key = x + term + y
+                    if _contains_subword(key, zeros, zlens):
+                        continue
+                    row[key] = row.get(key, Fraction(0)) + coeff
+                if row:
+                    yield row
+
+
 @dataclass
 class QuotientDims:
     """Result of the linear engine: per-pair dimensions of the truncated
@@ -572,7 +636,7 @@ def quotient_dims(
     that fails and require_saturation is set, NotSaturated is raised and the
     caller should retry with a larger max_len."""
     if max_len is None:
-        max_len = default_max_len(quiver)
+        max_len = PRESETS[quiver.preset].max_len
     zeros = rels.zero_redexes()
     zlens = sorted({len(z) for z in zeros})
     alive = _alive_paths(quiver, max_len, zeros)
@@ -588,25 +652,8 @@ def quotient_dims(
             path: i for i, path in enumerate(sorted(plist, key=lambda q: (-len(q), q)))
         }
         ech = SparseEchelon(col_rank)
-        for rel in nonmono:
-            span = max(len(term) for term in rel.terms)
-            xs = alive.get((s, rel.source), ())
-            ys = alive.get((rel.target, t), ())
-            for x in xs:
-                room = max_len - span - len(x)
-                if room < 0:
-                    continue
-                for y in ys:
-                    if len(y) > room:
-                        continue
-                    row: dict[Path, Fraction] = {}
-                    for term, coeff in rel.terms.items():
-                        key = x + term + y
-                        if _contains_subword(key, zeros, zlens):
-                            continue  # the composite died in the monomial ideal
-                        row[key] = row.get(key, Fraction(0)) + coeff
-                    if row:
-                        ech.add(row)
+        for row in _relation_rows(nonmono, alive, pair, max_len, zeros, zlens):
+            ech.add(row)
         dims[pair] = len(plist) - ech.rank
         if s in core and t in core:
             for path in plist:
@@ -643,7 +690,7 @@ def ideal_member(
     """Exact membership of elem in the relation ideal, truncated at max_len.
     Used by the tests to certify derived rewrite rules."""
     if max_len is None:
-        max_len = max(default_max_len(quiver), max((len(t) for t in elem.terms), default=0))
+        max_len = max(PRESETS[quiver.preset].max_len, max((len(t) for t in elem.terms), default=0))
     zeros = rels.zero_redexes()
     zlens = sorted({len(z) for z in zeros})
     alive = _alive_paths(quiver, max_len, zeros)
@@ -651,26 +698,9 @@ def ideal_member(
     plist = alive.get(pair, [])
     col_rank = {path: i for i, path in enumerate(sorted(plist, key=lambda q: (-len(q), q)))}
     ech = SparseEchelon(col_rank)
-    s, t = pair
-    for rel in rels.relations:
-        if len(rel.terms) == 1:
-            continue
-        span = max(len(term) for term in rel.terms)
-        for x in alive.get((s, rel.source), ()):
-            room = max_len - span - len(x)
-            if room < 0:
-                continue
-            for y in alive.get((rel.target, t), ()):
-                if len(y) > room:
-                    continue
-                row: dict[Path, Fraction] = {}
-                for term, coeff in rel.terms.items():
-                    key = x + term + y
-                    if _contains_subword(key, zeros, zlens):
-                        continue
-                    row[key] = row.get(key, Fraction(0)) + coeff
-                if row:
-                    ech.add(row)
+    nonmono = [rel for rel in rels.relations if len(rel.terms) > 1]
+    for row in _relation_rows(nonmono, alive, pair, max_len, zeros, zlens):
+        ech.add(row)
     vec = {
         path: c
         for path, c in elem.terms.items()
@@ -702,10 +732,7 @@ def check_against_cellular(
         },
     )
     for v, w in result.core_pairs:
-        if quiver.preset == "sl3":
-            expected = sl3_hom_dim(quiver.weights[v], quiver.weights[w])
-        else:
-            expected = hom_dim(quiver.weights[v], quiver.weights[w], ctx)
+        expected = PRESETS[quiver.preset].oracle(quiver.weights[v], quiver.weights[w], ctx)
         rep.add({"source": v, "target": w}, result.dim(v, w), expected)
     return rep
 
@@ -844,7 +871,7 @@ def export_dot(quiver: Quiver) -> str:
     """Deterministic DOT rendering: up arrows solid, down arrows dashed."""
     lines = [f"digraph {quiver.preset} {{", "  rankdir=LR;"]
     for v in sorted(quiver.vertices, key=str):
-        label = str(v) if quiver.preset == "sl3" else f"P{v} ({quiver.weights[v]})"
+        label = str(v) if quiver.context is None else f"P{v} ({quiver.weights[v]})"
         lines.append(f'  "{v}" [label="{label}"];')
     for a in sorted(quiver.arrows, key=lambda a: a.name):
         style = "solid" if a.kind in ("u", "u'") else "dashed"

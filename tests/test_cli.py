@@ -6,6 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from tiltcell import quiver as qv
 from tiltcell.cli import run
 
 
@@ -111,6 +112,35 @@ def test_work_cap(monkeypatch):
     monkeypatch.setenv("TILTCELL_MAX_WORK", "junk")
     code, _ = invoke(["verify", "--suite", "reciprocity", "--p", "3", "--r", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quiver-check", "--preset", "sl3", "--scalars", "bogus=3"],
+        ["quiver-build", "--preset", "p1", "--scalars", "m1=0"],
+        ["export-dot", "--preset", "sl3", "--scalars", "m1=1"],
+        ["quiver-build", "--preset", "p2", "--p", "3", "--scalars", "a=1"],
+    ],
+)
+def test_unknown_scalars_rejected(argv):
+    code, out = invoke(argv)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("command", ["quiver-build", "export-dot", "quiver-check"])
+@pytest.mark.parametrize("cap,window", [("10", "3000"), (None, "1000000")])
+def test_preset_size_bounded_before_build(monkeypatch, command, cap, window):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the quiver was built")
+
+    monkeypatch.setattr(qv, "build_p2_quiver", refuse)
+    if cap is None:
+        monkeypatch.delenv("TILTCELL_MAX_WORK", raising=False)
+    else:
+        monkeypatch.setenv("TILTCELL_MAX_WORK", cap)
+    code, out = invoke([command, "--preset", "p2", "--p", "3", "--window", window])
+    assert code == 2 and out == ""
 
 
 def test_output_file(tmp_path):
