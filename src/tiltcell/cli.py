@@ -304,8 +304,10 @@ def cmd_quiver_build(args) -> int:
 
 
 def cmd_quiver_check(args) -> int:
+    max_len = qv.PRESETS[args.preset].max_len if args.max_len is None else args.max_len
+    if max_len < 1:
+        raise UsageError(f"--max-len must be >= 1, got {max_len}")
     quiver, rels = _build_preset(args)
-    max_len = args.max_len or qv.PRESETS[args.preset].max_len
     # rough path-object count; monomial pruning keeps the real work below this
     guard_work(len(quiver.vertices) * 4**max_len)
     try:

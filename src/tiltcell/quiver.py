@@ -54,7 +54,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from math import lcm
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .cellbasis import SL3_ELEMENTS, SL3_LENGTH, sl3_hom_dim
 from .deltafilt import delta_factors, hom_dim
@@ -575,29 +576,78 @@ def surviving_paths(quiver: Quiver, rels: RelationSet, max_len: int) -> dict[Pai
     return _alive_paths(quiver, max_len, rels.zero_redexes())
 
 
-def _relation_rows(
-    nonmono: list[PathElement], alive: dict, pair: Pair, max_len: int, zeros: set, zlens: list
-) -> Iterator[dict[Path, Fraction]]:
+class _LinearSetup(NamedTuple):
+    """What one call of the linear engine shares between vertex pairs."""
+
+    max_len: int
+    zeros: set[Path]  # monomial redexes
+    zlens: list[int]  # their lengths, ascending
+    alive: dict[Pair, list[Path]]  # each list in length order
+    # source vertex -> (target, longest term, integer-scaled terms) per
+    # non-monomial relation
+    index: dict[Vertex, list[tuple[Vertex, int, tuple[tuple[Path, int], ...]]]]
+    reach: dict[Vertex, list[Vertex]]  # source -> targets of its alive paths
+
+
+def _linear_setup(quiver: Quiver, rels: RelationSet, max_len: int) -> _LinearSetup:
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
+    zeros = rels.zero_redexes()
+    alive = _alive_paths(quiver, max_len, zeros)
+    index: dict = {}
+    for rel in rels.relations:
+        if len(rel.terms) > 1:
+            # rows matter only up to a scalar, so clear the denominators
+            scale = lcm(*(c.denominator for c in rel.terms.values()))
+            terms = tuple((term, int(c * scale)) for term, c in rel.terms.items())
+            span = max(len(term) for term in rel.terms)
+            index.setdefault(rel.source, []).append((rel.target, span, terms))
+    reach: dict = {}
+    for s, u in alive:
+        reach.setdefault(s, []).append(u)
+    return _LinearSetup(max_len, zeros, sorted({len(z) for z in zeros}), alive, index, reach)
+
+
+def _relation_rows(setup: _LinearSetup, pair: Pair) -> Iterator[dict[Path, int]]:
     """Nonzero rows x*rel*y from s to t of length <= max_len, one per non-monomial
-    relation instance; composites containing a monomial relation are dropped."""
+    relation instance, each scaled to integers; composites containing a
+    monomial relation are dropped."""
+    max_len, zeros, zlens, alive = setup.max_len, setup.zeros, setup.zlens, setup.alive
     s, t = pair
-    for rel in nonmono:
-        span = max(len(term) for term in rel.terms)
-        for x in alive.get((s, rel.source), ()):
-            room = max_len - span - len(x)
-            if room < 0:
+    for u in setup.reach.get(s, ()):
+        instances = setup.index.get(u)
+        if not instances:
+            continue
+        prefixes = alive[(s, u)]
+        for target, span, terms in instances:
+            suffixes = alive.get((target, t))
+            if not suffixes:
                 continue
-            for y in alive.get((rel.target, t), ()):
-                if len(y) > room:
-                    continue
-                row: dict[Path, Fraction] = {}
-                for term, coeff in rel.terms.items():
-                    key = x + term + y
-                    if _contains_subword(key, zeros, zlens):
-                        continue
-                    row[key] = row.get(key, Fraction(0)) + coeff
-                if row:
-                    yield row
+            for x in prefixes:
+                room = max_len - span - len(x)
+                if room < 0:
+                    break
+                for y in suffixes:
+                    if len(y) > room:
+                        break
+                    row = {}
+                    for term, coeff in terms:
+                        key = x + term + y
+                        if not _contains_subword(key, zeros, zlens):
+                            row[key] = coeff
+                    if row:
+                        yield row
+
+
+def _echelon(setup: _LinearSetup, pair: Pair) -> SparseEchelon:
+    """Echelon basis of the relation rows of `pair`, eliminating longer
+    paths first."""
+    plist = setup.alive.get(pair, [])
+    col_rank = {path: i for i, path in enumerate(sorted(plist, key=lambda q: (-len(q), q)))}
+    ech = SparseEchelon(col_rank)
+    for row in _relation_rows(setup, pair):
+        ech.add(row)
+    return ech
 
 
 @dataclass
@@ -633,34 +683,30 @@ def quotient_dims(
     """Exact per-pair dimensions of paths modulo relations, truncated at
     max_len.  Saturation means every maximal-length path between core
     vertices lies in the span of shorter paths plus relation instances; if
-    that fails and require_saturation is set, NotSaturated is raised and the
-    caller should retry with a larger max_len."""
+    that fails and require_saturation is set, NotSaturated is raised, naming
+    the first unsaturated pair and the top-length words of its residue, and
+    the caller should retry with a larger max_len.  max_len must be >= 1."""
     if max_len is None:
         max_len = PRESETS[quiver.preset].max_len
-    zeros = rels.zero_redexes()
-    zlens = sorted({len(z) for z in zeros})
-    alive = _alive_paths(quiver, max_len, zeros)
-    nonmono = [rel for rel in rels.relations if len(rel.terms) > 1]
+    setup = _linear_setup(quiver, rels, max_len)
 
     dims: dict[Pair, int] = {}
     unsaturated: list[Pair] = []
+    witness: list[str] = []  # residue words of the first unsaturated pair
     core = quiver.core
-    for pair in sorted(alive, key=_pair_key):
-        plist = alive[pair]
+    for pair in sorted(setup.alive, key=_pair_key):
+        plist = setup.alive[pair]
         s, t = pair
-        col_rank = {
-            path: i for i, path in enumerate(sorted(plist, key=lambda q: (-len(q), q)))
-        }
-        ech = SparseEchelon(col_rank)
-        for row in _relation_rows(nonmono, alive, pair, max_len, zeros, zlens):
-            ech.add(row)
+        ech = _echelon(setup, pair)
         dims[pair] = len(plist) - ech.rank
         if s in core and t in core:
             for path in plist:
                 if len(path) != max_len:
                     continue
-                residue = ech.reduce({path: Fraction(1)})
-                if any(len(k) == max_len for k in residue):
+                top = [k for k in ech.reduce({path: 1}) if len(k) == max_len]
+                if top:
+                    if not unsaturated:
+                        witness = sorted(map(quiver.format_path, top))
                     unsaturated.append(pair)
                     break
 
@@ -679,7 +725,7 @@ def quotient_dims(
     if require_saturation and unsaturated:
         raise NotSaturated(
             f"{len(unsaturated)} core pair(s) have irreducible length-{max_len} paths; "
-            f"first: {unsaturated[0]}"
+            f"first: {unsaturated[0]}, residue words: {', '.join(witness)}"
         )
     return result
 
@@ -691,22 +737,16 @@ def ideal_member(
     Used by the tests to certify derived rewrite rules."""
     if max_len is None:
         max_len = max(PRESETS[quiver.preset].max_len, max((len(t) for t in elem.terms), default=0))
-    zeros = rels.zero_redexes()
-    zlens = sorted({len(z) for z in zeros})
-    alive = _alive_paths(quiver, max_len, zeros)
+    setup = _linear_setup(quiver, rels, max_len)
     pair = (elem.source, elem.target)
-    plist = alive.get(pair, [])
-    col_rank = {path: i for i, path in enumerate(sorted(plist, key=lambda q: (-len(q), q)))}
-    ech = SparseEchelon(col_rank)
-    nonmono = [rel for rel in rels.relations if len(rel.terms) > 1]
-    for row in _relation_rows(nonmono, alive, pair, max_len, zeros, zlens):
-        ech.add(row)
     vec = {
         path: c
         for path, c in elem.terms.items()
-        if not _contains_subword(path, zeros, zlens)
+        if not _contains_subword(path, setup.zeros, setup.zlens)
     }
-    return not ech.reduce(vec)
+    if not set(vec) <= set(setup.alive.get(pair, ())):
+        return False  # a surviving path beyond the truncation is never eliminated
+    return not _echelon(setup, pair).reduce(vec)
 
 
 def check_against_cellular(

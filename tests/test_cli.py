@@ -143,6 +143,22 @@ def test_preset_size_bounded_before_build(monkeypatch, command, cap, window):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("max_len", ["-1", "0"])
+def test_max_len_bounded_before_build(monkeypatch, max_len):
+    # no path has length <= 0 beyond the trivial ones, so a check there would
+    # certify saturation vacuously; 0 must not fall back to the default either
+    q, rels = qv.build_p1_quiver(3)
+    with pytest.raises(ValueError):
+        qv.quotient_dims(q, rels, int(max_len))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the quiver was built")
+
+    monkeypatch.setattr(qv, "build_p2_quiver", refuse)
+    code, out = invoke(["quiver-check", "--preset", "p2", "--p", "3", "--max-len", max_len])
+    assert code == 2 and out == ""
+
+
 def test_output_file(tmp_path):
     target = tmp_path / "out.json"
     code, out = invoke(["delta-factors", "--p", "3", "--weight", "0", "--output", str(target)])

@@ -89,8 +89,10 @@ def test_not_saturated_raises():
     # a free scalar introduces a length-four relation term, which the
     # truncation at seven cannot certify
     quiver, rels = build_sl3_quiver(1, 1, 1)
-    with pytest.raises(NotSaturated):
+    with pytest.raises(NotSaturated) as exc:
         quotient_dims(quiver, rels, 7)
+    # the message names the irreducible top-length words of the first pair
+    assert "first: ('1', 's'), residue words: d7*u8*d8*u7*d7*u8*d8" in str(exc.value)
     result = quotient_dims(quiver, rels, 7, require_saturation=False)
     assert not result.saturated and result.unsaturated
 

@@ -17,6 +17,7 @@ from tiltcell.quiver import (
     irreducible_words,
     left_neighbor,
     normal_form,
+    p2_scalar_names,
     quotient_dims,
     reduce_path,
     right_neighbor,
@@ -91,22 +92,54 @@ def test_derived_rules_are_consequences():
     for redex, repl in rels.derived_rules.items():
         elem = _rule_to_relation(q, redex, repl)
         assert ideal_member(q, rels, elem, 6), q.format_path(redex)
+        # a truncation shorter than the redex cannot certify it
+        assert not ideal_member(q, rels, elem, len(redex) - 1)
 
 
-def test_scalar_locus():
+def _balanced(p, magnitude, m_sign, n_sign, **thetas):
+    """One magnitude for every square scalar, one sign per family."""
+    sign = {"m": m_sign, "n": n_sign}
+    out = {k: sign[k[0]] * magnitude for k in p2_scalar_names(p) if k[0] in sign}
+    out.update(thetas)
+    return out
+
+
+@pytest.mark.parametrize(
+    "p,balanced,unbalanced",
+    [
+        (
+            3,
+            [
+                {"m1": -1, "m4": -1, "n1": -1, "n4": -1},
+                {"m1": 2, "m4": 2, "n1": -2, "n4": -2},
+                {"theta0": Fraction(-5, 7), "theta3": 3},
+            ],
+            {"m4": 2},
+        ),
+        (
+            5,
+            [
+                _balanced(5, Fraction(2, 3), 1, -1, theta0=Fraction(-5, 7)),
+                _balanced(5, Fraction(-7, 4), -1, 1, theta5=Fraction(3, 11)),
+            ],
+            _balanced(5, Fraction(2, 3), 1, 1, m7=Fraction(4, 3)),
+        ),
+    ],
+    ids=["p3", "p5"],
+)
+def test_scalar_locus(p, balanced, unbalanced):
     # uniform rescalings and sign flips of the square scalars keep the
     # quotient on the cellular counts, and the chain-top scalar is free;
     # an unbalanced choice genuinely collapses dimensions, which the
     # checker reports rather than hides
     def outcome(scalars):
-        q, rels = build_p2_quiver(3, window=1, scalars=scalars)
+        q, rels = build_p2_quiver(p, window=1, scalars=scalars)
         res = quotient_dims(q, rels, 5, require_saturation=False)
         return check_against_cellular(q, res)
 
-    assert outcome({"m1": -1, "m4": -1, "n1": -1, "n4": -1}).all_pass
-    assert outcome({"m1": 2, "m4": 2, "n1": -2, "n4": -2}).all_pass
-    assert outcome({"theta0": Fraction(-5, 7), "theta3": 3}).all_pass
-    collapsed = outcome({"m4": 2})
+    for scalars in balanced:
+        assert outcome(scalars).all_pass
+    collapsed = outcome(unbalanced)
     assert not collapsed.all_pass
     assert all(it.lhs < it.rhs for it in collapsed.failures)
 
