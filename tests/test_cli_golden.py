@@ -37,6 +37,11 @@ GOLDEN = [
     ("quiver-check --preset p2 --p 3 --no-boundary-loops", 1, "3e79ba9b6acc364381de841b00c3914455c06203f01774cbbee9325b1f120d7a"),
     ("quiver-check --preset p2 --p 3 --scalars m1=2", 1, "963af53d7661303abc4be7e33fd440c4cb8e4914768b6aef7ff254357b821180"),
     ("verify --suite quiver --p 3", 0, "406af0ed1ed8802c9580df3f462cd4630177f1d88f66447c4850b8aad69050c7"),
+    # excluded_boundary_pairs beyond p=3
+    ("quiver-check --preset p2 --p 5", 0, "5c71040ccb1582adb7397c4a4881c11dae4d7ec2f4045c3e2bf21521523a9b6d"),
+    # an unsaturated truncation: the NotSaturated witness, then the dims it leaves
+    ("quiver-check --preset sl3 --scalars a=1,b=1,r=1", 1, "01072234980a6a926ed18be75028ea56e801a678391f3d7d15e0f55963292509"),
+    ("quiver-check --preset sl3 --scalars a=1,b=1,r=1 --allow-unsaturated", 1, "9de45c81b1b03f616982e8f6dcfd01138f3e24c05788f4415a4489335e11453f"),
 ]
 
 
