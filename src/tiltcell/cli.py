@@ -41,10 +41,27 @@ def max_work() -> int:
         raise UsageError(f"TILTCELL_MAX_WORK must be an integer, got {raw!r}")
 
 
+def _magnitude(n: int) -> str:
+    """n, or its order of magnitude when n would print long."""
+    return str(n) if n.bit_length() <= 64 else f"~2**{n.bit_length() - 1}"
+
+
 def guard_work(items: int) -> None:
     cap = max_work()
     if items > cap:
-        raise UsageError(f"sweep of {items} items exceeds TILTCELL_MAX_WORK={cap}")
+        raise UsageError(f"sweep of {_magnitude(items)} items exceeds TILTCELL_MAX_WORK={cap}")
+
+
+def guard_power(factor: int, base: int, exp: int) -> None:
+    """guard_work(factor * base**exp) for factor >= 1 and base >= 2.  The
+    product is at least 2**exp, so a large exponent is rejected before the
+    power is formed."""
+    cap = max_work()
+    if exp > cap.bit_length():
+        raise UsageError(
+            f"sweep of at least 2**{_magnitude(exp)} items exceeds TILTCELL_MAX_WORK={cap}"
+        )
+    guard_work(factor * base**exp)
 
 
 def _context(args) -> Context:
@@ -119,7 +136,9 @@ def _weights_list(raw: list[str]) -> dict[int, int]:
     return out
 
 
-def _build_preset(args) -> tuple[qv.Quiver, qv.RelationSet]:
+def _build_preset(args, max_len: int | None = None) -> tuple[qv.Quiver, qv.RelationSet]:
+    """Validate the preset flags and build; with max_len, also bound the path
+    count of a quiver-check before building."""
     preset = qv.PRESETS[args.preset]
     window = preset.window if args.window is None else args.window
     scalars = _parse_scalars(args.scalars)
@@ -127,7 +146,11 @@ def _build_preset(args) -> tuple[qv.Quiver, qv.RelationSet]:
     for key in scalars:
         if key not in names:
             raise UsageError(f"unknown scalar {key!r}; valid: {', '.join(names) or 'none'}")
-    guard_work(preset.vertex_count(args.p, window))
+    vertices = preset.vertex_count(args.p, window)
+    guard_work(vertices)
+    if max_len is not None:
+        # rough path-object count; monomial pruning keeps the real work below this
+        guard_power(vertices, 4, max_len)
     try:
         return preset.build(args.p, window, scalars, not args.no_boundary_loops)
     except (qv.QuiverConfigError, ValueError) as exc:
@@ -246,7 +269,7 @@ def cmd_generators(args) -> int:
         _emit(args, _json({"schema": SCHEMA, "preset": "sl3", "pairs": [list(t) for t in pairs]}))
         return 0
     ctx = _context(args)
-    guard_work(ctx.q * 2 * ctx.q)
+    guard_power(2, ctx.p, 2 * ctx.r)  # 2 * q * q
     gens = (
         cellbasis.generator_set_br0(ctx)
         if args.principal_block
@@ -307,9 +330,7 @@ def cmd_quiver_check(args) -> int:
     max_len = qv.PRESETS[args.preset].max_len if args.max_len is None else args.max_len
     if max_len < 1:
         raise UsageError(f"--max-len must be >= 1, got {max_len}")
-    quiver, rels = _build_preset(args)
-    # rough path-object count; monomial pruning keeps the real work below this
-    guard_work(len(quiver.vertices) * 4**max_len)
+    quiver, rels = _build_preset(args, max_len)
     try:
         result = qv.quotient_dims(quiver, rels, max_len, require_saturation=not args.allow_unsaturated)
     except qv.NotSaturated as exc:
@@ -333,13 +354,18 @@ _SUITES = ("reciprocity", "bounds", "linkage", "multfree", "steinberg", "quiver"
 
 def _run_suite(name: str, args) -> list[Report]:
     ctx = _context(args)
-    lo = args.lo if args.lo is not None else -2 * ctx.q
-    hi = args.hi if args.hi is not None else 2 * ctx.q
-    if lo > hi:
+    lo, hi = args.lo, args.hi
+    if name != "quiver" and (lo is None or hi is None):
+        # a defaulted end is -2q or 2q, and every weight suite sweeps more
+        # items than the window holds, so more than q = p**r
+        guard_power(1, ctx.p, ctx.r)
+        lo = -2 * ctx.q if lo is None else lo
+        hi = 2 * ctx.q if hi is None else hi
+    if lo is not None and hi is not None and lo > hi:
         raise UsageError("--lo must not exceed --hi")
     reports: list[Report] = []
     if name in ("reciprocity", "all"):
-        guard_work((hi - lo + 1) * 4 * ctx.q)
+        guard_power(4 * (hi - lo + 1), ctx.p, ctx.r)
         rep = Report("reciprocity", {"p": ctx.p, "r": ctx.r, "lo": lo, "hi": hi})
         for lam in range(lo, hi + 1):
             rep.extend(deltafilt.verify_reciprocity(lam, ctx))

@@ -584,28 +584,50 @@ class _LinearSetup(NamedTuple):
     zlens: list[int]  # their lengths, ascending
     alive: dict[Pair, list[Path]]  # each list in length order
     # source vertex -> (target, longest term, integer-scaled terms) per
-    # non-monomial relation
+    # non-monomial relation; terms containing a monomial redex are left out
     index: dict[Vertex, list[tuple[Vertex, int, tuple[tuple[Path, int], ...]]]]
     reach: dict[Vertex, list[Vertex]]  # source -> targets of its alive paths
+    shortest: int  # no relation row has a path shorter than this
 
 
 def _linear_setup(quiver: Quiver, rels: RelationSet, max_len: int) -> _LinearSetup:
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     zeros = rels.zero_redexes()
+    zlens = sorted({len(z) for z in zeros})
     alive = _alive_paths(quiver, max_len, zeros)
     index: dict = {}
+    shortest = max_len + 1
     for rel in rels.relations:
         if len(rel.terms) > 1:
             # rows matter only up to a scalar, so clear the denominators
             scale = lcm(*(c.denominator for c in rel.terms.values()))
-            terms = tuple((term, int(c * scale)) for term, c in rel.terms.items())
-            span = max(len(term) for term in rel.terms)
-            index.setdefault(rel.source, []).append((rel.target, span, terms))
+            terms = tuple(
+                (term, int(c * scale))
+                for term, c in rel.terms.items()
+                if not _contains_subword(term, zeros, zlens)
+            )
+            if terms:
+                span = max(len(term) for term in rel.terms)
+                index.setdefault(rel.source, []).append((rel.target, span, terms))
+                shortest = min(shortest, *(len(term) for term, _ in terms))
     reach: dict = {}
     for s, u in alive:
         reach.setdefault(s, []).append(u)
-    return _LinearSetup(max_len, zeros, sorted({len(z) for z in zeros}), alive, index, reach)
+    return _LinearSetup(max_len, zeros, zlens, alive, index, reach, shortest)
+
+
+def _junction_redex(path: Path, a: int, b: int, zeros: set[Path], zlens: list[int]) -> bool:
+    """Whether `path` has a monomial redex that does not lie inside path[:a]
+    or path[b:].  For path = x + term + y with a = len(x), b = a + len(term)
+    and x, y alive, this is `_contains_subword`; as live terms are free of
+    redexes too, a match crosses position a or b."""
+    n = len(path)
+    for L in zlens:
+        for i in range(max(0, a - L + 1), min(b, n - L + 1)):
+            if path[i : i + L] in zeros:
+                return True
+    return False
 
 
 def _relation_rows(setup: _LinearSetup, pair: Pair) -> Iterator[dict[Path, int]]:
@@ -624,7 +646,8 @@ def _relation_rows(setup: _LinearSetup, pair: Pair) -> Iterator[dict[Path, int]]
             if not suffixes:
                 continue
             for x in prefixes:
-                room = max_len - span - len(x)
+                a = len(x)
+                room = max_len - span - a
                 if room < 0:
                     break
                 for y in suffixes:
@@ -633,7 +656,7 @@ def _relation_rows(setup: _LinearSetup, pair: Pair) -> Iterator[dict[Path, int]]
                     row = {}
                     for term, coeff in terms:
                         key = x + term + y
-                        if not _contains_subword(key, zeros, zlens):
+                        if not _junction_redex(key, a, a + len(term), zeros, zlens):
                             row[key] = coeff
                     if row:
                         yield row
@@ -641,23 +664,25 @@ def _relation_rows(setup: _LinearSetup, pair: Pair) -> Iterator[dict[Path, int]]
 
 def _echelon(setup: _LinearSetup, pair: Pair) -> SparseEchelon:
     """Echelon basis of the relation rows of `pair`, eliminating longer
-    paths first."""
+    paths first.  It stops at full rank, where no further row can change it."""
     plist = setup.alive.get(pair, [])
     col_rank = {path: i for i, path in enumerate(sorted(plist, key=lambda q: (-len(q), q)))}
     ech = SparseEchelon(col_rank)
     for row in _relation_rows(setup, pair):
-        ech.add(row)
+        if ech.add(row) and ech.rank == len(plist):
+            break
     return ech
 
 
 @dataclass
 class QuotientDims:
     """Result of the linear engine: per-pair dimensions of the truncated
-    path space modulo relation instances, with a saturation certificate for
-    the trusted core pairs."""
+    path space modulo relation instances for the trusted core pairs, with a
+    saturation certificate for them.  Of the boundary pairs only the nonzero
+    ones are recorded, in `boundary_nonzero`."""
 
     max_len: int
-    dims: dict[Pair, int]
+    dims: dict[Pair, int]  # core pairs with an alive path
     core_pairs: list[Pair]
     boundary_nonzero: list[Pair]
     unsaturated: list[Pair]
@@ -680,48 +705,48 @@ def quotient_dims(
     max_len: int | None = None,
     require_saturation: bool = True,
 ) -> QuotientDims:
-    """Exact per-pair dimensions of paths modulo relations, truncated at
-    max_len.  Saturation means every maximal-length path between core
-    vertices lies in the span of shorter paths plus relation instances; if
-    that fails and require_saturation is set, NotSaturated is raised, naming
-    the first unsaturated pair and the top-length words of its residue, and
-    the caller should retry with a larger max_len.  max_len must be >= 1."""
+    """Exact dimensions of paths modulo relations, truncated at max_len, for
+    every core pair.  max_len must be >= 1.
+
+    A boundary pair is only decided nonzero or zero.  It is nonzero for
+    certain when it has a path shorter than every relation term, since no
+    relation row reaches such a path; otherwise it is eliminated.
+
+    Saturation means every maximal-length path between core vertices lies in
+    the span of shorter paths plus relation instances.  Longer paths are
+    pivoted first, so that holds exactly when every maximal-length column is
+    a pivot.  If it fails and require_saturation is set, NotSaturated is
+    raised, naming the first unsaturated pair and the top-length words of its
+    residue, and the caller should retry with a larger max_len."""
     if max_len is None:
         max_len = PRESETS[quiver.preset].max_len
     setup = _linear_setup(quiver, rels, max_len)
 
     dims: dict[Pair, int] = {}
+    boundary_nonzero: list[Pair] = []
     unsaturated: list[Pair] = []
     witness: list[str] = []  # residue words of the first unsaturated pair
     core = quiver.core
     for pair in sorted(setup.alive, key=_pair_key):
         plist = setup.alive[pair]
-        s, t = pair
+        if not (pair[0] in core and pair[1] in core):
+            if len(plist[0]) < setup.shortest or _echelon(setup, pair).rank < len(plist):
+                boundary_nonzero.append(pair)
+            continue
         ech = _echelon(setup, pair)
         dims[pair] = len(plist) - ech.rank
-        if s in core and t in core:
-            for path in plist:
-                if len(path) != max_len:
-                    continue
-                top = [k for k in ech.reduce({path: 1}) if len(k) == max_len]
-                if top:
-                    if not unsaturated:
+        tops = [path for path in plist if len(path) == max_len]
+        if ech.pivots_among(len(tops)) < len(tops):
+            if not unsaturated:
+                for path in tops:
+                    top = [k for k in ech.reduce({path: 1}) if len(k) == max_len]
+                    if top:
                         witness = sorted(map(quiver.format_path, top))
-                    unsaturated.append(pair)
-                    break
+                        break
+            unsaturated.append(pair)
 
     core_pairs = sorted(((v, w) for v in core for w in core), key=_pair_key)
-    boundary_nonzero = sorted(
-        (
-            pair
-            for pair, d in dims.items()
-            if d and not (pair[0] in core and pair[1] in core)
-        ),
-        key=_pair_key,
-    )
-    result = QuotientDims(
-        max_len, dims, core_pairs, boundary_nonzero, sorted(unsaturated, key=_pair_key)
-    )
+    result = QuotientDims(max_len, dims, core_pairs, boundary_nonzero, unsaturated)
     if require_saturation and unsaturated:
         raise NotSaturated(
             f"{len(unsaturated)} core pair(s) have irreducible length-{max_len} paths; "

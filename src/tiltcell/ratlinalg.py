@@ -50,6 +50,12 @@ class SparseEchelon:
     def rank(self) -> int:
         return len(self._pivots)
 
+    def pivots_among(self, k: int) -> int:
+        """Pivots among the k highest-priority columns: the dimension of the
+        span projected onto those columns, since every other pivot row is
+        zero there."""
+        return sum(r < k for r in self._pivots)
+
     def _reduce(self, row: Mapping[Hashable, int | Fraction]) -> dict[int, int]:
         """The residue of `row` keyed by column rank, as a primitive integer
         row with no pivot column."""

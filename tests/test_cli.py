@@ -159,6 +159,32 @@ def test_max_len_bounded_before_build(monkeypatch, max_len):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quiver-check", "--preset", "p2", "--p", "3", "--max-len", "100000"],
+        ["quiver-check", "--preset", "p2", "--p", "3", "--max-len", "7000"],
+        ["quiver-check", "--preset", "p2", "--p", "3", "--max-len", "8"],
+        ["verify", "--suite", "reciprocity", "--p", "3", "--r", "100000"],
+        ["verify", "--suite", "reciprocity", "--p", "3", "--r", "100000", "--lo", "0", "--hi", "1"],
+        ["generators", "--p", "3", "--r", "100000"],
+    ],
+    ids=["max-len-1e5", "max-len-7000", "max-len-8", "r-1e5", "r-1e5-window", "generators-r-1e5"],
+)
+def test_huge_exponent_rejected_before_build(monkeypatch, capsys, argv):
+    # V * 4**max_len and the sweeps over p**r are bounded before the power
+    # is formed or the quiver is built, with a short message and exit 2
+    def refuse(*args, **kwargs):
+        raise AssertionError("the quiver was built")
+
+    monkeypatch.setattr(qv, "build_p2_quiver", refuse)
+    monkeypatch.delenv("TILTCELL_MAX_WORK", raising=False)
+    code, out = invoke(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err) < 120
+
+
 def test_output_file(tmp_path):
     target = tmp_path / "out.json"
     code, out = invoke(["delta-factors", "--p", "3", "--weight", "0", "--output", str(target)])

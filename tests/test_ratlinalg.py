@@ -82,3 +82,21 @@ def test_echelon_matches_dense_reference(system):
         assert ech.reduce(vec) == {}
         assert not ech.add(vec)
     assert ech.rank == len(ref.rows)
+
+
+@settings(deadline=None, max_examples=150)
+@given(systems(), st.integers(0, 9))
+def test_pivot_count_is_projected_rank(system, k):
+    # pivots among the k highest-priority columns = rank of the span
+    # projected onto them; it is k iff each of them reduces off all of them
+    order, rows, _, _ = system
+    k = min(k, len(order))
+    head = order[:k]
+    ech = SparseEchelon({c: i for i, c in enumerate(order)})
+    projected = DenseReference(head)  # reads only the head columns of a row
+    for row in rows:
+        ech.add(row)
+        projected.add(row)
+        assert ech.pivots_among(k) == len(projected.rows)
+        avoids = all(not set(ech.reduce({c: 1})) & set(head) for c in head)
+        assert (ech.pivots_among(k) == k) == avoids
