@@ -3,8 +3,9 @@
 Every subcommand writes a machine-readable document (JSON by default, TSV or
 DOT where it makes sense) to stdout or --output and is byte-deterministic
 for fixed inputs.  Exit status: 0 on success, 1 when a verification ran and
-found a failure, 2 on usage errors.  TILTCELL_MAX_WORK caps sweep sizes and
-the vertex count of a preset quiver, checked before it is built.
+found a failure, 2 on usage errors.  TILTCELL_MAX_WORK caps sweep sizes, the
+support of a `char` character and the vertex count of a preset quiver, each
+checked before it is built.
 
 `verify` output carries per-check item/failure counts plus the failing items
 themselves; passing items of large sweeps are not echoed.  `quiver-check`
@@ -187,17 +188,23 @@ def cmd_delta_factors(args) -> int:
 def cmd_char(args) -> int:
     ctx = _context(args)
     kind = args.kind
+    # each kind's support is bounded before the character is built
     if kind == "weyl":
+        guard_work(abs(args.weight) + 1)
         ch = weyl_char(args.weight)
     elif kind == "simple":
         if args.weight < 0:
             raise UsageError("simple characters need a dominant (non-negative) weight")
+        guard_work(args.weight + 1)
         ch = simple_char(args.weight, ctx.p)
     elif kind == "simple-r":
+        guard_power(1, ctx.p, ctx.r)
         ch = simple_char_r(args.weight, ctx)
     elif kind == "baby-verma":
+        guard_power(1, ctx.p, ctx.r)
         ch = baby_verma_char(args.weight, ctx)
     elif kind == "tilting":
+        guard_power(1, 2 * ctx.p, ctx.r)
         ch = tilting_char(args.weight, ctx)
     else:
         raise UsageError(f"unknown character kind {kind!r}")

@@ -24,8 +24,10 @@ aborts loudly with `InvariantViolation` rather than being patched over.
 
 Results are memoised per (p, r, lam mod 2*p^r); general weights are folded
 in by shift equivariance (tensoring by the character of weight 2*p^r
-translates the whole table).  The cache is the standard library LRU cache,
-so concurrent readers are safe.
+translates the whole table).  A table is computed only after the tables it
+reads on the lower levels have been cached, lowest level first, so the call
+depth does not grow with r.  The cache is the standard library LRU cache, so
+concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -57,6 +59,20 @@ def delta_factors(lam: int, ctx: Context) -> DeltaFactors:
     return {nu + shift: m for nu, m in base}
 
 
+def _lower_keys(p: int, r: int, lam: int) -> list[tuple[int, int]]:
+    """The (level, folded weight) of the table that the level-r table of lam
+    reads on each lower level, from level r-1 down to 1."""
+    keys = []
+    period = 2 * p ** (r - 1)
+    for level in range(r - 1, 0, -1):
+        if lam % p != p - 1:
+            lam -= lam % p + 1  # a regular weight reads its lower wall
+        lam = (lam - (p - 1)) // p % period
+        keys.append((level, lam))
+        period //= p
+    return keys
+
+
 @lru_cache(maxsize=None)
 def _folded_factors(p: int, r: int, lam: int) -> tuple[tuple[int, int], ...]:
     ctx = Context(p, r)
@@ -67,6 +83,9 @@ def _folded_factors(p: int, r: int, lam: int) -> tuple[tuple[int, int], ...]:
         n = (lam - a) // p
         return tuple(sorted({lam: 1, n * p - a - 2: 1}.items()))
 
+    # cache the tables below level r-1 bottom-up; the one at r-1 is read below
+    for level, key in reversed(_lower_keys(p, r, lam)[1:]):
+        _folded_factors(p, level, key)
     if lam % p == p - 1:
         m = (lam - (p - 1)) // p
         sub = delta_factors(m, Context(p, r - 1))

@@ -45,6 +45,10 @@ Two independent engines are provided and cross-checked:
   practice.  The orientation is nowhere proven confluent; agreement of the
   irreducible-word counts with the linear dimensions is an empirical check.
 
+A `RelationSet` builds its rewrite index (rule table, redex lengths) once,
+at construction, and rules are fixed after that.  The rewriting engine reads
+the index; both engines scan for subwords with `_has_word`.
+
 Only window-interior ("core") vertex pairs are trusted: the infinite
 presentations are realised on a finite window with a declared shift period,
 and pairs near the cut are reported separately.
@@ -141,18 +145,6 @@ class PathElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def scaled(self, k) -> "PathElement":
-        k = Fraction(k)
-        return PathElement(self.source, self.target, {p: k * c for p, c in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PathElement)
-            and self.source == other.source
-            and self.target == other.target
-            and self.terms == other.terms
-        )
-
     def pretty(self, quiver: Quiver) -> str:
         if not self.terms:
             return "0"
@@ -175,17 +167,23 @@ class RelationSet:
     consumed by the linear engine (`relations`).  `derived_rules` are
     consequences of the relations, used only by the rewriting engine; they
     do not enlarge the ideal.
+
+    The rewrite index is built once, at construction: `table` holds the
+    rules, then the derived rules (which win on a shared redex), and
+    `lengths` the distinct redex lengths in ascending order.  Rules are fixed
+    after construction; to change them, build a new RelationSet.
     """
 
     relations: list[PathElement]
     rules: dict[Path, Replacement]
     derived_rules: dict[Path, Replacement]
     scalars: dict[str, Fraction]
+    table: dict[Path, Replacement] = field(init=False, repr=False)
+    lengths: list[int] = field(init=False, repr=False)
 
-    def all_rules(self) -> dict[Path, Replacement]:
-        merged = dict(self.rules)
-        merged.update(self.derived_rules)
-        return merged
+    def __post_init__(self) -> None:
+        self.table = {**self.rules, **self.derived_rules}
+        self.lengths = sorted({len(k) for k in self.table})
 
     def zero_redexes(self) -> set[Path]:
         """Redexes of single-term (monomial) relations; any path containing
@@ -527,28 +525,35 @@ PRESETS: dict[str, Preset] = {
 # ---------------------------------------------------------------------------
 
 
-def _contains_subword(path: Path, words: set[Path], lengths: list[int]) -> bool:
-    for i in range(len(path)):
-        for L in lengths:
-            if i + L > len(path):
-                break
+def _has_word(
+    path: Path, words: set[Path], lengths: list[int], a: int = 0, b: int | None = None
+) -> bool:
+    """Whether some word of `words` occurs in `path` other than inside
+    path[:a] or path[b:], i.e. at some [i, i + L) with i < b and i + L > a.
+    `lengths` are the word lengths, ascending; by default the whole path is
+    scanned."""
+    n = len(path)
+    if b is None:
+        b = n
+    for L in lengths:
+        for i in range(max(0, a - L + 1), min(b, n - L + 1)):
             if path[i : i + L] in words:
                 return True
     return False
 
 
 def _alive_paths(
-    quiver: Quiver, max_len: int, zeros: set[Path]
+    quiver: Quiver, max_len: int, words: set[Path]
 ) -> dict[Pair, list[Path]]:
-    """All composable paths of length <= max_len with no monomial-relation
-    subword, keyed by (source, target).  Paths containing such a subword are
-    ideal members and contribute nothing to the quotient, so pruning them at
-    generation time is exact."""
-    zlens = sorted({len(z) for z in zeros})
+    """All composable paths of length <= max_len with no subword in `words`,
+    keyed by (source, target), each list in length order.  Every prefix of a
+    generated path was generated, so testing the suffixes ending at each new
+    arrow prunes exactly the paths that contain a word."""
+    lengths = sorted({len(w) for w in words})
 
     def suffix_ok(path: Path) -> bool:
-        for L in zlens:
-            if L <= len(path) and path[-L:] in zeros:
+        for L in lengths:
+            if L <= len(path) and path[-L:] in words:
                 return False
         return True
 
@@ -572,7 +577,9 @@ def _alive_paths(
 
 def surviving_paths(quiver: Quiver, rels: RelationSet, max_len: int) -> dict[Pair, list[Path]]:
     """Paths of length <= max_len that do not already die by containing a
-    monomial relation; the column space of the linear engine."""
+    monomial relation; the column space of the linear engine.  Such paths
+    are ideal members and contribute nothing to the quotient, so pruning
+    them at generation time is exact."""
     return _alive_paths(quiver, max_len, rels.zero_redexes())
 
 
@@ -605,7 +612,7 @@ def _linear_setup(quiver: Quiver, rels: RelationSet, max_len: int) -> _LinearSet
             terms = tuple(
                 (term, int(c * scale))
                 for term, c in rel.terms.items()
-                if not _contains_subword(term, zeros, zlens)
+                if not _has_word(term, zeros, zlens)
             )
             if terms:
                 span = max(len(term) for term in rel.terms)
@@ -617,23 +624,11 @@ def _linear_setup(quiver: Quiver, rels: RelationSet, max_len: int) -> _LinearSet
     return _LinearSetup(max_len, zeros, zlens, alive, index, reach, shortest)
 
 
-def _junction_redex(path: Path, a: int, b: int, zeros: set[Path], zlens: list[int]) -> bool:
-    """Whether `path` has a monomial redex that does not lie inside path[:a]
-    or path[b:].  For path = x + term + y with a = len(x), b = a + len(term)
-    and x, y alive, this is `_contains_subword`; as live terms are free of
-    redexes too, a match crosses position a or b."""
-    n = len(path)
-    for L in zlens:
-        for i in range(max(0, a - L + 1), min(b, n - L + 1)):
-            if path[i : i + L] in zeros:
-                return True
-    return False
-
-
 def _relation_rows(setup: _LinearSetup, pair: Pair) -> Iterator[dict[Path, int]]:
     """Nonzero rows x*rel*y from s to t of length <= max_len, one per non-monomial
     relation instance, each scaled to integers; composites containing a
-    monomial relation are dropped."""
+    monomial relation are dropped.  As x, y and the live terms are free of
+    monomial redexes, only windows crossing a junction are scanned."""
     max_len, zeros, zlens, alive = setup.max_len, setup.zeros, setup.zlens, setup.alive
     s, t = pair
     for u in setup.reach.get(s, ()):
@@ -656,7 +651,7 @@ def _relation_rows(setup: _LinearSetup, pair: Pair) -> Iterator[dict[Path, int]]
                     row = {}
                     for term, coeff in terms:
                         key = x + term + y
-                        if not _junction_redex(key, a, a + len(term), zeros, zlens):
+                        if not _has_word(key, zeros, zlens, a, a + len(term)):
                             row[key] = coeff
                     if row:
                         yield row
@@ -767,7 +762,7 @@ def ideal_member(
     vec = {
         path: c
         for path, c in elem.terms.items()
-        if not _contains_subword(path, setup.zeros, setup.zlens)
+        if not _has_word(path, setup.zeros, setup.zlens)
     }
     if not set(vec) <= set(setup.alive.get(pair, ())):
         return False  # a surviving path beyond the truncation is never eliminated
@@ -810,8 +805,7 @@ def check_against_cellular(
 def normal_form(x: PathElement, rels: RelationSet, max_steps: int = 200_000) -> PathElement:
     """Rewrite to a fixed point: leftmost position first, shortest redex
     first.  Raises NonTerminating when the step budget runs out."""
-    rules = rels.all_rules()
-    lengths = sorted({len(k) for k in rules})
+    rules, lengths = rels.table, rels.lengths
     out: dict[Path, Fraction] = {}
     work = list(x.terms.items())
     steps = 0
@@ -852,18 +846,12 @@ def reduce_path(quiver: Quiver, rels: RelationSet, path: Path) -> PathElement:
 def irreducible_words(
     quiver: Quiver, rels: RelationSet, max_len: int
 ) -> dict[Pair, list[Path]]:
-    """Paths of length <= max_len containing no redex, per vertex pair.  For
-    a complete, confluent orientation these enumerate a monomial basis of
-    the quotient, so their counts must match the linear dimensions."""
-    rules = rels.all_rules()
-    lengths = sorted({len(k) for k in rules})
-    rule_keys = set(rules)
-    out: dict[Pair, list[Path]] = {}
-    for pair, plist in _alive_paths(quiver, max_len, rels.zero_redexes()).items():
-        keep = [q for q in plist if not _contains_subword(q, rule_keys, lengths)]
-        if keep:
-            out[pair] = sorted(keep, key=lambda q: (len(q), q))
-    return out
+    """Paths of length <= max_len containing no redex, per vertex pair,
+    pruned as they are generated.  For a complete, confluent orientation
+    these enumerate a monomial basis of the quotient, so their counts must
+    match the linear dimensions."""
+    out = _alive_paths(quiver, max_len, rels.zero_redexes().union(rels.table))
+    return {pair: sorted(plist, key=lambda q: (len(q), q)) for pair, plist in out.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from tiltcell import quiver as qv
+from tiltcell import cli, quiver as qv
 from tiltcell.cli import run
 
 
@@ -183,6 +183,55 @@ def test_huge_exponent_rejected_before_build(monkeypatch, capsys, argv):
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err) < 120
+
+
+@pytest.mark.parametrize(
+    "argv,key,value",
+    [
+        (["delta-factors", "--weight", "10"], "factors", [[-12, 1], [-8, 1], [6, 1], [10, 1]]),
+        (["hom-dim", "--weight", "10", "--weight", "12"], "dim", 4),
+    ],
+    ids=["delta-factors", "hom-dim"],
+)
+def test_deep_level(argv, key, value):
+    # 400 levels of factor tables must not need 400 stack frames
+    code, out = invoke(argv + ["--p", "3", "--r", "400"])
+    assert code == 0 and json.loads(out)[key] == value
+
+
+@pytest.mark.parametrize(
+    "kind,p,r,weight,cap",
+    [
+        ("weyl", 3, 1, 1000, 1000),
+        ("weyl", 3, 1, -1000, 1000),
+        ("simple", 3, 1, 1000, 1000),
+        ("simple-r", 3, 7, 0, 3**7 - 1),
+        ("baby-verma", 3, 7, 0, 3**7 - 1),
+        ("baby-verma", 3, 25, 0, None),
+        ("tilting", 3, 4, 0, 6**4 - 1),
+    ],
+)
+def test_char_bounded_before_build(monkeypatch, kind, p, r, weight, cap):
+    # the character's support is bounded (|weight|+1, p^r or (2p)^r) first
+    def refuse(*args, **kwargs):
+        raise AssertionError("the character was built")
+
+    for name in ("weyl_char", "simple_char", "simple_char_r", "baby_verma_char", "tilting_char"):
+        monkeypatch.setattr(cli, name, refuse)
+    if cap is None:
+        monkeypatch.delenv("TILTCELL_MAX_WORK", raising=False)
+    else:
+        monkeypatch.setenv("TILTCELL_MAX_WORK", str(cap))
+    argv = ["char", "--kind", kind, "--p", str(p), "--r", str(r), f"--weight={weight}"]
+    code, out = invoke(argv)
+    assert code == 2 and out == ""
+
+
+def test_char_in_range_unchanged(monkeypatch):
+    monkeypatch.setenv("TILTCELL_MAX_WORK", "51")
+    code, out = invoke(["char", "--kind", "weyl", "--weight", "50", "--format", "tsv"])
+    assert code == 0
+    assert out == "".join(f"{w}\t1\n" for w in range(-50, 51, 2))
 
 
 def test_output_file(tmp_path):

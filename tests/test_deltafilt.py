@@ -4,6 +4,7 @@ import pytest
 
 from tiltcell.charring import baby_verma_char, decompose_into_simples
 from tiltcell.deltafilt import (
+    _folded_factors,
     delta_factors,
     hom_dim,
     hom_dim_sum,
@@ -141,6 +142,17 @@ def test_verify_steinberg_examples():
     # Hom dimensions transport across the embedding
     r1, r2 = Context(5, 1), Context(5, 2)
     assert hom_dim(4 + 5 * 0, 4 + 5 * 8, r2) == hom_dim(0, 8, r1) == 1
+
+
+def test_level_drop_at_deep_level():
+    # from a cold cache the tables span 400 levels, so the call depth must
+    # not grow with r
+    _folded_factors.cache_clear()
+    p = 3
+    ctx, sub = Context(p, 400), Context(p, 399)
+    for m in (0, 1, 4, 10):
+        lhs = delta_factors(p - 1 + p * m, ctx)
+        assert lhs == {p - 1 + p * nu: k for nu, k in delta_factors(m, sub).items()}
 
 
 def test_verify_mult_free_and_linkage_reports():

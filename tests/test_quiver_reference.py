@@ -18,7 +18,6 @@ from tiltcell.quiver import (
     Quiver,
     RelationSet,
     _alive_paths,
-    _contains_subword,
     _pair_key,
     build_p1_quiver,
     build_p2_quiver,
@@ -27,6 +26,18 @@ from tiltcell.quiver import (
     quotient_dims,
 )
 from tiltcell.ratlinalg import SparseEchelon
+
+
+def contains_subword(path, words, lengths):
+    """Plain full scan over every position, kept apart from the engine's
+    windowed scanner; `lengths` are the word lengths, ascending."""
+    for i in range(len(path)):
+        for L in lengths:
+            if i + L > len(path):
+                break
+            if path[i : i + L] in words:
+                return True
+    return False
 
 
 def reference_quotient_dims(quiver, rels, max_len):
@@ -55,7 +66,7 @@ def reference_quotient_dims(quiver, rels, max_len):
                         row = {
                             x + term + y: c
                             for term, c in rel.terms.items()
-                            if not _contains_subword(x + term + y, zeros, zlens)
+                            if not contains_subword(x + term + y, zeros, zlens)
                         }
                         if row:
                             rows.setdefault((s, t), []).append(row)
