@@ -1,9 +1,11 @@
-"""Byte-level golden outputs of the quiver subcommands.
+"""Byte-level golden outputs of the quiver and weight-side subcommands.
 
 Each entry pins the exit status and the sha256 of stdout for one cheap
-command, recorded before the preset handling was refactored.  A refactor
-of `cli.py` or `quiver.py` must leave every entry unchanged; a deliberate
-change of output format must update the digests in the same change.
+command.  The quiver entries were recorded before the preset handling was
+refactored, the weight-side entries before the factor tables became a walk
+over p-adic digits.  A refactor of `cli.py`, `quiver.py` or `deltafilt.py`
+must leave every entry unchanged; a deliberate change of output format must
+update the digests in the same change.
 """
 
 from __future__ import annotations
@@ -42,6 +44,25 @@ GOLDEN = [
     # an unsaturated truncation: the NotSaturated witness, then the dims it leaves
     ("quiver-check --preset sl3 --scalars a=1,b=1,r=1", 1, "01072234980a6a926ed18be75028ea56e801a678391f3d7d15e0f55963292509"),
     ("quiver-check --preset sl3 --scalars a=1,b=1,r=1 --allow-unsaturated", 1, "9de45c81b1b03f616982e8f6dcfd01138f3e24c05788f4415a4489335e11453f"),
+    # weight side: factor tables, characters, Hom, cell indices, generators
+    ("delta-factors --p 5 --r 2 --weight 10", 0, "a9fcb0812fd52646605b3077fc60b08116676e9f16eb8288e051e803b7277737"),
+    ("delta-factors --p 3 --r 3 --weight -19 --format tsv", 0, "f5e58cadaa858f8c91da949e1e56b340af07b63be3dfb82c110fc3aedeb1b064"),
+    ("delta-factors --p 7 --r 2 --weight 33 --format tsv", 0, "8f6950bc29be5a43b176e09b61f4c79f6b741ccb9f6341ab7223fa63ca401635"),
+    ("delta-factors --p 3 --r 400 --weight 10", 0, "4a12ac740b1b3073d6052cfb5e024201815ec1382dd9e0eb5740e8c316874753"),
+    ("char --kind tilting --p 3 --r 3 --weight 13", 0, "17b503b4907e04fd7970258aeccd5db8934e0a475622264ef890e8fdef14ff1a"),
+    ("char --kind tilting --p 5 --r 2 --weight -7 --format tsv", 0, "c825c3bf68acc06c0d34321647b012681affe67aa6dddb75ac66228ac9eb0684"),
+    ("hom-dim --p 3 --r 3 --weight 0 --weight 52", 0, "97171e5abdf06c99084f2020bd593d55f9a30ef3347646594eb037aa4554f058"),
+    ("hom-dim --p 5 --r 2 --weight 10 --weight -12", 0, "8fe0096eb66e8e1f6a6ca3472cc8765fda3960cdac0c41441debd6ed888ab1ed"),
+    ("cell-basis --source 0,4 --target 4,8 --p 3 --r 2", 0, "7cd64ba56e5e21fadaef5f28772b025b71fa6f002a2d813127456ec9db085630"),
+    ("generators --p 3 --r 3", 0, "bfbb10a0e2a21911efc0071d029536474e7059353a04eb16005cab433a0d71e9"),
+    ("generators --p 5 --r 2 --principal-block --format tsv", 0, "a2b6f8064968c2f45e281259f23fc3ad032d2b0b6a694980992ac5e7b6ea435b"),
+    # weight-side verify suites: every suite at (3, 2), four over an explicit window
+    ("verify --suite all --p 3 --r 2", 0, "3ee9a9f887e9f55866cf1c980dd1796c2599f93ae192d7fb78634ab813f010b5"),
+    ("verify --suite reciprocity --p 5 --r 2 --lo -30 --hi 30", 0, "aad51d94ddd30c135029c4095b8e43fb4f086641f13293b71b0dc240157c9410"),
+    ("verify --suite bounds --p 5 --r 2 --lo -30 --hi 30", 0, "bf761a296230357a1e758b6ec5d6b725f82ee5b9ffa5992b98cab01c336c0bed"),
+    ("verify --suite linkage --p 5 --r 2 --lo -30 --hi 30", 0, "190a28b159a258c238569aff7a879cdec9b0d394cd3be0f7d816b030916ae28e"),
+    ("verify --suite multfree --p 5 --r 2 --lo -30 --hi 30", 0, "27a143dc41e088ffdf988d1c8de197e20fa174b14d54abf4773a11045edf5dd5"),
+    ("verify --suite steinberg --p 3 --r 3", 0, "7aa987b0097239bd4c5fd3089e4153a57a306d09b6703b162ea3624f87b33537"),
 ]
 
 
