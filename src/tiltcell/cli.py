@@ -4,8 +4,9 @@ Every subcommand writes a machine-readable document (JSON by default, TSV or
 DOT where it makes sense) to stdout or --output and is byte-deterministic
 for fixed inputs.  Exit status: 0 on success, 1 when a verification ran and
 found a failure, 2 on usage errors.  TILTCELL_MAX_WORK caps sweep sizes, the
-support of a `char` character and the vertex count of a preset quiver, each
-checked before it is built.
+entries of the factor tables a command reads, the support of a `char`
+character and the vertex count of a preset quiver, each checked before it is
+built.
 
 `verify` output carries per-check item/failure counts plus the failing items
 themselves; passing items of large sweeps are not echoed.  `quiver-check`
@@ -22,9 +23,9 @@ from fractions import Fraction
 
 from . import cellbasis, deltafilt, quiver as qv
 from .charring import baby_verma_char, simple_char, simple_char_r, weyl_char
-from .deltafilt import delta_factors, hom_dim, tilting_char
+from .deltafilt import delta_factors, hom_dim, table_size, tilting_char
 from .report import Report
-from .weights import Context
+from .weights import Context, tilde
 
 SCHEMA = 1
 DEFAULT_MAX_WORK = 2_000_000
@@ -63,6 +64,12 @@ def guard_power(factor: int, base: int, exp: int) -> None:
             f"sweep of at least 2**{_magnitude(exp)} items exceeds TILTCELL_MAX_WORK={cap}"
         )
     guard_work(factor * base**exp)
+
+
+def guard_tables(weights, ctx: Context) -> None:
+    """guard_work over the summed entries of the factor tables at weights,
+    read from their digits before any table is built."""
+    guard_work(sum(table_size(lam, ctx) for lam in weights))
 
 
 def _context(args) -> Context:
@@ -165,6 +172,7 @@ def _build_preset(args, max_len: int | None = None) -> tuple[qv.Quiver, qv.Relat
 
 def cmd_delta_factors(args) -> int:
     ctx = _context(args)
+    guard_tables([args.weight], ctx)
     fac = delta_factors(args.weight, ctx)
     pairs = [[nu, fac[nu]] for nu in sorted(fac)]
     if args.format == "tsv":
@@ -233,6 +241,7 @@ def cmd_hom_dim(args) -> int:
     if len(args.weight) != 2:
         raise UsageError("hom-dim needs exactly two --weight flags")
     lam, mu = args.weight
+    guard_tables(args.weight, ctx)
     _emit(
         args,
         _json(
@@ -254,6 +263,7 @@ def cmd_cell_basis(args) -> int:
     Q = _weights_list(args.target)
     if not P or not Q:
         raise UsageError("cell-basis needs --source and --target weight lists")
+    guard_tables([*P, *Q], ctx)
     indices = cellbasis.cell_indices(P, Q, ctx)
     _emit(
         args,
@@ -273,7 +283,10 @@ def cmd_cell_basis(args) -> int:
 def cmd_generators(args) -> int:
     if args.preset == "sl3":
         pairs = cellbasis.sl3_generator_set_bprime()
-        _emit(args, _json({"schema": SCHEMA, "preset": "sl3", "pairs": [list(t) for t in pairs]}))
+        if args.format == "tsv":
+            _emit(args, "".join(f"{hi}\t{lo}\n" for hi, lo in pairs))
+        else:
+            _emit(args, _json({"schema": SCHEMA, "preset": "sl3", "pairs": [list(t) for t in pairs]}))
         return 0
     ctx = _context(args)
     guard_power(2, ctx.p, 2 * ctx.r)  # 2 * q * q
@@ -359,6 +372,40 @@ def cmd_quiver_check(args) -> int:
 _SUITES = ("reciprocity", "bounds", "linkage", "multfree", "steinberg", "quiver", "all")
 
 
+def _steinberg_span(lo: int, hi: int, ctx: Context) -> int:
+    return max(abs(lo), abs(hi)) // ctx.p + 1
+
+
+def _guard_weight_suites(name: str, lo: int, hi: int, ctx: Context) -> None:
+    """Bound the sweeps of the weight suites in `name`, then the entries of
+    the factor tables they read, before any sweep runs."""
+    window = range(lo, hi + 1)
+    n = len(window)
+    if name in ("reciprocity", "all"):
+        guard_power(4 * n, ctx.p, ctx.r)
+    if name in ("bounds", "all"):
+        guard_work(n * 8)
+    if name in ("linkage", "all"):
+        guard_work(n**2)
+    if name in ("multfree", "all"):
+        guard_work(n * 2)
+    if name == "steinberg" and ctx.r < 2:
+        raise UsageError("the steinberg suite needs --r >= 2")
+    tables: list[int] = []
+    if name in ("linkage", "multfree", "all"):
+        tables += window
+    if name in ("reciprocity", "bounds", "linkage", "all"):
+        tables += [tilde(lam, ctx) for lam in window]
+    if name in ("steinberg", "all") and ctx.r >= 2:
+        guard_work(n * 8 * ctx.p)
+        # p-1+p*m over the m-span, widened by the partners of its hom sweep;
+        # each has a table entry, so their count is bounded before listing
+        reach = _steinberg_span(lo, hi, ctx) + 2 * ctx.q // ctx.p
+        guard_work(2 * reach + 1)
+        tables += range(-reach * ctx.p + ctx.p - 1, reach * ctx.p + ctx.p, ctx.p)
+    guard_tables(tables, ctx)
+
+
 def _run_suite(name: str, args) -> list[Report]:
     ctx = _context(args)
     lo, hi = args.lo, args.hi
@@ -370,39 +417,33 @@ def _run_suite(name: str, args) -> list[Report]:
         hi = 2 * ctx.q if hi is None else hi
     if lo is not None and hi is not None and lo > hi:
         raise UsageError("--lo must not exceed --hi")
+    if name != "quiver":
+        _guard_weight_suites(name, lo, hi, ctx)
     reports: list[Report] = []
     if name in ("reciprocity", "all"):
-        guard_power(4 * (hi - lo + 1), ctx.p, ctx.r)
         rep = Report("reciprocity", {"p": ctx.p, "r": ctx.r, "lo": lo, "hi": hi})
         for lam in range(lo, hi + 1):
             rep.extend(deltafilt.verify_reciprocity(lam, ctx))
         reports.append(rep)
     if name in ("bounds", "all"):
-        guard_work((hi - lo + 1) * 8)
         rep = Report("bounds", {"p": ctx.p, "r": ctx.r, "lo": lo, "hi": hi})
         for lam in range(lo, hi + 1):
             rep.extend(deltafilt.verify_bounds(lam, ctx))
         reports.append(rep)
     if name in ("linkage", "all"):
-        guard_work((hi - lo + 1) ** 2)
         rep = Report("strong-linkage", {"p": ctx.p, "r": ctx.r, "lo": lo, "hi": hi})
         for lam in range(lo, hi + 1):
             rep.extend(deltafilt.verify_strong_linkage(lam, ctx))
         rep.extend(deltafilt.verify_linkage_necessity(lo, hi, ctx))
         reports.append(rep)
     if name in ("multfree", "all"):
-        guard_work((hi - lo + 1) * 2)
         reports.append(deltafilt.verify_mult_free(lo, hi, ctx))
-    if name in ("steinberg", "all"):
-        if ctx.r >= 2:
-            guard_work((hi - lo + 1) * 8 * ctx.p)
-            rep = Report("steinberg-equivalence", {"p": ctx.p, "r": ctx.r, "lo": lo, "hi": hi})
-            span = max(abs(lo), abs(hi)) // ctx.p + 1
-            for m in range(-span, span + 1):
-                rep.extend(deltafilt.verify_steinberg_equivalence(m, ctx))
-            reports.append(rep)
-        elif name == "steinberg":
-            raise UsageError("the steinberg suite needs --r >= 2")
+    if name in ("steinberg", "all") and ctx.r >= 2:
+        rep = Report("steinberg-equivalence", {"p": ctx.p, "r": ctx.r, "lo": lo, "hi": hi})
+        span = _steinberg_span(lo, hi, ctx)
+        for m in range(-span, span + 1):
+            rep.extend(deltafilt.verify_steinberg_equivalence(m, ctx))
+        reports.append(rep)
     if name in ("quiver", "all"):
         for preset in qv.PRESETS.values():
             guard_work(preset.vertex_count(ctx.p, preset.window))
@@ -421,10 +462,7 @@ def cmd_verify(args) -> int:
         "schema": SCHEMA,
         "suite": args.suite,
         "pass": ok,
-        "reports": [
-            {**rep.to_dict(), "items": [i.to_dict() for i in rep.failures]}
-            for rep in reports
-        ],
+        "reports": [Report(rep.check, rep.context, rep.failures).to_dict() for rep in reports],
         "counts": [
             {"check": rep.check, "items": len(rep.items), "failures": len(rep.failures)}
             for rep in reports

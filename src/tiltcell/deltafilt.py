@@ -4,30 +4,30 @@ Hom-space dimensions they determine, and verification sweeps.
 `delta_factors(lam, ctx)` returns the finitely supported multiset of weights
 nu such that the standard object at nu occurs in a filtration of the
 indecomposable tilting object with highest weight lam.  For rank one these
-multiplicities are always one; the recursion below both exploits and checks
-that fact:
+multiplicities are always one.  The table is built from one walk over the r
+p-adic digits of lam, lowest digit first:
 
-* level 1, lam on a wall (lam = -1 mod p): a single factor, lam itself;
-* level 1, lam = n*p + a regular (a in [0, p-2]): the pair lam and its
-  reflection n*p - a - 2 in the lower wall;
-* level r > 1, lam = p - 1 mod p: write lam = p - 1 + p*m and pull the
-  level-(r-1) table of m through nu -> p - 1 + p*nu (the categorical
+* a wall digit a = p - 1 reads m = (lam - a) / p, the weight that the
+  Frobenius twist nu -> (nu + 1)*p - 1 carries onto lam (the categorical
   equivalence onto the Steinberg component);
-* level r > 1, lam = n*p + a regular: take the table of the lower wall
-  weight n*p - 1 (every entry has the form k*p - 1, asserted) and translate
-  each entry off the wall into the two neighbouring alcoves: k*p + a and
-  k*p - a - 2.
+* a regular digit a in [0, p-2] reads (lam - a) / p - 1, the weight whose
+  image (nu + 1)*p - 1 is the lower wall of lam.
 
-If an entry of a wall table were not of wall form, or any multiplicity
-exceeded one, the multiplicity-one property would be false: such a state
-aborts loudly with `InvariantViolation` rather than being patched over.
+After r digits the walk reaches a weight whose level-0 table is that weight
+alone.  Replaying the digits from the highest down, a wall digit maps each entry nu to
+(nu + 1)*p - 1, and a regular digit translates the wall entry off the wall
+into the two neighbouring alcoves, (nu + 1)*p + a and (nu + 1)*p - a - 2.
+A table therefore has 2**k entries, k the number of regular digits, which
+`table_size` reads from the walk alone, before anything is built.
+
+If two images ever coincided, the multiplicity-one property would be false:
+such a state aborts loudly with `InvariantViolation` rather than being
+patched over.
 
 Results are memoised per (p, r, lam mod 2*p^r); general weights are folded
 in by shift equivariance (tensoring by the character of weight 2*p^r
-translates the whole table).  A table is computed only after the tables it
-reads on the lower levels have been cached, lowest level first, so the call
-depth does not grow with r.  The cache is the standard library LRU cache, so
-concurrent readers are safe.
+translates the whole table).  The cache is the standard library LRU cache,
+so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ DeltaFactors = dict[int, int]
 
 
 class InvariantViolation(RuntimeError):
-    """A structural invariant the recursion relies on failed.
+    """A structural invariant the factor tables rely on failed.
 
     Not a user error: it would mean the multiplicity-one property is wrong
     for the requested (p, r), and the result must not be trusted.
@@ -59,69 +59,46 @@ def delta_factors(lam: int, ctx: Context) -> DeltaFactors:
     return {nu + shift: m for nu, m in base}
 
 
-def _lower_keys(p: int, r: int, lam: int) -> list[tuple[int, int]]:
-    """The (level, folded weight) of the table that the level-r table of lam
-    reads on each lower level, from level r-1 down to 1."""
-    keys = []
-    period = 2 * p ** (r - 1)
-    for level in range(r - 1, 0, -1):
-        if lam % p != p - 1:
-            lam -= lam % p + 1  # a regular weight reads its lower wall
-        lam = (lam - (p - 1)) // p % period
-        keys.append((level, lam))
-        period //= p
-    return keys
+def _digit_walk(p: int, r: int, lam: int) -> tuple[int, list[int]]:
+    """The level-0 weight that the walk over the r p-adic digits of lam
+    reaches, and the digits, lowest first."""
+    digits = []
+    for _ in range(r):
+        a = lam % p
+        digits.append(a)
+        lam = (lam - a) // p - (a != p - 1)  # a regular digit reads its lower wall
+    return lam, digits
+
+
+def table_size(lam: int, ctx: Context) -> int:
+    """len(delta_factors(lam, ctx)), without building the table: two to the
+    number of regular digits."""
+    _, digits = _digit_walk(ctx.p, ctx.r, lam)
+    return 2 ** sum(a != ctx.p - 1 for a in digits)
 
 
 @lru_cache(maxsize=None)
 def _folded_factors(p: int, r: int, lam: int) -> tuple[tuple[int, int], ...]:
-    ctx = Context(p, r)
-    if r == 1:
-        a = lam % p
+    base, digits = _digit_walk(p, r, lam)
+    table = {base}
+    for a in reversed(digits):
         if a == p - 1:
-            return ((lam, 1),)
-        n = (lam - a) // p
-        return tuple(sorted({lam: 1, n * p - a - 2: 1}.items()))
-
-    # cache the tables below level r-1 bottom-up; the one at r-1 is read below
-    for level, key in reversed(_lower_keys(p, r, lam)[1:]):
-        _folded_factors(p, level, key)
-    if lam % p == p - 1:
-        m = (lam - (p - 1)) // p
-        sub = delta_factors(m, Context(p, r - 1))
-        return tuple(sorted((p - 1 + p * nu, k) for nu, k in sub.items()))
-
-    a = lam % p
-    n = (lam - a) // p
-    wall = delta_factors(n * p - 1, ctx)
-    out: dict[int, int] = {}
-    for nu, mult in wall.items():
-        if mult != 1:
+            images = [(nu + 1) * p - 1 for nu in table]
+        else:
+            images = [w for nu in table for w in ((nu + 1) * p + a, (nu + 1) * p - a - 2)]
+        table = set(images)
+        if len(table) != len(images):
             raise InvariantViolation(
-                f"wall table at {n * p - 1} (p={p}, r={r}) has multiplicity {mult}"
+                f"multiplicity above one in the table of {lam} (p={p}, r={r})"
             )
-        if (nu + 1) % p != 0:
-            raise InvariantViolation(
-                f"wall table at {n * p - 1} (p={p}, r={r}) contains non-wall weight {nu}"
-            )
-        k = (nu + 1) // p
-        for image in (k * p + a, k * p - a - 2):
-            out[image] = out.get(image, 0) + 1
-    if any(v != 1 for v in out.values()):
-        raise InvariantViolation(
-            f"multiplicity above one in the table of {lam} (p={p}, r={r})"
-        )
-    return tuple(sorted(out.items()))
+    return tuple((nu, 1) for nu in sorted(table))
 
 
 def hom_dim(lam: int, mu: int, ctx: Context) -> int:
     """dim Hom between the indecomposable tiltings at lam and mu: the number
-    of common standard factors, counted with products of multiplicities."""
-    fa = delta_factors(lam, ctx)
-    fb = delta_factors(mu, ctx)
-    if len(fb) < len(fa):
-        fa, fb = fb, fa
-    return sum(m * fb.get(nu, 0) for nu, m in fa.items())
+    of common standard factors.  Counting common weights is exact because
+    every table is multiplicity-free, which `InvariantViolation` enforces."""
+    return len(delta_factors(lam, ctx).keys() & delta_factors(mu, ctx).keys())
 
 
 def hom_dim_sum(P: dict[int, int], Q: dict[int, int], ctx: Context) -> int:

@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from tiltcell import cli, quiver as qv
+from tiltcell import cellbasis, cli, deltafilt, quiver as qv
 from tiltcell.cli import run
 
 
@@ -96,6 +96,13 @@ def test_generators_sl3_preset():
     code, out = invoke(["generators", "--preset", "sl3"])
     assert code == 0
     assert json.loads(out)["pairs"][0] == ["w0", "st"]
+
+
+def test_generators_sl3_tsv():
+    code, out = invoke(["generators", "--preset", "sl3", "--format", "tsv"])
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert rows == [list(t) for t in cellbasis.sl3_generator_set_bprime()]
 
 
 def test_cell_basis_cli():
@@ -197,6 +204,35 @@ def test_deep_level(argv, key, value):
     # 400 levels of factor tables must not need 400 stack frames
     code, out = invoke(argv + ["--p", "3", "--r", "400"])
     assert code == 0 and json.loads(out)[key] == value
+
+
+@pytest.mark.parametrize(
+    "argv,cap",
+    [
+        (["delta-factors", "--p", "3", "--r", "20", "--weight", "-19"], "100000"),
+        (["verify", "--suite", "multfree", "--p", "3", "--r", "20", "--lo", "-19", "--hi", "-19"], "100000"),
+        (["delta-factors", "--p", "3", "--r", "40", "--weight", "-19"], None),
+        (["hom-dim", "--p", "3", "--r", "40", "--weight", "0", "--weight", "-19"], None),
+        (["cell-basis", "--p", "3", "--r", "40", "--source", "-19", "--target", "0"], None),
+        # tilde(0) is -2 + 2*3**40, whose table the bounds suite reads
+        (["verify", "--suite", "bounds", "--p", "3", "--r", "40", "--lo", "0", "--hi", "0"], None),
+        (["verify", "--suite", "steinberg", "--p", "3", "--r", "20", "--lo", "0", "--hi", "0"], None),
+    ],
+    ids=["delta-r20", "multfree-r20", "delta-r40", "hom-r40", "cell-basis-r40", "bounds-r40", "steinberg-r20"],
+)
+def test_factor_tables_bounded_before_build(monkeypatch, argv, cap):
+    # a table has 2**k entries for k regular digits; -19 is regular at most
+    # levels, so its tables are counted from the digits and never built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a factor table was built")
+
+    monkeypatch.setattr(deltafilt, "_folded_factors", refuse)
+    if cap is None:
+        monkeypatch.delenv("TILTCELL_MAX_WORK", raising=False)
+    else:
+        monkeypatch.setenv("TILTCELL_MAX_WORK", cap)
+    code, out = invoke(argv)
+    assert code == 2 and out == ""
 
 
 @pytest.mark.parametrize(

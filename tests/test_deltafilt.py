@@ -8,6 +8,7 @@ from tiltcell.deltafilt import (
     delta_factors,
     hom_dim,
     hom_dim_sum,
+    table_size,
     tilting_char,
     verify_bounds,
     verify_linkage_necessity,
@@ -49,6 +50,13 @@ def test_factor_count_powers_of_two():
     for lam in range(-2 * ctx.q, 2 * ctx.q + 1):
         n = len(delta_factors(lam, ctx))
         assert n in (1, 2, 4, 8)
+
+
+@pytest.mark.parametrize("p,r", [(3, 1), (3, 4), (5, 3), (7, 2), (11, 2), (3, 12)])
+def test_table_size_counts_entries(p, r):
+    ctx = Context(p, r)
+    for lam in range(-3 * p * p, 3 * p * p):
+        assert table_size(lam, ctx) == len(delta_factors(lam, ctx)), lam
 
 
 def test_hom_dim_examples():
