@@ -3,7 +3,8 @@
 Each entry pins the exit status and the sha256 of stdout for one cheap
 command.  The quiver entries were recorded before the preset handling was
 refactored, the weight-side entries before the factor tables became a walk
-over p-adic digits.  A refactor of `cli.py`, `quiver.py` or `deltafilt.py`
+over p-adic digits, and the last six before peeling, linkage, Hom and the
+generator family stopped rebuilding a dict per step.  A refactor of `cli.py`, `quiver.py` or `deltafilt.py`
 must leave every entry unchanged; a deliberate change of output format must
 update the digests in the same change.
 """
@@ -63,6 +64,14 @@ GOLDEN = [
     ("verify --suite linkage --p 5 --r 2 --lo -30 --hi 30", 0, "190a28b159a258c238569aff7a879cdec9b0d394cd3be0f7d816b030916ae28e"),
     ("verify --suite multfree --p 5 --r 2 --lo -30 --hi 30", 0, "27a143dc41e088ffdf988d1c8de197e20fa174b14d54abf4773a11045edf5dd5"),
     ("verify --suite steinberg --p 3 --r 3", 0, "7aa987b0097239bd4c5fd3089e4153a57a306d09b6703b162ea3624f87b33537"),
+    # the four hot loops of the weight side: linkage over two periods, peeling,
+    # the level-drop Hom sweep, generators, Hom of far-apart weights, cell indices
+    ("verify --suite linkage --p 3 --r 3 --lo -54 --hi 53", 0, "65da99194be15c4dcfaa9a0121aaa32dbae5aa534c8e4b321b8558ce0925f939"),
+    ("verify --suite reciprocity --p 3 --r 3 --lo -27 --hi 26", 0, "3a3cea7f1212e39f76739227cef15acd17ed21dbfda967d76aaab5f38bb0f8e5"),
+    ("verify --suite steinberg --p 5 --r 3 --lo -30 --hi 30", 0, "a117f2e6afe4e78ef69603a5c4dc96b0bd29ca056ea30bd75e70112acfd45883"),
+    ("generators --p 3 --r 4 --format tsv", 0, "249ca89b4f0bc60ca75ec5a4c6a03686bc852a8b775a619d71301e6952559696"),
+    ("hom-dim --p 3 --r 3 --weight 0 --weight 500", 0, "33f77ebe099948d2bdab943c044ab5484e47b2445363336e1068d58c738f8f1d"),
+    ("cell-basis --source 0,30 --target 4,60 --p 3 --r 2", 0, "994c538fd1d997d6401c7ade4673833705c5c383acf404a524975c4064c80b13"),
 ]
 
 
