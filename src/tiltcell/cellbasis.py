@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .deltafilt import delta_factors, hom_dim_sum
+from .deltafilt import InvariantViolation, delta_factors, hom_dim_sum
 from .weights import Context
 
 ObjectLabel = tuple[tuple[int, int], ...]  # sorted ((weight, multiplicity), ...)
@@ -81,7 +81,11 @@ def cell_indices(P: dict[int, int], Q: dict[int, int], ctx: Context) -> list[Cel
         kq = _filtration_count(Q, nu, ctx)
         for i, j in product(range(1, kp + 1), range(1, kq + 1)):
             out.append(CellIndex(nu, i, j, src, tgt))
-    assert len(out) == hom_dim_sum(P, Q, ctx)
+    dim = hom_dim_sum(P, Q, ctx)
+    if len(out) != dim:
+        raise InvariantViolation(
+            f"{len(out)} cell indices for a Hom space of dimension {dim}"
+        )
     return out
 
 
@@ -93,14 +97,18 @@ def dagger(c: CellIndex) -> CellIndex:
 def generator_set_br(ctx: Context) -> list[GeneratorSymbol]:
     """The finite generating family at level r: one symbol for every pair
     0 <= m < p^r, m <= n <= 2*p^r - 2 - m whose tilting at n has a standard
-    factor at m.  Multiplicity one throughout, so every index is 1."""
+    factor at m.  Multiplicity one throughout, so every index is 1.
+
+    Each table n = 0 .. 2*p^r - 2 is read once; m <= n holds because a
+    tilting's factors lie below its highest weight."""
     q = ctx.q
-    out: list[GeneratorSymbol] = []
-    for m in range(q):
-        for n in range(m, 2 * q - 1 - m):
-            mult = delta_factors(n, ctx).get(m, 0)
-            out.extend(GeneratorSymbol(m, n, i) for i in range(1, mult + 1))
-    return out
+    found = [
+        (m, n, mult)
+        for n in range(2 * q - 1)
+        for m, mult in delta_factors(n, ctx).items()
+        if 0 <= m < q and n <= 2 * q - 2 - m
+    ]
+    return [GeneratorSymbol(m, n, i) for m, n, mult in sorted(found) for i in range(1, mult + 1)]
 
 
 def generator_set_br0(ctx: Context) -> list[GeneratorSymbol]:

@@ -17,7 +17,12 @@ The module provides the classical character formulas needed downstream:
   its coefficient mass is always p^r.
 * `decompose_into_simples`: greedy highest-weight peeling, the exact oracle
   handed to the reciprocity checks.  Valid because every simple character
-  has top coefficient one.
+  has top coefficient one.  It peels inside one mutable dict: each step
+  subtracts a multiple of the cached support of the head's simple
+  character, shifted by p^r times the tail.  The oracle reads nothing from
+  the factor tables of `deltafilt`.
+* `baby_verma_simples`: the peeled composition factors of a standard
+  object, cached and handed out as a read-only mapping.
 
 Characters are immutable by convention; all functions are pure.
 """
@@ -25,6 +30,7 @@ Characters are immutable by convention; all functions are pure.
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .weights import Context, padic_split
@@ -169,6 +175,12 @@ def baby_verma_char(lam: int, ctx: Context) -> Character:
     return weyl_char(ctx.q - 1).shift(lam - (ctx.q - 1))
 
 
+@lru_cache(maxsize=None)
+def _simple_support(head: int, p: int) -> tuple[tuple[int, int], ...]:
+    """The (weight, coefficient) pairs of simple_char(head, p)."""
+    return tuple(simple_char(head, p).items())
+
+
 def decompose_into_simples(f: Character, ctx: Context) -> dict[int, int]:
     """Write f as a non-negative combination of level-r simple characters.
 
@@ -180,32 +192,41 @@ def decompose_into_simples(f: Character, ctx: Context) -> dict[int, int]:
     strictly decreases.
     """
     out: dict[int, int] = {}
-    rem = f
+    rem = dict(f.items())
     budget = f.mass()
     while rem:
-        top = rem.max_weight()
-        c = rem.coeff(top)
-        if c < 0:
+        top = max(rem)
+        c = rem[top]
+        # zeros are deleted as they appear; a stale zero would never leave the loop
+        if c <= 0:
             raise NotAModuleCharacter(
                 f"coefficient {c} at top weight {top} during peeling"
             )
         budget -= c
         if budget < 0:
             raise NotAModuleCharacter("peeling exceeded the coefficient mass")
-        rem = rem - simple_char_r(top, ctx).scale(c)
+        head, tail = padic_split(top, ctx)
+        shift = ctx.q * tail
+        for w, k in _simple_support(head, ctx.p):
+            w += shift
+            left = rem.get(w, 0) - c * k
+            if left:
+                rem[w] = left
+            else:
+                del rem[w]
         out[top] = c
     return out
 
 
 @lru_cache(maxsize=None)
-def _baby_verma_simples(p: int, r: int, lam: int) -> tuple[tuple[int, int], ...]:
+def _baby_verma_simples(p: int, r: int, lam: int) -> Mapping[int, int]:
     ctx = Context(p, r)
     dec = decompose_into_simples(baby_verma_char(lam, ctx), ctx)
-    return tuple(sorted(dec.items()))
+    return MappingProxyType(dict(sorted(dec.items())))
 
 
-def baby_verma_simples(lam: int, ctx: Context) -> dict[int, int]:
+def baby_verma_simples(lam: int, ctx: Context) -> Mapping[int, int]:
     """Composition-factor multiplicities of the level-r standard object at
-    lam, computed by character peeling.  Cached; heavily reused by the
-    reciprocity sweeps."""
-    return dict(_baby_verma_simples(ctx.p, ctx.r, lam))
+    lam, computed by character peeling.  Cached and shared: the mapping is
+    read-only, so callers never copy it."""
+    return _baby_verma_simples(ctx.p, ctx.r, lam)

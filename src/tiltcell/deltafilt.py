@@ -24,10 +24,16 @@ If two images ever coincided, the multiplicity-one property would be false:
 such a state aborts loudly with `InvariantViolation` rather than being
 patched over.
 
-Results are memoised per (p, r, lam mod 2*p^r); general weights are folded
-in by shift equivariance (tensoring by the character of weight 2*p^r
-translates the whole table).  The cache is the standard library LRU cache,
-so concurrent readers are safe.
+Results are memoised per (p, r, lam mod p^r); general weights are folded in
+by shift equivariance with period p^r.  The walk shows why: lam + p^r reads
+the same r digits and reaches the level-0 weight one higher, and replaying
+the digits turns that shift of 1 into a shift of p^r.  The cache is the
+standard library LRU cache, so concurrent readers are safe.
+
+`hom_dim` never builds a shifted table: it compares the cached folded tables
+of both weights at their relative shift, and answers 0 at once when the
+shifted ranges cannot meet.  The linkage sweep inverts the tables of its
+window instead, mapping each factor to the weights whose tables hold it.
 """
 
 from __future__ import annotations
@@ -52,11 +58,9 @@ class InvariantViolation(RuntimeError):
 def delta_factors(lam: int, ctx: Context) -> DeltaFactors:
     """Multiset {nu: multiplicity} of standard factors of the indecomposable
     tilting object with highest weight lam."""
-    period = 2 * ctx.q
-    lam0 = lam % period
+    lam0 = lam % ctx.q
     shift = lam - lam0
-    base = _folded_factors(ctx.p, ctx.r, lam0)
-    return {nu + shift: m for nu, m in base}
+    return {nu + shift: m for nu, m in _folded_factors(ctx.p, ctx.r, lam0)}
 
 
 def _digit_walk(p: int, r: int, lam: int) -> tuple[int, list[int]]:
@@ -94,11 +98,29 @@ def _folded_factors(p: int, r: int, lam: int) -> tuple[tuple[int, int], ...]:
     return tuple((nu, 1) for nu in sorted(table))
 
 
+@lru_cache(maxsize=None)
+def _folded_span(p: int, r: int, lam: int) -> tuple[frozenset[int], int, int]:
+    """The weights of the folded table at lam, with their least and greatest."""
+    weights = [nu for nu, _ in _folded_factors(p, r, lam)]
+    return frozenset(weights), weights[0], weights[-1]
+
+
 def hom_dim(lam: int, mu: int, ctx: Context) -> int:
     """dim Hom between the indecomposable tiltings at lam and mu: the number
     of common standard factors.  Counting common weights is exact because
-    every table is multiplicity-free, which `InvariantViolation` enforces."""
-    return len(delta_factors(lam, ctx).keys() & delta_factors(mu, ctx).keys())
+    every table is multiplicity-free, which `InvariantViolation` enforces.
+
+    With lam = lam0 + s and mu = mu0 + t folded, nu + s lies in both tables
+    iff nu lies in the folded table at lam0 and nu + s - t in the one at mu0.
+    """
+    q = ctx.q
+    lam0, mu0 = lam % q, mu % q
+    a, a_lo, a_hi = _folded_span(ctx.p, ctx.r, lam0)
+    b, b_lo, b_hi = _folded_span(ctx.p, ctx.r, mu0)
+    d = (lam - lam0) - (mu - mu0)
+    if a_hi + d < b_lo or a_lo + d > b_hi:
+        return 0
+    return sum(nu + d in b for nu in a)
 
 
 def hom_dim_sum(P: dict[int, int], Q: dict[int, int], ctx: Context) -> int:
@@ -215,9 +237,14 @@ def verify_linkage_necessity(lo: int, hi: int, ctx: Context) -> Report:
     """Nonzero Hom between tiltings forces the highest weights into one dot
     orbit.  Only pairs with nonzero Hom produce items."""
     rep = Report("linkage-necessity", _ctx_dict(ctx))
-    for lam in range(lo, hi + 1):
+    tables = {mu: delta_factors(mu, ctx) for mu in range(lo, hi + 1)}
+    # Hom is nonzero exactly when two tables share a factor
+    holders: dict[int, list[int]] = {}
+    for mu, fac in tables.items():
+        for nu in fac:
+            holders.setdefault(nu, []).append(mu)
+    for lam, fac in tables.items():
         orbit = dot_orbit(lam, lo - 4 * ctx.q, hi + 4 * ctx.q, ctx)
-        for mu in range(lo, hi + 1):
-            if hom_dim(lam, mu, ctx):
-                rep.add({"lam": lam, "mu": mu}, mu in orbit, True)
+        for mu in sorted({mu for nu in fac for mu in holders[nu]}):
+            rep.add({"lam": lam, "mu": mu}, mu in orbit, True)
     return rep

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 from itertools import product
 
+import pytest
+
+from tiltcell import cellbasis
 from tiltcell.cellbasis import (
     SL3_ELEMENTS,
     cell_indices,
@@ -15,7 +18,7 @@ from tiltcell.cellbasis import (
     sl3_is_bruhat_neighbor,
     sl3_upper_set,
 )
-from tiltcell.deltafilt import delta_factors, hom_dim_sum
+from tiltcell.deltafilt import InvariantViolation, delta_factors, hom_dim_sum
 from tiltcell.weights import Context
 
 
@@ -38,6 +41,14 @@ def test_cell_indices_count_matches_hom():
     for wp, wq in product(weights, repeat=2):
         P, Q = {wp: 1, 0: 1}, {wq: 2}
         assert len(cell_indices(P, Q, ctx)) == hom_dim_sum(P, Q, ctx)
+
+
+def test_cell_indices_count_checked_loudly(monkeypatch):
+    # an ordinary exception, so the check survives python -O
+    ctx = Context(3, 1)
+    monkeypatch.setattr(cellbasis, "hom_dim_sum", lambda P, Q, c: hom_dim_sum(P, Q, c) + 1)
+    with pytest.raises(InvariantViolation, match=r"^3 cell indices for a Hom space of dimension 4$"):
+        cell_indices({0: 1, 4: 1}, {4: 1}, ctx)
 
 
 def test_cell_indices_grouped_descending():

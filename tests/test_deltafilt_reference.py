@@ -69,9 +69,10 @@ def test_walk_matches_recursion_over_one_period(p, r):
 @settings(deadline=None, max_examples=200)
 @given(weights(), st.integers(-3, 3))
 def test_shift_equivariance(case, eta):
+    # the period is p^r, half the period the reference folds by
     p, r, lam = case
     ctx = Context(p, r)
-    shift = 2 * ctx.q * eta
+    shift = ctx.q * eta
     base = delta_factors(lam, ctx)
     assert delta_factors(lam + shift, ctx) == {nu + shift: k for nu, k in base.items()}
 
