@@ -38,22 +38,6 @@ from .cellbasis import (
     sl3_delta_table,
     sl3_generator_set_bprime,
 )
-from .quiver import (
-    NonTerminating,
-    NotSaturated,
-    PathElement,
-    Quiver,
-    QuiverConfigError,
-    RelationSet,
-    build_p1_quiver,
-    build_p2_quiver,
-    build_sl3_quiver,
-    cell_filtration_check,
-    check_against_cellular,
-    export_dot,
-    normal_form,
-    quotient_dims,
-)
 from .report import Report, ReportItem
 from .weights import (
     AlcoveClass,
@@ -68,3 +52,30 @@ from .weights import (
 )
 
 __version__ = "0.1.0"
+
+# The quiver engine (and the exact linear algebra under it) is imported on
+# first use of one of its names, so the weight-side commands start without it.
+_QUIVER_NAMES = (
+    "NonTerminating",
+    "NotSaturated",
+    "PathElement",
+    "Quiver",
+    "QuiverConfigError",
+    "RelationSet",
+    "build_p1_quiver",
+    "build_p2_quiver",
+    "build_sl3_quiver",
+    "cell_filtration_check",
+    "check_against_cellular",
+    "export_dot",
+    "normal_form",
+    "quotient_dims",
+)
+
+
+def __getattr__(name: str):
+    if name in _QUIVER_NAMES:
+        from . import quiver
+
+        return getattr(quiver, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,7 +22,10 @@ The module provides the classical character formulas needed downstream:
   character, shifted by p^r times the tail.  The oracle reads nothing from
   the factor tables of `deltafilt`.
 * `baby_verma_simples`: the peeled composition factors of a standard
-  object, cached and handed out as a read-only mapping.
+  object, handed out as a read-only mapping.  They are peeled once per
+  residue mod p^r and shifted into place, since peeling commutes with a
+  shift by p^r (the standard and simple characters of G_rT are p^r-periodic,
+  Jantzen, *Representations of Algebraic Groups*, II.9).
 
 Characters are immutable by convention; all functions are pure.
 """
@@ -219,14 +222,22 @@ def decompose_into_simples(f: Character, ctx: Context) -> dict[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _baby_verma_simples(p: int, r: int, lam: int) -> Mapping[int, int]:
+def _baby_verma_simples(p: int, r: int, head: int) -> Mapping[int, int]:
     ctx = Context(p, r)
-    dec = decompose_into_simples(baby_verma_char(lam, ctx), ctx)
+    dec = decompose_into_simples(baby_verma_char(head, ctx), ctx)
     return MappingProxyType(dict(sorted(dec.items())))
 
 
 def baby_verma_simples(lam: int, ctx: Context) -> Mapping[int, int]:
     """Composition-factor multiplicities of the level-r standard object at
-    lam, computed by character peeling.  Cached and shared: the mapping is
-    read-only, so callers never copy it."""
-    return _baby_verma_simples(ctx.p, ctx.r, lam)
+    lam, computed by character peeling.  Only the head of lam is peeled, and
+    once: shifting a character by p^r keeps the head of every top weight
+    and raises its tail by one, so the factors at lam are those at its head
+    shifted by p^r times its tail.  The mapping is read-only, so callers
+    never copy it."""
+    head, tail = padic_split(lam, ctx)
+    factors = _baby_verma_simples(ctx.p, ctx.r, head)
+    if not tail:
+        return factors
+    shift = ctx.q * tail
+    return MappingProxyType({nu + shift: k for nu, k in factors.items()})

@@ -19,15 +19,23 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import cellbasis, deltafilt, quiver as qv
+from . import cellbasis, deltafilt
 from .charring import baby_verma_char, simple_char, simple_char_r, weyl_char
 from .deltafilt import delta_factors, hom_dim, table_size, tilting_char
 from .report import Report
 from .weights import Context, tilde
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from . import quiver as qv
+
 SCHEMA = 1
+# the keys of quiver.PRESETS; the quiver engine is imported only by the
+# commands that build a quiver, so weight-side commands start without it
+PRESET_NAMES = ("p1", "p2", "sl3")
 DEFAULT_MAX_WORK = 2_000_000
 
 
@@ -113,6 +121,8 @@ def _emit_report(args, report: Report) -> int:
 
 
 def _parse_scalars(raw: str | None) -> dict[str, Fraction]:
+    from fractions import Fraction
+
     out: dict[str, Fraction] = {}
     if not raw:
         return out
@@ -147,6 +157,8 @@ def _weights_list(raw: list[str]) -> dict[int, int]:
 def _build_preset(args, max_len: int | None = None) -> tuple[qv.Quiver, qv.RelationSet]:
     """Validate the preset flags and build; with max_len, also bound the path
     count of a quiver-check before building."""
+    from . import quiver as qv
+
     preset = qv.PRESETS[args.preset]
     window = preset.window if args.window is None else args.window
     scalars = _parse_scalars(args.scalars)
@@ -338,6 +350,8 @@ def _quiver_json(quiver: qv.Quiver, rels: qv.RelationSet) -> dict:
 
 
 def cmd_quiver_build(args) -> int:
+    from . import quiver as qv
+
     quiver, rels = _build_preset(args)
     if args.format == "dot":
         _emit(args, qv.export_dot(quiver))
@@ -347,6 +361,8 @@ def cmd_quiver_build(args) -> int:
 
 
 def cmd_quiver_check(args) -> int:
+    from . import quiver as qv
+
     max_len = qv.PRESETS[args.preset].max_len if args.max_len is None else args.max_len
     if max_len < 1:
         raise UsageError(f"--max-len must be >= 1, got {max_len}")
@@ -445,6 +461,8 @@ def _run_suite(name: str, args) -> list[Report]:
             rep.extend(deltafilt.verify_steinberg_equivalence(m, ctx))
         reports.append(rep)
     if name in ("quiver", "all"):
+        from . import quiver as qv
+
         for preset in qv.PRESETS.values():
             guard_work(preset.vertex_count(ctx.p, preset.window))
             quiver, rels = preset.build(ctx.p, preset.window, {}, True)
@@ -457,15 +475,16 @@ def cmd_verify(args) -> int:
     if args.suite not in _SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; valid: {', '.join(_SUITES)}")
     reports = _run_suite(args.suite, args)
-    ok = all(rep.all_pass for rep in reports)
+    failed = [Report(rep.check, rep.context, rep.failures) for rep in reports]
+    ok = not any(rep.items for rep in failed)
     doc = {
         "schema": SCHEMA,
         "suite": args.suite,
         "pass": ok,
-        "reports": [Report(rep.check, rep.context, rep.failures).to_dict() for rep in reports],
+        "reports": [rep.to_dict() for rep in failed],
         "counts": [
-            {"check": rep.check, "items": len(rep.items), "failures": len(rep.failures)}
-            for rep in reports
+            {"check": rep.check, "items": len(rep.items), "failures": len(bad.items)}
+            for rep, bad in zip(reports, failed)
         ],
     }
     _emit(args, _json(doc))
@@ -531,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("quiver-check", cmd_quiver_check, ("json", "tsv")),
     ):
         sp = sub.add_parser(name, help=f"{name.replace('-', ' ')} for a preset quiver")
-        sp.add_argument("--preset", choices=tuple(qv.PRESETS), required=True)
+        sp.add_argument("--preset", choices=PRESET_NAMES, required=True)
         sp.add_argument("--p", type=int, default=3)
         sp.add_argument("--window", type=int, default=None)
         sp.add_argument("--scalars", default=None, help="comma separated key=value pairs")

@@ -30,6 +30,9 @@ the same r digits and reaches the level-0 weight one higher, and replaying
 the digits turns that shift of 1 into a shift of p^r.  The cache is the
 standard library LRU cache, so concurrent readers are safe.
 
+The reciprocity sweep reads the composition factors of standard objects
+from one index per (p, r), built from the peels of a single period.
+
 `hom_dim` never builds a shifted table: it compares the cached folded tables
 of both weights at their relative shift, and answers 0 at once when the
 shifted ranges cannot meet.  The linkage sweep inverts the tables of its
@@ -152,17 +155,32 @@ def _ctx_dict(ctx: Context) -> dict:
     return {"p": ctx.p, "r": ctx.r}
 
 
+@lru_cache(maxsize=None)
+def _simples_index(p: int, r: int) -> tuple[dict[int, int], ...]:
+    """The peeled standard objects of one period, inverted: entry c maps
+    mu - nu to the multiplicity of the simple at nu in the standard object at
+    mu, over the nu congruent to c mod p^r.  One offset names one pair (mu
+    mod p^r is then fixed), and shifting both weights by p^r keeps both the
+    offset and, since peeling is p^r-periodic, the multiplicity."""
+    ctx = Context(p, r)
+    q = ctx.q
+    index = tuple({} for _ in range(q))
+    for head in range(q):
+        for nu, k in baby_verma_simples(head, ctx).items():
+            index[nu % q][head - nu] = k
+    return index
+
+
 def verify_reciprocity(lam: int, ctx: Context) -> Report:
     """Factor multiplicities of the projective cover of the simple at lam
     against composition multiplicities of costandard objects, computed by the
-    independent character-peeling oracle."""
+    independent character-peeling oracle and read from its inverted index."""
     lt = tilde(lam, ctx)
     fac = delta_factors(lt, ctx)
+    simples = _simples_index(ctx.p, ctx.r)[lam % ctx.q]
     rep = Report("reciprocity", _ctx_dict(ctx))
     for mu in range(lam, lt + 1):
-        lhs = fac.get(mu, 0)
-        rhs = baby_verma_simples(mu, ctx).get(lam, 0)
-        rep.add({"lam": lam, "mu": mu}, lhs, rhs)
+        rep.add({"lam": lam, "mu": mu}, fac.get(mu, 0), simples.get(mu - lam, 0))
     return rep
 
 

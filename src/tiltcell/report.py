@@ -7,11 +7,12 @@ both sides of its equality so the CLI can render exactly what disagreed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 
-@dataclass(frozen=True)
-class ReportItem:
+class ReportItem(NamedTuple):
+    """One checked equality; a tuple, so a sweep of many items stays cheap."""
+
     input: Any
     lhs: Any
     rhs: Any

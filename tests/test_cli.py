@@ -66,6 +66,27 @@ def test_verify_all_small():
     assert doc["pass"] is True
 
 
+def test_verify_prints_only_failures(monkeypatch):
+    """A failing sweep prints its failing items and both counts, and exits 1."""
+    real = deltafilt.verify_bounds
+
+    def one_wrong(lam, ctx):
+        rep = real(lam, ctx)
+        if lam == 0:
+            rep.add({"lam": lam, "planted": True}, 1, 2)
+        return rep
+
+    monkeypatch.setattr(deltafilt, "verify_bounds", one_wrong)
+    code, out = invoke(["verify", "--suite", "bounds", "--p", "3", "--lo", "-1", "--hi", "1"])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    assert doc["counts"] == [{"check": "bounds", "items": 12, "failures": 1}]
+    [rep] = doc["reports"]
+    assert rep["pass"] is False
+    assert rep["items"] == [{"input": {"lam": 0, "planted": True}, "lhs": 1, "rhs": 2, "pass": False}]
+
+
 def test_quiver_check_and_failure_exit():
     code, out = invoke(["quiver-check", "--preset", "p2", "--p", "3"])
     assert code == 0 and json.loads(out)["pass"] is True

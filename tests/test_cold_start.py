@@ -1,0 +1,133 @@
+"""Weight-side commands start without the quiver engine.
+
+`tiltcell` and `tiltcell.cli` import the quiver module (and the exact linear
+algebra under it) only when a quiver is built or a quiver name is looked up.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tiltcell
+from tiltcell import charring, cellbasis, cli, deltafilt, quiver, report, weights
+
+SRC = str(Path(tiltcell.__file__).resolve().parents[1])
+
+# every name the package exported when it imported the quiver module eagerly
+EXPORTS = {
+    charring: (
+        "Character",
+        "NotAModuleCharacter",
+        "baby_verma_char",
+        "decompose_into_simples",
+        "simple_char",
+        "simple_char_r",
+        "weyl_char",
+    ),
+    deltafilt: (
+        "DeltaFactors",
+        "InvariantViolation",
+        "delta_factors",
+        "hom_dim",
+        "hom_dim_sum",
+        "tilting_char",
+        "verify_bounds",
+        "verify_mult_free",
+        "verify_reciprocity",
+        "verify_steinberg_equivalence",
+        "verify_strong_linkage",
+    ),
+    cellbasis: (
+        "CellIndex",
+        "GeneratorSymbol",
+        "cell_indices",
+        "dagger",
+        "generator_set_br",
+        "generator_set_br0",
+        "sl3_delta_table",
+        "sl3_generator_set_bprime",
+    ),
+    quiver: (
+        "NonTerminating",
+        "NotSaturated",
+        "PathElement",
+        "Quiver",
+        "QuiverConfigError",
+        "RelationSet",
+        "build_p1_quiver",
+        "build_p2_quiver",
+        "build_sl3_quiver",
+        "cell_filtration_check",
+        "check_against_cellular",
+        "export_dot",
+        "normal_form",
+        "quotient_dims",
+    ),
+    report: ("Report", "ReportItem"),
+    weights: (
+        "AlcoveClass",
+        "Context",
+        "PadicSplit",
+        "classify",
+        "dot_orbit",
+        "dot_reflect",
+        "padic_split",
+        "strongly_linked",
+        "tilde",
+    ),
+}
+
+
+def _imported_after(statements: str) -> set[str]:
+    code = (
+        "import sys\n"
+        f"{statements}\n"
+        "sys.stderr.write(' '.join(sorted(m for m in sys.modules if m.startswith('tiltcell'))))\n"
+    )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert res.returncode == 0, res.stderr
+    return set(res.stderr.split())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "bounds", "--p", "3", "--r", "2"],
+        ["verify", "--suite", "reciprocity", "--p", "3", "--r", "2", "--lo", "-4", "--hi", "4"],
+        ["generators", "--p", "3", "--r", "2"],
+        ["generators", "--preset", "sl3"],
+    ],
+)
+def test_weight_side_commands_skip_the_quiver_engine(argv):
+    loaded = _imported_after(f"from tiltcell import cli\ncli.run({argv!r})")
+    assert "tiltcell.deltafilt" in loaded
+    assert not loaded & {"tiltcell.quiver", "tiltcell.ratlinalg"}
+
+
+def test_quiver_names_load_the_engine_on_first_use():
+    assert "tiltcell.quiver" not in _imported_after("import tiltcell")
+    assert "tiltcell.ratlinalg" in _imported_after("from tiltcell import quotient_dims")
+
+
+@pytest.mark.parametrize("module", list(EXPORTS), ids=lambda m: m.__name__)
+def test_package_exports_resolve(module):
+    for name in EXPORTS[module]:
+        assert getattr(tiltcell, name) is getattr(module, name), name
+
+
+def test_unknown_package_attribute():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tiltcell.no_such_name
+
+
+def test_preset_names_match_the_preset_table():
+    assert cli.PRESET_NAMES == tuple(quiver.PRESETS)

@@ -1,13 +1,16 @@
 """Cross-preset engine properties: idempotence of rewriting on random
-elements, duality symmetry of the quotient dimensions, and the failure
-modes (unsaturated truncations, runaway rewriting, empty exports)."""
+elements (seeded, and drawn by hypothesis inside each core), duality
+symmetry of the quotient dimensions, and the failure modes (unsaturated
+truncations, runaway rewriting, empty exports)."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiltcell.quiver import (
     NonTerminating,
@@ -52,21 +55,61 @@ def _random_elements(quiver, rels, rng, count, max_len=4):
     return out
 
 
-@pytest.mark.parametrize(
-    "maker",
-    [
-        lambda: build_p1_quiver(3, window=2),
-        lambda: build_p2_quiver(3, window=1),
-        lambda: build_sl3_quiver(),
-    ],
-    ids=["p1", "p2", "sl3"],
-)
-def test_normal_form_idempotent_on_random_elements(maker):
-    quiver, rels = maker()
+CORE_PRESETS = {
+    "p1": lambda: build_p1_quiver(3, window=2),
+    "p2": lambda: build_p2_quiver(3, window=1),
+    "sl3": lambda: build_sl3_quiver(),
+}
+
+
+@lru_cache(maxsize=None)
+def _core_preset(name):
+    """The preset with, per core vertex, the ids of its arrows into the core."""
+    quiver, rels = CORE_PRESETS[name]()
+    outs = {
+        v: [i for i in quiver.out_ids[v] if quiver.arrows[i].target in quiver.core]
+        for v in quiver.core
+    }
+    return quiver, rels, outs
+
+
+@pytest.mark.parametrize("name", sorted(CORE_PRESETS))
+def test_normal_form_idempotent_on_random_elements(name):
+    quiver, rels, _ = _core_preset(name)
     rng = random.Random(2024)
     for elem in _random_elements(quiver, rels, rng, 350):
         once = normal_form(elem, rels)
         assert normal_form(once, rels) == once
+
+
+@st.composite
+def core_elements(draw):
+    """A preset and a rational combination of up to three walks inside its
+    core that share source and target."""
+    name = draw(st.sampled_from(sorted(CORE_PRESETS)))
+    quiver, rels, outs = _core_preset(name)
+    source = draw(st.sampled_from(sorted(quiver.core, key=str)))
+    length = draw(st.integers(1, 6))
+    ends: dict = {}
+    for _ in range(draw(st.integers(1, 3))):
+        at, path = source, []
+        while len(path) < length and outs[at]:
+            path.append(draw(st.sampled_from(outs[at])))
+            at = quiver.arrows[path[-1]].target
+        if path:
+            ends.setdefault(at, {})[tuple(path)] = draw(
+                st.fractions(-5, 5, max_denominator=4).filter(bool)
+            )
+    target = draw(st.sampled_from(sorted(ends, key=str))) if ends else source
+    return name, rels, PathElement(source, target, ends.get(target, {}))
+
+
+@settings(deadline=None, max_examples=60)
+@given(core_elements())
+def test_normal_form_idempotent_on_core_elements(case):
+    _, rels, elem = case
+    once = normal_form(elem, rels)
+    assert normal_form(once, rels) == once
 
 
 @pytest.mark.parametrize(

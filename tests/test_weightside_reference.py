@@ -1,15 +1,18 @@
 """The weight-side sweeps against plain references, uncached.
 
-The engine peels characters inside one mutable dict, finds the partners of
-the linkage sweep through an inverted factor index, counts common factors
-of two folded tables at their relative shift, and reads the generator family
-off 2p^r - 1 tables.  The references below are the plain versions, written
-out on their own: characters are dicts rebuilt at every peel step, linkage
-tries every pair of the window, Hom intersects two shifted tables, and the
-generator loop looks m up in the table of every n.  They share no code with
-the engine.  Factor tables come from the level recursion of
-`test_deltafilt_reference`, folded with period 2p^r, and reports are built
-directly as the dicts that `Report.to_dict` returns.
+The engine peels characters inside one mutable dict, peels each standard
+object once per residue mod p^r, reads reciprocity from an index inverted
+over those peels, finds the partners of the linkage sweep through an
+inverted factor index, counts common factors of two folded tables at their
+relative shift, and reads the generator family off 2p^r - 1 tables.  The
+references below are the plain versions, written out on their own:
+characters are dicts rebuilt at every peel step, linkage tries every pair of
+the window, Hom intersects two shifted tables, and the generator loop looks
+m up in the table of every n.  They share no code with the engine.  Factor
+tables come from the level recursion of `test_deltafilt_reference`, folded
+with period 2p^r, and reports are built directly as the dicts that
+`Report.to_dict` returns.  The fold and the index are also checked against
+the engine's own unfolded peel and per-weight lookups.
 """
 
 from __future__ import annotations
@@ -19,7 +22,12 @@ from hypothesis import given, settings, strategies as st
 from test_deltafilt_reference import reference_factors
 
 from tiltcell.cellbasis import generator_set_br
-from tiltcell.charring import Character, decompose_into_simples
+from tiltcell.charring import (
+    Character,
+    baby_verma_char,
+    baby_verma_simples,
+    decompose_into_simples,
+)
 from tiltcell.deltafilt import (
     hom_dim,
     verify_linkage_necessity,
@@ -255,9 +263,32 @@ def test_hom_dim_over_a_window(p, r):
             assert hom_dim(lam, mu, ctx) == len(tables[lam] & tables[mu]), (lam, mu)
 
 
+@pytest.mark.parametrize("p,r", [(3, 3), (5, 2), (7, 2), (3, 4)])
+def test_folded_peel_matches_unfolded(p, r):
+    """The peel of a head, shifted by p^r times the tail, against the peel of
+    the standard character at the weight itself."""
+    ctx = Context(p, r)
+    for lam in range(-2 * ctx.q, 2 * ctx.q + 1):
+        unfolded = decompose_into_simples(baby_verma_char(lam, ctx), ctx)
+        assert dict(baby_verma_simples(lam, ctx)) == unfolded, lam
+
+
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=60)
+@given(weights())
+def test_reciprocity_index_matches_lookups(case):
+    """Each right-hand side read from the index is the multiplicity of the
+    simple at lam in the peeled standard object at mu, item for item."""
+    p, r, lam = case
+    ctx = Context(p, r)
+    mus = range(lam, tilde(lam, ctx) + 1)
+    items = verify_reciprocity(lam, ctx).items
+    assert [item.input["mu"] for item in items] == list(mus)
+    assert [item.rhs for item in items] == [baby_verma_simples(mu, ctx).get(lam, 0) for mu in mus]
 
 
 @settings(deadline=None, max_examples=100)
