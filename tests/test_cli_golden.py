@@ -3,9 +3,10 @@
 Each entry pins the exit status and the sha256 of stdout for one cheap
 command.  The quiver entries were recorded before the preset handling was
 refactored, the weight-side entries before the factor tables became a walk
-over p-adic digits, and the last six before peeling, linkage, Hom and the
-generator family stopped rebuilding a dict per step.  A refactor of `cli.py`, `quiver.py` or `deltafilt.py`
-must leave every entry unchanged; a deliberate change of output format must
+over p-adic digits, the six weight-side hot loops before peeling, linkage,
+Hom and the generator family stopped rebuilding a dict per step, and the
+last six quiver checks before the linear engine was folded by symmetries of
+the vertex pairs.  A refactor of `cli.py`, `quiver.py` or `deltafilt.py` must leave every entry unchanged; a deliberate change of output format must
 update the digests in the same change.
 """
 
@@ -18,6 +19,10 @@ import pytest
 from test_cli import invoke
 
 BALANCED_P3 = "m1=-2,m4=-2,n1=2,n4=2,theta0=1/2,theta3=3"
+_P7_SQUARES = [x for x in range(14) if x % 7 not in (0, 6)]
+BALANCED_P7 = ",".join(
+    [f"m{x}=-2" for x in _P7_SQUARES] + [f"n{x}=2" for x in _P7_SQUARES] + ["theta0=1/2", "theta7=3"]
+)
 
 GOLDEN = [
     ("quiver-build --preset p1 --format json", 0, "1bccb152b88f58c17943f598eb02b6d1e935474e6fe3d88c4e8ba7994201fb87"),
@@ -72,6 +77,15 @@ GOLDEN = [
     ("generators --p 3 --r 4 --format tsv", 0, "249ca89b4f0bc60ca75ec5a4c6a03686bc852a8b775a619d71301e6952559696"),
     ("hom-dim --p 3 --r 3 --weight 0 --weight 500", 0, "33f77ebe099948d2bdab943c044ab5484e47b2445363336e1068d58c738f8f1d"),
     ("cell-basis --source 0,30 --target 4,60 --p 3 --r 2", 0, "994c538fd1d997d6401c7ade4673833705c5c383acf404a524975c4064c80b13"),
+    # the linear engine across translates, both directions of each pair and
+    # the sl3 mirror: the largest ladder checked, a wider window, a longer
+    # truncation, and an unsaturated sl3 truncation past the default length
+    ("quiver-check --preset p2 --p 7", 0, "3fbc6c198c1bbd5eaf3f015bf6def644921187c8e69ce590e2c6fdb1f47bb1d9"),
+    (f"quiver-check --preset p2 --p 7 --scalars {BALANCED_P7}", 0, "ef5a029bc76d1a080d7227e019980262101b39471809b1473c33539d7f565496"),
+    ("quiver-check --preset p2 --p 3 --window 2", 0, "a5eea3fdb82950453ef771b1904a4d9942d823c74a36ec13938e1a0e6dd543ea"),
+    ("quiver-check --preset sl3", 0, "7f73ca8d991f3f16a7ed38e6063451ff139b563d90905dafbecd5946cc2b35a2"),
+    ("quiver-check --preset p2 --p 3 --max-len 6", 0, "000e081432603abc2e810575279692d2e14a8a82c41447d4c37fd9d099954e12"),
+    ("quiver-check --preset sl3 --scalars a=1,b=1,r=1 --max-len 8 --allow-unsaturated", 1, "b7779522c136f7db0c5b59b306bd2d739cd8cc2219039ded57b8fefda5b0c49a"),
 ]
 
 
