@@ -399,6 +399,8 @@ def _guard_weight_suites(name: str, lo: int, hi: int, ctx: Context) -> None:
     n = len(window)
     if name in ("reciprocity", "all"):
         guard_power(4 * n, ctx.p, ctx.r)
+        # the index peels a whole period: q standard objects of mass q
+        guard_power(1, ctx.p, 2 * ctx.r)
     if name in ("bounds", "all"):
         guard_work(n * 8)
     if name in ("linkage", "all"):

@@ -492,6 +492,18 @@ class Preset:
     scalar_names: Callable[[int], list[str]] = lambda p: []
     oracle: Callable[..., int] = lambda lam, mu, ctx: hom_dim(lam, mu, ctx)
     cell_rank: Callable[[Quiver], dict] = lambda quiver: dict(quiver.weights)
+    # arrow names swapped by an automorphism of the presentation (unlisted
+    # arrows stay put); the linear engine uses it only once it is certified
+    mirror: Mapping[str, str] = field(default_factory=dict)
+
+
+def _swaps(*pairs: str) -> dict[str, str]:
+    """The involution exchanging the two names of each "a b" in pairs."""
+    out: dict[str, str] = {}
+    for pair in pairs:
+        a, b = pair.split()
+        out[a], out[b] = b, a
+    return out
 
 
 PRESETS: dict[str, Preset] = {
@@ -516,6 +528,8 @@ PRESETS: dict[str, Preset] = {
         scalar_names=lambda p: ["a", "b", "r"],
         oracle=lambda lam, mu, ctx: sl3_hom_dim(lam, mu),
         cell_rank=lambda quiver: {v: -SL3_LENGTH[v] for v in quiver.vertices},
+        # s <-> t, st <-> ts: the Dynkin diagram automorphism, for every (a, b, r)
+        mirror=_swaps("u1 u2", "u3 u6", "u4 u5", "u7 u8", "d1 d2", "d3 d6", "d4 d5", "d7 d8"),
     ),
 }
 
@@ -669,6 +683,122 @@ def _echelon(setup: _LinearSetup, pair: Pair) -> SparseEchelon:
     return ech
 
 
+def _canonical(source: Vertex, target: Vertex, terms: Mapping[Path, Fraction]) -> tuple:
+    """A relation up to a nonzero scalar: its ends, and its terms in path
+    order scaled so that the first coefficient is 1."""
+    items = sorted(terms.items())
+    lead = items[0][1] if items else 1
+    if lead != 1:
+        items = [(path, c / lead) for path, c in items]
+    return (source, target, tuple(items))
+
+
+def _pair_map(
+    quiver: Quiver, rels: RelationSet, image: list[int | None], reverse: bool
+) -> Callable[[Pair], Pair] | None:
+    """The map on vertex pairs of the automorphism of the path algebra that
+    sends arrow i to arrow image[i] (an anti-automorphism, reversing every
+    path, if `reverse`).  None unless the certificate holds: the arrow map is
+    a bijection, the arrow ends give one bijection of the vertices, and every
+    relation goes to a relation of the set up to a nonzero scalar.  The map
+    then carries the alive paths, the relation rows and their lengths of a
+    pair onto those of its image."""
+    arrows = quiver.arrows
+    if None in image or sorted(image) != list(range(len(arrows))):
+        return None
+    vmap: dict = {}
+    for a, i in zip(arrows, image):
+        b = arrows[i]
+        ends = (b.target, b.source) if reverse else (b.source, b.target)
+        for v, w in zip((a.source, a.target), ends):
+            if vmap.setdefault(v, w) != w:
+                return None
+    for v in quiver.vertices:
+        vmap.setdefault(v, v)
+    if len(set(vmap.values())) != len(vmap):
+        return None
+
+    def move(pair: Pair) -> Pair:
+        s, t = vmap[pair[0]], vmap[pair[1]]
+        return (t, s) if reverse else (s, t)
+
+    known = {_canonical(rel.source, rel.target, rel.terms) for rel in rels.relations}
+    for rel in rels.relations:
+        terms = {tuple(image[a] for a in path): c for path, c in rel.terms.items()}
+        if reverse:
+            terms = {path[::-1]: c for path, c in terms.items()}
+        if _canonical(*move((rel.source, rel.target)), terms) not in known:
+            return None
+    return move
+
+
+class _Fold:
+    """The certified symmetries of one linear setup, as moves between vertex
+    pairs whose relation rows correspond one to one, so that they share rank
+    and saturation: path-reversal duality and the preset's mirror, each
+    certified once, and translation by the shift period, certified per pair."""
+
+    def __init__(self, quiver: Quiver, rels: RelationSet, setup: _LinearSetup):
+        self.alive = setup.alive
+        arrows, by_name = quiver.arrows, quiver.by_name
+        images = [([by_name.get(a.dual) for a in arrows], True)]
+        mirror = PRESETS[quiver.preset].mirror
+        if mirror:
+            images.append(([by_name.get(mirror.get(a.name, a.name)) for a in arrows], False))
+        maps = (_pair_map(quiver, rels, image, reverse) for image, reverse in images)
+        self.maps = [move for move in maps if move is not None]
+        self.period = period = quiver.shift_period
+        self.same: dict[Vertex, bool] = {}  # index at v, translated, is the index at v - period
+        self.step: list[int | None] = []  # arrow -> its translate by -period, if usable
+        by_ends = {(a.source, a.target, a.kind): i for i, a in enumerate(arrows)}
+        if not period or len(by_ends) < len(arrows):
+            return
+        shift = [by_ends.get((a.source - period, a.target - period, a.kind)) for a in arrows]
+
+        def moved(entry):
+            target, span, terms = entry
+            return (target - period, span, tuple((tuple(shift[a] for a in t), c) for t, c in terms))
+
+        index = setup.index
+        self.same = {
+            v: [moved(e) for e in index.get(v, ())] == index.get(v - period, [])
+            for v in quiver.vertices
+        }
+        self.step = [i if self.same[a.target] else None for i, a in zip(shift, arrows)]
+
+    def _translates(self, upper: Pair, lower: Pair) -> bool:
+        """Whether `lower` is `upper` moved down one period: each alive path
+        of upper, translated arrow by arrow, is the alive path of lower in the
+        same place, and the relation index agrees at every vertex on them.
+        Nonzero rows of a pair only touch its alive paths, so the rows then
+        correspond too."""
+        up, low = self.alive[upper], self.alive[lower]
+        step = self.step.__getitem__
+        return (
+            len(up) == len(low)
+            and self.same[upper[0]]
+            and all(tuple(map(step, path)) == q for path, q in zip(up, low))
+        )
+
+    def spread(self, pair: Pair, verdicts: dict) -> None:
+        """Give every pair reached from `pair` by certified moves its verdict."""
+        verdict, stack = verdicts[pair], [pair]
+        alive, P = self.alive, self.period
+        while stack:
+            pair = stack.pop()
+            reached = [move(pair) for move in self.maps]
+            if self.step:
+                s, t = pair
+                below, above = (s - P, t - P), (s + P, t + P)
+                for other, upper, lower in ((below, pair, below), (above, above, pair)):
+                    if other in alive and other not in verdicts and self._translates(upper, lower):
+                        reached.append(other)
+            for other in reached:
+                if other not in verdicts:
+                    verdicts[other] = verdict
+                    stack.append(other)
+
+
 @dataclass
 class QuotientDims:
     """Result of the linear engine: per-pair dimensions of the truncated
@@ -681,6 +811,7 @@ class QuotientDims:
     core_pairs: list[Pair]
     boundary_nonzero: list[Pair]
     unsaturated: list[Pair]
+    eliminated: int = 0  # echelons built
 
     @property
     def saturated(self) -> bool:
@@ -716,23 +847,39 @@ def quotient_dims(
     if max_len is None:
         max_len = PRESETS[quiver.preset].max_len
     setup = _linear_setup(quiver, rels, max_len)
+    fold = _Fold(quiver, rels, setup)
 
     dims: dict[Pair, int] = {}
     boundary_nonzero: list[Pair] = []
     unsaturated: list[Pair] = []
     witness: list[str] = []  # residue words of the first unsaturated pair
+    verdicts: dict[Pair, tuple[int, bool]] = {}  # pair -> (rank, top paths all pivots)
+    eliminated = 0
     core = quiver.core
     for pair in sorted(setup.alive, key=_pair_key):
         plist = setup.alive[pair]
-        if not (pair[0] in core and pair[1] in core):
-            if len(plist[0]) < setup.shortest or _echelon(setup, pair).rank < len(plist):
+        in_core = pair[0] in core and pair[1] in core
+        if not in_core and len(plist[0]) < setup.shortest:
+            boundary_nonzero.append(pair)
+            continue
+        tops = [path for path in plist if len(path) == max_len]
+        ech = None
+        if pair not in verdicts:
+            ech = _echelon(setup, pair)
+            eliminated += 1
+            verdicts[pair] = (ech.rank, ech.pivots_among(len(tops)) == len(tops))
+            fold.spread(pair, verdicts)
+        rank, saturated = verdicts[pair]
+        if not in_core:
+            if rank < len(plist):
                 boundary_nonzero.append(pair)
             continue
-        ech = _echelon(setup, pair)
-        dims[pair] = len(plist) - ech.rank
-        tops = [path for path in plist if len(path) == max_len]
-        if ech.pivots_among(len(tops)) < len(tops):
+        dims[pair] = len(plist) - rank
+        if not saturated:
             if not unsaturated:
+                if ech is None:
+                    ech = _echelon(setup, pair)
+                    eliminated += 1
                 for path in tops:
                     top = [k for k in ech.reduce({path: 1}) if len(k) == max_len]
                     if top:
@@ -741,7 +888,7 @@ def quotient_dims(
             unsaturated.append(pair)
 
     core_pairs = sorted(((v, w) for v in core for w in core), key=_pair_key)
-    result = QuotientDims(max_len, dims, core_pairs, boundary_nonzero, unsaturated)
+    result = QuotientDims(max_len, dims, core_pairs, boundary_nonzero, unsaturated, eliminated)
     if require_saturation and unsaturated:
         raise NotSaturated(
             f"{len(unsaturated)} core pair(s) have irreducible length-{max_len} paths; "

@@ -256,6 +256,20 @@ def test_factor_tables_bounded_before_build(monkeypatch, argv, cap):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("suite", ["reciprocity", "all"])
+def test_reciprocity_peeling_bounded_before_peel(monkeypatch, suite):
+    # a one-weight window passes the item bound, but the reciprocity index
+    # peels a whole period, about q**2 = 3**16 steps at (3, 8)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a period was peeled")
+
+    monkeypatch.setattr(deltafilt, "_simples_index", refuse)
+    monkeypatch.delenv("TILTCELL_MAX_WORK", raising=False)
+    argv = ["verify", "--suite", suite, "--p", "3", "--r", "8", "--lo", "0", "--hi", "0"]
+    code, out = invoke(argv)
+    assert code == 2 and out == ""
+
+
 @pytest.mark.parametrize(
     "kind,p,r,weight,cap",
     [

@@ -2,8 +2,9 @@
 alive pair is eliminated with every relation row, every top-length core
 path is reduced, and `boundary_nonzero` is read off the dimensions.  The
 engine decides boundary pairs by a length certificate, stops eliminating at
-full rank and reads saturation from pivot counts; none of that may change
-an answer."""
+full rank, reads saturation from pivot counts and eliminates one pair per
+class of certified symmetries; none of that may change an answer, also where
+a relation set breaks a symmetry the engine would otherwise use."""
 
 from __future__ import annotations
 
@@ -17,13 +18,17 @@ from tiltcell.quiver import (
     PathElement,
     Quiver,
     RelationSet,
+    _Fold,
     _alive_paths,
+    _linear_setup,
     _pair_key,
+    _rule_to_relation,
     build_p1_quiver,
     build_p2_quiver,
     build_sl3_quiver,
     p2_scalar_names,
     quotient_dims,
+    right_neighbor,
 )
 from tiltcell.ratlinalg import SparseEchelon
 
@@ -103,6 +108,14 @@ def _p5_balanced():
     return scalars
 
 
+def _balanced(p):
+    """A point of the balanced locus: one magnitude for every square scalar,
+    one sign per family, free loop scalars."""
+    scalars = {k: 2 if k[0] == "n" else -2 for k in p2_scalar_names(p)[:-2]}
+    scalars.update({"theta0": Fraction(1, 2), f"theta{p}": 3})
+    return scalars
+
+
 def _toy():
     """A loop c at 0 with c*c = 0 and an arrow a: 0 -> 1 with a = a*c*c.  The
     long term dies, so the boundary pair (0, 1) is zero although its shortest
@@ -119,9 +132,44 @@ def _toy():
     return quiver, RelationSet(relations, {}, {}, {})
 
 
+def _rescaled(quiver, rels, redexes, factor):
+    """`rels` with the replacement of each rule in `redexes` (lists of arrow
+    names) multiplied by `factor`."""
+    keys = {tuple(map(quiver.arrow_id, names)) for names in redexes}
+    rules = {
+        redex: tuple((path, c * factor) for path, c in repl) if redex in keys else repl
+        for redex, repl in rels.rules.items()
+    }
+    relations = [_rule_to_relation(quiver, redex, repl) for redex, repl in rules.items()]
+    return quiver, RelationSet(relations, rules, rels.derived_rules, rels.scalars)
+
+
+def _square_at_one_column(x=1, p=3):
+    """The ladder with both commuting squares of scalar m at column x, and at
+    no other column of its residue, scaled by 2: duality still holds, while
+    translation fails there."""
+    quiver, rels = build_p2_quiver(p)
+    rn1 = right_neighbor(x, p) - 1
+    return _rescaled(quiver, rels, [[f"u'{x}", f"d{rn1}"], [f"u{rn1}", f"d'{x}"]], 2)
+
+
+def _one_sided_square(x=1, p=3):
+    """The ladder with one commuting square at column x scaled by 2 and not
+    its dual: neither duality nor translation there holds."""
+    quiver, rels = build_p2_quiver(p)
+    return _rescaled(quiver, rels, [[f"u'{x}", f"d{right_neighbor(x, p) - 1}"]], 2)
+
+
+def _sl3_unmirrored():
+    """sl3 with the loop u6*d6 = 2a d2*u2 against u3*d3 = a d1*u1."""
+    quiver, rels = build_sl3_quiver(1, 1, 0)
+    return _rescaled(quiver, rels, [["u6", "d6"]], 2)
+
+
 CASES = {
     "toy": (_toy, 4),
     "p1": (lambda: build_p1_quiver(3), 4),
+    "p1-p5-w3": (lambda: build_p1_quiver(5, window=3), 4),
     "p2-p3-unit": (lambda: build_p2_quiver(3), 5),
     "p2-p3-balanced": (
         lambda: build_p2_quiver(
@@ -131,14 +179,34 @@ CASES = {
     ),
     "p2-p3-unbalanced": (lambda: build_p2_quiver(3, scalars={"m1": 2}), 5),
     "p2-p3-no-boundary-loops": (lambda: build_p2_quiver(3, boundary_loops=False), 5),
-    "p2-p5-balanced-fractional": (lambda: build_p2_quiver(5, scalars=_p5_balanced()), 5),
     "p2-p3-len4": (lambda: build_p2_quiver(3), 4),
     "p2-p3-len6": (lambda: build_p2_quiver(3), 6),
+    "p2-p3-w2": (lambda: build_p2_quiver(3, window=2), 5),
+    "p2-p3-w2-balanced-len6": (lambda: build_p2_quiver(3, window=2, scalars=_balanced(3)), 6),
+    "p2-p3-w2-unbalanced": (lambda: build_p2_quiver(3, window=2, scalars={"n4": 3}), 5),
+    "p2-p3-w2-no-boundary-loops": (lambda: build_p2_quiver(3, window=2, boundary_loops=False), 5),
+    "p2-p5-unit": (lambda: build_p2_quiver(5), 5),
+    "p2-p5-balanced-fractional": (lambda: build_p2_quiver(5, scalars=_p5_balanced()), 5),
+    "p2-p5-unbalanced-len4": (lambda: build_p2_quiver(5, scalars={"m8": -1}), 4),
+    "p2-p5-w2": (lambda: build_p2_quiver(5, window=2), 5),
+    "p2-p7-unit": (lambda: build_p2_quiver(7), 5),
+    "p2-p7-balanced-len4": (lambda: build_p2_quiver(7, scalars=_balanced(7)), 4),
+    "p2-p7-no-boundary-loops": (lambda: build_p2_quiver(7, boundary_loops=False), 5),
+    "p2-p3-square-at-one-column": (_square_at_one_column, 5),
+    "p2-p3-one-sided-square": (_one_sided_square, 5),
     "sl3": (lambda: build_sl3_quiver(1, 1, 0), 7),
     "sl3-fractional": (lambda: build_sl3_quiver(Fraction(2, 3), 3, 0), 7),
     "sl3-r1-unsaturated": (lambda: build_sl3_quiver(1, 1, 1), 7),
+    "sl3-free-r-len8": (lambda: build_sl3_quiver(Fraction(-1, 2), 2, 3), 8),
+    "sl3-unmirrored": (_sl3_unmirrored, 7),
 }
-UNSATURATED = {"p2-p3-len4", "sl3-r1-unsaturated"}
+UNSATURATED = {
+    "p2-p3-len4",
+    "p2-p5-unbalanced-len4",
+    "p2-p7-balanced-len4",
+    "sl3-r1-unsaturated",
+    "sl3-free-r-len8",
+}
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -165,3 +233,71 @@ def test_quotient_dims_matches_reference(case):
             f"{len(unsaturated)} core pair(s) have irreducible length-{max_len} paths; "
             f"first: {unsaturated[0]}, residue words: {', '.join(witness)}"
         )
+
+
+def test_symmetry_certificates():
+    """Which symmetries each presentation certifies: duality everywhere, the
+    mirror on sl3 only, translation on the ladders.  A scalar changed at one
+    column keeps duality and loses translation at that column alone; one
+    square changed without its dual loses duality; a loop scalar changed on
+    one side of sl3 loses the mirror."""
+
+    def fold(build, max_len):
+        quiver, rels = build()
+        return _Fold(quiver, rels, _linear_setup(quiver, rels, max_len))
+
+    assert len(fold(lambda: build_p2_quiver(3), 5).maps) == 1
+    assert len(fold(lambda: build_p1_quiver(3), 4).maps) == 1
+    assert len(fold(lambda: build_sl3_quiver(1, 1, 1), 7).maps) == 2
+    assert len(fold(_sl3_unmirrored, 7).maps) == 1
+    assert not fold(_one_sided_square, 5).maps
+    assert not fold(lambda: build_sl3_quiver(1, 1, 0), 7).step
+
+    # the scaled squares start at columns 1 and 4; their index differs from
+    # that of the columns one period below and above
+    plain, broken = fold(lambda: build_p2_quiver(3), 5), fold(_square_at_one_column, 5)
+    assert len(broken.maps) == 1
+    lost = {v for v in plain.same if plain.same[v] and not broken.same[v]}
+    assert lost == {1, 4, 7, 10}
+    assert all(broken.same[v] for v in plain.same if plain.same[v] and v not in lost)
+
+
+@pytest.mark.parametrize(
+    "build,max_len,eliminated",
+    [
+        (lambda: build_p2_quiver(3), 5, 92),
+        (lambda: build_p2_quiver(7), 5, 420),
+        (lambda: build_sl3_quiver(1, 1, 0), 7, 13),
+    ],
+    ids=["p2-p3", "p2-p7", "sl3"],
+)
+def test_fold_eliminates_one_pair_per_class(build, max_len, eliminated):
+    """The number of echelons built, against the pairs that need one (every
+    alive pair outside the boundary length certificate): the fold must not
+    switch off silently."""
+    quiver, rels = build()
+    res = quotient_dims(quiver, rels, max_len)
+    assert res.eliminated == eliminated
+    setup = _linear_setup(quiver, rels, max_len)
+    core = quiver.core
+    needed = [
+        pair
+        for pair, plist in setup.alive.items()
+        if (pair[0] in core and pair[1] in core) or len(plist[0]) >= setup.shortest
+    ]
+    assert eliminated * 2 < len(needed)
+
+
+@pytest.mark.parametrize(
+    "case,symmetric",
+    [
+        ("p2-p3-square-at-one-column", "p2-p3-unit"),
+        ("p2-p3-one-sided-square", "p2-p3-unit"),
+        ("sl3-unmirrored", "sl3"),
+    ],
+)
+def test_broken_symmetry_costs_eliminations(case, symmetric):
+    """Where a certificate fails the engine eliminates more pairs than on the
+    symmetric presentation the case was made from."""
+    (build, max_len), (plain, _) = CASES[case], CASES[symmetric]
+    assert quotient_dims(*build(), max_len).eliminated > quotient_dims(*plain(), max_len).eliminated
