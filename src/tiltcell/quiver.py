@@ -38,6 +38,8 @@ Two independent engines are provided and cross-checked:
   paths of length <= max_len, quotient by every relation instance that
   fits, and report the dimension.  A saturation flag certifies that each
   maximal-length path reduces into shorter ones, which pins the truncation.
+  One pair per class of certified symmetries is eliminated and the others
+  take its verdict (see "Folding" below).
 * `normal_form`: oriented rewriting.  Relations are oriented so that
   down-after-up patterns rewrite towards sorted words; a handful of derived
   rules (consequences of the relations near chain-top columns, each checked
@@ -52,6 +54,33 @@ the index; both engines scan for subwords with `_has_word`.
 Only window-interior ("core") vertex pairs are trusted: the infinite
 presentations are realised on a finite window with a declared shift period,
 and pairs near the cut are reported separately.
+
+Folding
+-------
+A map g of paths that sends arrows to arrows (reversing each path if g is an
+anti-automorphism) and the relation set onto itself up to nonzero scalars
+sends the alive paths of a pair bijectively to those of its image pair,
+length by length, and its relation rows to scalar multiples of the image's
+rows.  The two pairs then have the same rank, and the same projected rank on
+the top-length columns, which is what saturation reads (`pivots_among` does
+not depend on the column order within one length).  `quotient_dims` uses
+three such maps, each only once an exact certificate passes:
+
+* duality: each arrow to its `dual`, paths reversed, (s, t) to (t, s).  The
+  cellular anti-involution of the tilting categories makes every preset
+  self-dual.  Certified once per call, relation by relation.
+* the preset's `mirror` (sl3: s <-> t, st <-> ts), certified the same way.
+* translation by `shift_period`: not a global automorphism, because the
+  window cuts the ladder, so it is certified per pair.  (s, t) and
+  (s - P, t - P) are translates when the alive path list of the first,
+  translated arrow by arrow (looked up by source, target and kind), is the
+  list of the second, and the relation index at every vertex on those
+  paths, translated, is the index one period below.  A nonzero row only
+  touches alive paths of its pair, so the rows then correspond.
+
+Where a certificate fails the pair is eliminated.  The witness of
+`NotSaturated` always comes from eliminating the first unsaturated pair
+itself.
 """
 
 from __future__ import annotations
@@ -772,12 +801,15 @@ class _Fold:
         same place, and the relation index agrees at every vertex on them.
         Nonzero rows of a pair only touch its alive paths, so the rows then
         correspond too."""
-        up, low = self.alive[upper], self.alive[lower]
-        step = self.step.__getitem__
+        up, low, step = self.alive[upper], self.alive[lower], self.step
+        # arrow by arrow, so that no translated path is built
         return (
             len(up) == len(low)
             and self.same[upper[0]]
-            and all(tuple(map(step, path)) == q for path, q in zip(up, low))
+            and all(
+                len(path) == len(q) and all(step[a] == b for a, b in zip(path, q))
+                for path, q in zip(up, low)
+            )
         )
 
     def spread(self, pair: Pair, verdicts: dict) -> None:
