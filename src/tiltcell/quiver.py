@@ -875,7 +875,10 @@ def quotient_dims(
     pivoted first, so that holds exactly when every maximal-length column is
     a pivot.  If it fails and require_saturation is set, NotSaturated is
     raised, naming the first unsaturated pair and the top-length words of its
-    residue, and the caller should retry with a larger max_len."""
+    residue, and the caller should retry with a larger max_len.
+
+    One pair per class of certified symmetries is eliminated; the others take
+    its rank and saturation (see Folding in the module docstring)."""
     if max_len is None:
         max_len = PRESETS[quiver.preset].max_len
     setup = _linear_setup(quiver, rels, max_len)
