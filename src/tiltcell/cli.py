@@ -160,6 +160,8 @@ def _build_preset(args, max_len: int | None = None) -> tuple[qv.Quiver, qv.Relat
     from . import quiver as qv
 
     preset = qv.PRESETS[args.preset]
+    if preset.window is None and args.window is not None:
+        raise UsageError(f"--preset {args.preset} has no window")
     window = preset.window if args.window is None else args.window
     scalars = _parse_scalars(args.scalars)
     names = preset.scalar_names(args.p)
@@ -545,10 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--principal-block", action="store_true")
     sp.set_defaults(func=cmd_generators)
 
-    # export-dot is quiver-build with the format fixed to dot
     for name, func, formats in (
         ("quiver-build", cmd_quiver_build, ("json", "dot")),
-        ("export-dot", cmd_quiver_build, ("dot",)),
         ("quiver-check", cmd_quiver_check, ("json", "tsv")),
     ):
         sp = sub.add_parser(name, help=f"{name.replace('-', ' ')} for a preset quiver")

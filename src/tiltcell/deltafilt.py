@@ -36,7 +36,8 @@ from one index per (p, r), built from the peels of a single period.
 `hom_dim` never builds a shifted table: it compares the cached folded tables
 of both weights at their relative shift, and answers 0 at once when the
 shifted ranges cannot meet.  The linkage sweep inverts the tables of its
-window instead, mapping each factor to the weights whose tables hold it.
+window instead, mapping each factor to the weights whose tables hold it, and
+tests each pair for one dot orbit by the congruence of `strongly_linked`.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ from functools import lru_cache
 
 from .charring import Character, baby_verma_char, baby_verma_simples
 from .report import Report
-from .weights import Context, dot_orbit, strongly_linked, tilde
+# no sweep builds an orbit set, but perfbench/child.py wraps dot_orbit on this module
+from .weights import Context, dot_orbit, strongly_linked, tilde  # noqa: F401
 
 DeltaFactors = dict[int, int]
 
@@ -63,7 +65,7 @@ def delta_factors(lam: int, ctx: Context) -> DeltaFactors:
     tilting object with highest weight lam."""
     lam0 = lam % ctx.q
     shift = lam - lam0
-    return {nu + shift: m for nu, m in _folded_factors(ctx.p, ctx.r, lam0)}
+    return {nu + shift: 1 for nu in _folded_factors(ctx.p, ctx.r, lam0)[0]}
 
 
 def _digit_walk(p: int, r: int, lam: int) -> tuple[int, list[int]]:
@@ -85,7 +87,9 @@ def table_size(lam: int, ctx: Context) -> int:
 
 
 @lru_cache(maxsize=None)
-def _folded_factors(p: int, r: int, lam: int) -> tuple[tuple[int, int], ...]:
+def _folded_factors(p: int, r: int, lam: int) -> tuple[tuple[int, ...], frozenset[int]]:
+    """The weights of the folded table at lam, sorted and as a set; every
+    multiplicity is one, which `InvariantViolation` enforces."""
     base, digits = _digit_walk(p, r, lam)
     table = {base}
     for a in reversed(digits):
@@ -98,14 +102,7 @@ def _folded_factors(p: int, r: int, lam: int) -> tuple[tuple[int, int], ...]:
             raise InvariantViolation(
                 f"multiplicity above one in the table of {lam} (p={p}, r={r})"
             )
-    return tuple((nu, 1) for nu in sorted(table))
-
-
-@lru_cache(maxsize=None)
-def _folded_span(p: int, r: int, lam: int) -> tuple[frozenset[int], int, int]:
-    """The weights of the folded table at lam, with their least and greatest."""
-    weights = [nu for nu, _ in _folded_factors(p, r, lam)]
-    return frozenset(weights), weights[0], weights[-1]
+    return tuple(sorted(table)), frozenset(table)
 
 
 def hom_dim(lam: int, mu: int, ctx: Context) -> int:
@@ -118,12 +115,12 @@ def hom_dim(lam: int, mu: int, ctx: Context) -> int:
     """
     q = ctx.q
     lam0, mu0 = lam % q, mu % q
-    a, a_lo, a_hi = _folded_span(ctx.p, ctx.r, lam0)
-    b, b_lo, b_hi = _folded_span(ctx.p, ctx.r, mu0)
+    a, _ = _folded_factors(ctx.p, ctx.r, lam0)
+    b, b_set = _folded_factors(ctx.p, ctx.r, mu0)
     d = (lam - lam0) - (mu - mu0)
-    if a_hi + d < b_lo or a_lo + d > b_hi:
+    if a[-1] + d < b[0] or a[0] + d > b[-1]:
         return 0
-    return sum(nu + d in b for nu in a)
+    return sum(nu + d in b_set for nu in a)
 
 
 def hom_dim_sum(P: dict[int, int], Q: dict[int, int], ctx: Context) -> int:
@@ -253,7 +250,8 @@ def verify_mult_free(lo: int, hi: int, ctx: Context) -> Report:
 
 def verify_linkage_necessity(lo: int, hi: int, ctx: Context) -> Report:
     """Nonzero Hom between tiltings forces the highest weights into one dot
-    orbit.  Only pairs with nonzero Hom produce items."""
+    orbit: the lower is strongly linked to the higher.  Only pairs with
+    nonzero Hom produce items."""
     rep = Report("linkage-necessity", _ctx_dict(ctx))
     tables = {mu: delta_factors(mu, ctx) for mu in range(lo, hi + 1)}
     # Hom is nonzero exactly when two tables share a factor
@@ -262,7 +260,7 @@ def verify_linkage_necessity(lo: int, hi: int, ctx: Context) -> Report:
         for nu in fac:
             holders.setdefault(nu, []).append(mu)
     for lam, fac in tables.items():
-        orbit = dot_orbit(lam, lo - 4 * ctx.q, hi + 4 * ctx.q, ctx)
         for mu in sorted({mu for nu in fac for mu in holders[nu]}):
-            rep.add({"lam": lam, "mu": mu}, mu in orbit, True)
+            linked = strongly_linked(min(lam, mu), max(lam, mu), ctx)
+            rep.add({"lam": lam, "mu": mu}, linked, True)
     return rep

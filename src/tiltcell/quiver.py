@@ -289,13 +289,13 @@ def left_neighbor(j: int, p: int) -> int:
 _MARGIN = 2  # windows of padding around the core of a ladder
 
 
-def build_p1_quiver(p: int, window: int = 2, margin: int = _MARGIN) -> tuple[Quiver, RelationSet]:
-    """The zigzag chain on positions [-2(window+margin), 2(window+margin)];
+def build_p1_quiver(p: int, window: int = 2) -> tuple[Quiver, RelationSet]:
+    """The zigzag chain on positions [-2(window+_MARGIN), 2(window+_MARGIN)];
     positions within 2*window of zero form the trusted core."""
     if window < 2:
         raise QuiverConfigError("p1 window must be >= 2")
     ctx = Context(p, 1)
-    half = 2 * (window + margin)
+    half = 2 * (window + _MARGIN)
     vertices = list(range(-half, half + 1))
     arrows: list[Arrow] = []
     for n in range(-half, half):
@@ -339,10 +339,9 @@ def build_p2_quiver(
     p: int,
     window: int = 1,
     scalars: Mapping[str, object] | None = None,
-    margin: int = _MARGIN,
     boundary_loops: bool = True,
 ) -> tuple[Quiver, RelationSet]:
-    """The level-two ladder on columns [-2p(window+margin), 2p(window+margin)].
+    """The level-two ladder on columns [-2p(window+_MARGIN), 2p(window+_MARGIN)].
 
     Columns within 2p*window of zero form the trusted core.  The window is
     cut at multiples of 2p, so every vertical chain is complete and only the
@@ -352,7 +351,7 @@ def build_p2_quiver(
         raise QuiverConfigError("p2 window must be >= 1")
     ctx = Context(p, 2)
     period = 2 * p
-    half = period * (window + margin)
+    half = period * (window + _MARGIN)
     lo, hi = -half, half
     vertices = list(range(lo, hi + 1))
     weights = {j: ladder_weight(j, p) for j in vertices}
@@ -537,13 +536,13 @@ def _swaps(*pairs: str) -> dict[str, str]:
 
 PRESETS: dict[str, Preset] = {
     "p1": Preset(
-        build=lambda p, window, scalars, loops: build_p1_quiver(p, window, _MARGIN),
+        build=lambda p, window, scalars, loops: build_p1_quiver(p, window),
         window=2,
         max_len=4,
         vertex_count=lambda p, window: 4 * (window + _MARGIN) + 1,
     ),
     "p2": Preset(
-        build=lambda p, window, scalars, loops: build_p2_quiver(p, window, scalars, _MARGIN, loops),
+        build=lambda p, window, scalars, loops: build_p2_quiver(p, window, scalars, loops),
         window=1,
         max_len=5,
         vertex_count=lambda p, window: 4 * p * (window + _MARGIN) + 1,

@@ -5,7 +5,8 @@ integers, the half-sum of positive roots is 1, the positive root is 2, and
 the dominant weights are the non-negative integers.  The affine reflection
 with index n acts through the rho-shifted ("dot") action and fixes the point
 n*p - 1, so it sends lam to 2*(n*p - 1) - lam.  The fundamental alcove is the
-interval [0, p-2]; the points congruent to -1 mod p are the walls.
+interval [0, p-2]; the points congruent to -1 mod p are the walls.  The dot
+orbits are infinite dihedral, so strong linkage is a congruence mod 2p.
 
 Weights are plain ints.  The pair (p, r) travels in an explicit `Context`, so
 the same integer can be re-read at any level r (the head/tail of a p-adic
@@ -118,12 +119,8 @@ def dot_reflect(lam: int, wall_index: int, ctx: Context) -> int:
 
 
 def dot_orbit(lam: int, lo: int, hi: int, ctx: Context) -> set[int]:
-    """The orbit of lam under all dot reflections, clipped to [lo, hi].
-
-    The group generated by the reflections at the points n*p - 1 is infinite
-    dihedral; the orbit of lam is {lam + 2kp} union {-lam - 2 + 2kp}.  For
-    wall and special weights the two families coincide.
-    """
+    """The dot orbit of lam, {lam + 2kp} union {-lam - 2 + 2kp}, clipped to
+    [lo, hi].  For wall and special weights the two families coincide."""
     if lo > hi:
         raise ValueError("dot_orbit requires lo <= hi")
     p2 = 2 * ctx.p
@@ -140,33 +137,11 @@ def dot_orbit(lam: int, lo: int, hi: int, ctx: Context) -> set[int]:
 
 def strongly_linked(mu: int, lam: int, ctx: Context) -> bool:
     """True iff mu can be raised to lam by a chain of weight-increasing dot
-    reflections.
-
-    Breadth-first search over single up-reflections, with the frontier pruned
-    to weights <= lam.  Terminates because every step strictly increases the
-    weight and the orbit meets (-inf, lam] in finitely many points.
+    reflections: mu == lam, or mu < lam in the dot orbit of lam.  Reflections
+    keep the orbit, and every orbit point above mu is reached: -mu - 2 + 2kp
+    by one up-reflection, through the wall midway between the two; mu + 2kp
+    by two, through the lowest wall above mu, then the wall k steps higher
+    (by one, through the wall kp above mu, if mu is on a wall).
     """
-    if mu == lam:
-        return True
-    if mu > lam:
-        return False
-    p = ctx.p
-    # cheap orbit pre-check: lam must lie in {mu + 2kp} or {-mu - 2 + 2kp}
-    if (lam - mu) % (2 * p) != 0 and (lam + mu + 2) % (2 * p) != 0:
-        return False
-    frontier = [mu]
-    seen = {mu}
-    while frontier:
-        nxt: list[int] = []
-        for x in frontier:
-            n_min = (x + 1) // p + 1  # smallest n with n*p - 1 > x
-            n_max = (lam + x + 2) // (2 * p)  # largest n keeping the image <= lam
-            for n in range(n_min, n_max + 1):
-                y = dot_reflect(x, n, ctx)
-                if y == lam:
-                    return True
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return False
+    p2 = 2 * ctx.p
+    return mu == lam or (mu < lam and ((lam - mu) % p2 == 0 or (lam + mu + 2) % p2 == 0))

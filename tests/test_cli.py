@@ -107,10 +107,18 @@ def test_quiver_check_tsv():
 
 
 def test_export_dot_roundtrip():
-    code1, out1 = invoke(["export-dot", "--preset", "sl3"])
-    code2, out2 = invoke(["export-dot", "--preset", "sl3"])
+    argv = ["quiver-build", "--preset", "sl3", "--format", "dot"]
+    code1, out1 = invoke(argv)
+    code2, out2 = invoke(argv)
     assert code1 == code2 == 0 and out1 == out2
     assert out1.startswith("digraph sl3 {")
+
+
+def test_export_dot_subcommand_is_gone():
+    # quiver-build --format dot is the one way to write DOT
+    with pytest.raises(SystemExit) as exc:
+        invoke(["export-dot", "--preset", "sl3"])
+    assert exc.value.code == 2
 
 
 def test_generators_sl3_preset():
@@ -147,7 +155,7 @@ def test_work_cap(monkeypatch):
     [
         ["quiver-check", "--preset", "sl3", "--scalars", "bogus=3"],
         ["quiver-build", "--preset", "p1", "--scalars", "m1=0"],
-        ["export-dot", "--preset", "sl3", "--scalars", "m1=1"],
+        ["quiver-build", "--preset", "sl3", "--scalars", "m1=1", "--format", "dot"],
         ["quiver-build", "--preset", "p2", "--p", "3", "--scalars", "a=1"],
     ],
 )
@@ -156,7 +164,7 @@ def test_unknown_scalars_rejected(argv):
     assert code == 2 and out == ""
 
 
-@pytest.mark.parametrize("command", ["quiver-build", "export-dot", "quiver-check"])
+@pytest.mark.parametrize("command", ["quiver-build", "quiver-check"])
 @pytest.mark.parametrize("cap,window", [("10", "3000"), (None, "1000000")])
 def test_preset_size_bounded_before_build(monkeypatch, command, cap, window):
     def refuse(*args, **kwargs):
@@ -169,6 +177,18 @@ def test_preset_size_bounded_before_build(monkeypatch, command, cap, window):
         monkeypatch.setenv("TILTCELL_MAX_WORK", cap)
     code, out = invoke([command, "--preset", "p2", "--p", "3", "--window", window])
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("command", ["quiver-build", "quiver-check"])
+def test_sl3_window_rejected_before_build(monkeypatch, capsys, command):
+    # sl3 has no window, so a --window there must not be silently ignored
+    def refuse(*args, **kwargs):
+        raise AssertionError("the quiver was built")
+
+    monkeypatch.setattr(qv, "build_sl3_quiver", refuse)
+    code, out = invoke([command, "--preset", "sl3", "--window", "1"])
+    assert code == 2 and out == ""
+    assert "window" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("max_len", ["-1", "0"])

@@ -6,8 +6,9 @@ refactored, the weight-side entries before the factor tables became a walk
 over p-adic digits, the six weight-side hot loops before peeling, linkage,
 Hom and the generator family stopped rebuilding a dict per step, and the
 last six quiver checks before the linear engine was folded by symmetries of
-the vertex pairs.  A refactor of `cli.py`, `quiver.py` or `deltafilt.py` must leave every entry unchanged; a deliberate change of output format must
-update the digests in the same change.
+the vertex pairs.  A refactor of `cli.py`, `quiver.py`, `deltafilt.py` or
+`weights.py` must leave every entry unchanged; a deliberate change of output
+format must update the digests in the same change.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ GOLDEN = [
     ("quiver-build --preset p2 --format dot", 0, "4cff46f12265402b8d43671f65bf4d8681ee40eaf88cfda9210ddc18686adb78"),
     ("quiver-build --preset sl3 --format json", 0, "4ead0bbd3f382faea5ce69fb09be66d88af387f5d0865c8a4ec5833bec80beda"),
     ("quiver-build --preset sl3 --format dot", 0, "abbbfda6c17a2a291f987d6a51c576bd313e7867ea31ad913a65bab5c576a6fc"),
-    ("export-dot --preset sl3", 0, "abbbfda6c17a2a291f987d6a51c576bd313e7867ea31ad913a65bab5c576a6fc"),
-    ("export-dot --preset p2 --p 3", 0, "4cff46f12265402b8d43671f65bf4d8681ee40eaf88cfda9210ddc18686adb78"),
     ("quiver-check --preset p1 --format json", 0, "60818889f404d12b409d081cb20eec2e70740d2784c7dd6bf19510ec237c7f09"),
     ("quiver-check --preset p1 --format tsv", 0, "66b6723bc24cff9c7cdb956bd30abd6da8674b97af353f49b1ce09b144bae913"),
     ("quiver-check --preset p2 --p 3 --format json", 0, "b6ccdf39404a7ad561902d3979b747fe7d87d6343b4f8fb8714681c9d3defb79"),

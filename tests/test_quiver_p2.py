@@ -27,7 +27,7 @@ from tiltcell.weights import Context
 
 def test_ladder_geometry_p7():
     # the p = 7 picture: four-column ladder with vertical chains of seven
-    q, _ = build_p2_quiver(7, window=1, margin=1)
+    q, _ = build_p2_quiver(7, window=1)
     arrows = {a.name: a for a in q.arrows}
     assert (arrows["u'1"].source, arrows["u'1"].target) == (1, 13)
     assert (arrows["u'-1"].source, arrows["u'-1"].target) == (-1, 1)
@@ -42,7 +42,7 @@ def test_ladder_geometry_p7():
 
 
 def test_vertex_weights_match_factor_tables():
-    q, _ = build_p2_quiver(5, window=1, margin=1)
+    q, _ = build_p2_quiver(5, window=1)
     ctx = Context(5, 2)
     for a in q.arrows:
         if a.kind in ("u", "u'"):
@@ -197,7 +197,7 @@ def test_hom_transport_against_oracle_spot():
 
 
 def test_export_dot_p2():
-    q, _ = build_p2_quiver(3, window=1, margin=1)
+    q, _ = build_p2_quiver(3, window=1)
     dot = export_dot(q)
-    assert dot == export_dot(build_p2_quiver(3, window=1, margin=1)[0])
+    assert dot == export_dot(build_p2_quiver(3, window=1)[0])
     assert '"1" -> "5" [label="u\'1", style=solid];' in dot
