@@ -13,8 +13,8 @@ six-element Weyl group with its Bruhat order; no general Coxeter machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .deltafilt import InvariantViolation, delta_factors, hom_dim_sum
 from .weights import Context
@@ -22,8 +22,7 @@ from .weights import Context
 ObjectLabel = tuple[tuple[int, int], ...]  # sorted ((weight, multiplicity), ...)
 
 
-@dataclass(frozen=True)
-class CellIndex:
+class CellIndex(NamedTuple):
     """The name c^nu_(i,j) of a cellular basis element of Hom(source, target)."""
 
     cell_weight: int
@@ -42,8 +41,7 @@ class CellIndex:
         }
 
 
-@dataclass(frozen=True)
-class GeneratorSymbol:
+class GeneratorSymbol(NamedTuple):
     """A distinguished basis element: the lift of the inclusion of the
     standard object at low_weight into the tilting at high_weight."""
 

@@ -51,6 +51,16 @@ A `RelationSet` builds its rewrite index (rule table, redex lengths) once,
 at construction, and rules are fixed after that.  The rewriting engine reads
 the index; both engines scan for subwords with `_has_word`.
 
+One reducer (`_Reducer`) does all rewriting.  It rewrites each reducible
+path once, at its leftmost position and there by the shortest redex, and
+keeps the normal form of every reducible path it has met; irreducible paths
+are not stored.  `normal_form` builds a fresh reducer per call, while
+`cell_filtration_check` shares one across all its compositions and drops it
+when it returns.  The step budget `max_steps` bounds the paths rewritten in
+one normal form.  A path met again while it is still being reduced is a
+rewrite cycle: NonTerminating is raised at once, as it is when the budget
+runs out.
+
 Only window-interior ("core") vertex pairs are trusted: the infinite
 presentations are realised on a finite window with a declared shift period,
 and pairs near the cut are reported separately.
@@ -85,9 +95,9 @@ itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .cellbasis import SL3_ELEMENTS, SL3_LENGTH, sl3_hom_dim
@@ -106,7 +116,7 @@ class NotSaturated(RuntimeError):
 
 
 class NonTerminating(RuntimeError):
-    """Rewriting exceeded its step budget; indicates an orientation bug."""
+    """Rewriting cycled or exceeded its step budget; indicates an orientation bug."""
 
 
 Path = tuple[int, ...]
@@ -114,8 +124,7 @@ Vertex = object
 Pair = tuple[Vertex, Vertex]
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     source: Vertex
     target: Vertex
@@ -123,21 +132,27 @@ class Arrow:
     dual: str  # name of the reverse arrow
 
 
-@dataclass
 class Quiver:
-    preset: str
-    vertices: list
-    arrows: list[Arrow]
-    weights: dict  # vertex -> highest weight (int) or Weyl-group label (str)
-    core: frozenset  # window-interior vertices whose Hom pairs are trusted
-    shift_period: int | None
-    context: Context | None = None
-    by_name: dict = field(init=False, repr=False)
-    out_ids: dict = field(init=False, repr=False)
-    in_ids: dict = field(init=False, repr=False)
-    cell_rank: dict = field(init=False, repr=False)
+    """A finite quiver with its weights, trusted core and shift period, and
+    the arrow indexes derived from them at construction."""
 
-    def __post_init__(self) -> None:
+    __slots__ = (
+        "preset", "vertices", "arrows", "weights", "core", "shift_period", "context",
+        "by_name", "out_ids", "in_ids", "cell_rank",
+    )
+
+    def __init__(
+        self,
+        preset: str,
+        vertices: list,
+        arrows: list[Arrow],
+        weights: dict,  # vertex -> highest weight (int) or Weyl-group label (str)
+        core: frozenset,  # window-interior vertices whose Hom pairs are trusted
+        shift_period: int | None,
+        context: Context | None = None,
+    ) -> None:
+        self.preset, self.vertices, self.arrows, self.weights = preset, vertices, arrows, weights
+        self.core, self.shift_period, self.context = core, shift_period, context
         self.by_name = {a.name: i for i, a in enumerate(self.arrows)}
         if len(self.by_name) != len(self.arrows):
             raise QuiverConfigError("duplicate arrow names")
@@ -147,6 +162,12 @@ class Quiver:
             self.out_ids[a.source].append(i)
             self.in_ids[a.target].append(i)
         self.cell_rank = PRESETS[self.preset].cell_rank(self)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Quiver:
+            return NotImplemented
+        fields = ("preset", "vertices", "arrows", "weights", "core", "shift_period", "context")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
 
     def arrow_id(self, name: str) -> int:
         return self.by_name[name]
@@ -160,16 +181,27 @@ class Quiver:
         return "*".join(self.arrows[i].name for i in reversed(path))
 
 
-@dataclass
 class PathElement:
-    """A rational combination of parallel paths (shared source and target)."""
+    """A rational combination of parallel paths (shared source and target).
+    Zero coefficients are dropped at construction, and the others made
+    Fractions."""
 
-    source: Vertex
-    target: Vertex
-    terms: dict[Path, Fraction]
+    __slots__ = ("source", "target", "terms")
 
-    def __post_init__(self) -> None:
-        self.terms = {p: Fraction(c) for p, c in self.terms.items() if c}
+    def __init__(self, source: Vertex, target: Vertex, terms: Mapping[Path, object]) -> None:
+        self.source = source
+        self.target = target
+        self.terms: dict[Path, Fraction] = {
+            p: c if c.__class__ is Fraction else Fraction(c) for p, c in terms.items() if c
+        }
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not PathElement:
+            return NotImplemented
+        return (self.source, self.target, self.terms) == (other.source, other.target, other.terms)
+
+    def __repr__(self) -> str:
+        return f"PathElement(source={self.source!r}, target={self.target!r}, terms={self.terms!r})"
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -188,7 +220,6 @@ class PathElement:
 Replacement = tuple[tuple[Path, Fraction], ...]
 
 
-@dataclass
 class RelationSet:
     """Ideal generators plus their rewriting orientation.
 
@@ -203,16 +234,26 @@ class RelationSet:
     after construction; to change them, build a new RelationSet.
     """
 
-    relations: list[PathElement]
-    rules: dict[Path, Replacement]
-    derived_rules: dict[Path, Replacement]
-    scalars: dict[str, Fraction]
-    table: dict[Path, Replacement] = field(init=False, repr=False)
-    lengths: list[int] = field(init=False, repr=False)
+    __slots__ = ("relations", "rules", "derived_rules", "scalars", "table", "lengths")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        relations: list[PathElement],
+        rules: dict[Path, Replacement],
+        derived_rules: dict[Path, Replacement],
+        scalars: dict[str, Fraction],
+    ) -> None:
+        self.relations, self.rules, self.derived_rules = relations, rules, derived_rules
+        self.scalars = scalars
         self.table = {**self.rules, **self.derived_rules}
         self.lengths = sorted({len(k) for k in self.table})
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RelationSet:
+            return NotImplemented
+        return (self.relations, self.rules, self.derived_rules, self.scalars) == (
+            other.relations, other.rules, other.derived_rules, other.scalars
+        )
 
     def zero_redexes(self) -> set[Path]:
         """Redexes of single-term (monomial) relations; any path containing
@@ -505,8 +546,7 @@ def build_sl3_quiver(a=1, b=1, r=0) -> tuple[Quiver, RelationSet]:
     return quiver, bld.finish({"a": a, "b": b, "r": r})
 
 
-@dataclass(frozen=True)
-class Preset:
+class Preset(NamedTuple):
     """Everything that differs between the presentations.  The callables look
     builders and oracles up on this module when they run, so replacing
     `build_*`, `hom_dim` or `sl3_hom_dim` here reaches every caller."""
@@ -522,7 +562,7 @@ class Preset:
     cell_rank: Callable[[Quiver], dict] = lambda quiver: dict(quiver.weights)
     # arrow names swapped by an automorphism of the presentation (unlisted
     # arrows stay put); the linear engine uses it only once it is certified
-    mirror: Mapping[str, str] = field(default_factory=dict)
+    mirror: Mapping[str, str] = MappingProxyType({})
 
 
 def _swaps(*pairs: str) -> dict[str, str]:
@@ -830,8 +870,7 @@ class _Fold:
                     stack.append(other)
 
 
-@dataclass
-class QuotientDims:
+class QuotientDims(NamedTuple):
     """Result of the linear engine: per-pair dimensions of the truncated
     path space modulo relation instances for the trusted core pairs, with a
     saturation certificate for them.  Of the boundary pairs only the nonzero
@@ -983,35 +1022,100 @@ def check_against_cellular(
 # ---------------------------------------------------------------------------
 
 
-def normal_form(x: PathElement, rels: RelationSet, max_steps: int = 200_000) -> PathElement:
-    """Rewrite to a fixed point: leftmost position first, shortest redex
-    first.  Raises NonTerminating when the step budget runs out."""
-    rules, lengths = rels.table, rels.lengths
-    out: dict[Path, Fraction] = {}
-    work = list(x.terms.items())
-    steps = 0
-    while work:
-        path, coeff = work.pop()
-        hit = None
-        for i in range(len(path)):
+_ONE = Fraction(1)
+_MAX_STEPS = 200_000  # default rewrite budget of one normal form
+
+
+def _add_form(acc: dict[Path, Fraction], coeff: Fraction, form: Replacement) -> None:
+    """acc += coeff * form."""
+    for path, c in form:
+        if coeff != 1:
+            c = coeff * c
+        prev = acc.get(path)
+        acc[path] = c if prev is None else prev + c
+
+
+class _Reducer:
+    """Normal forms under one relation set, each reducible path rewritten
+    once (see Engines in the module docstring).
+
+    `memo` maps each reducible path met so far to its normal form, a tuple
+    of (irreducible path, nonzero coefficient).  The rewrite tree is walked
+    with an explicit stack, so a long chain cannot hit the recursion limit.
+    `steps` counts the paths rewritten against `max_steps`; the caller
+    zeroes it at the start of each normal form."""
+
+    __slots__ = ("rules", "lengths", "max_steps", "steps", "memo")
+
+    def __init__(self, rels: RelationSet, max_steps: int) -> None:
+        self.rules, self.lengths = rels.table, rels.lengths
+        self.max_steps = max_steps
+        self.steps = 0
+        self.memo: dict[Path, Replacement] = {}
+
+    def _rewrite(self, path: Path) -> tuple[Path, Replacement, Path] | None:
+        """(head, replacement, tail) of the redex to rewrite in path, or None
+        if path is irreducible; counts one step."""
+        rules, lengths, n = self.rules, self.lengths, len(path)
+        for i in range(n):
             for L in lengths:
-                if i + L > len(path):
+                if i + L > n:
                     break
                 repl = rules.get(path[i : i + L])
                 if repl is not None:
-                    hit = (i, L, repl)
-                    break
-            if hit:
-                break
+                    self.steps += 1
+                    if self.steps > self.max_steps:
+                        raise NonTerminating(f"rewrite budget {self.max_steps} exhausted")
+                    return path[:i], repl, path[i + L :]
+        return None
+
+    def reduce(self, path: Path) -> Replacement:
+        """The normal form of one path."""
+        memo = self.memo
+        form = memo.get(path)
+        if form is not None:
+            return form
+        hit = self._rewrite(path)
         if hit is None:
-            out[path] = out.get(path, Fraction(0)) + coeff
-            continue
-        steps += 1
-        if steps > max_steps:
-            raise NonTerminating(f"rewrite budget {max_steps} exhausted")
-        i, L, repl = hit
-        for rep, rc in repl:
-            work.append((path[:i] + rep + path[i + L :], coeff * rc))
+            return ((path, _ONE),)
+        # frame: [path, head, replacement, tail, next term, sum so far, coefficient in parent]
+        stack = [[path, *hit, 0, {}, _ONE]]
+        active = {path}
+        while True:
+            frame = stack[-1]
+            path, head, repl, tail, k, acc, coeff = frame
+            if k < len(repl):
+                frame[4] = k + 1
+                rep, rc = repl[k]
+                child = head + rep + tail
+                form = memo.get(child)
+                if form is None:
+                    if child in active:
+                        raise NonTerminating(f"rewriting returns to the path {child}")
+                    hit = self._rewrite(child)
+                    if hit is not None:
+                        active.add(child)
+                        stack.append([child, *hit, 0, {}, rc])
+                        continue
+                    form = ((child, _ONE),)
+                _add_form(acc, rc, form)
+                continue
+            stack.pop()
+            active.discard(path)
+            form = memo[path] = tuple((q, c) for q, c in acc.items() if c)
+            if not stack:
+                return form
+            _add_form(stack[-1][5], coeff, form)
+
+
+def normal_form(x: PathElement, rels: RelationSet, max_steps: int = _MAX_STEPS) -> PathElement:
+    """Rewrite to a fixed point: leftmost position first, shortest redex
+    first, each reducible path once.  Raises NonTerminating when rewriting
+    cycles or rewrites more than max_steps paths."""
+    reducer = _Reducer(rels, max_steps)
+    out: dict[Path, Fraction] = {}
+    for path, coeff in x.terms.items():
+        _add_form(out, coeff, reducer.reduce(path))
     return PathElement(x.source, x.target, out)
 
 
@@ -1067,15 +1171,23 @@ def cell_filtration_check(quiver: Quiver, rels: RelationSet, result: QuotientDim
     """Check that composition never escapes upward through the cell layers:
     for every irreducible word between core vertices and every one-arrow
     extension on either side staying in the core, the normal form is
-    supported on words of cell rank at most the original's."""
+    supported on words of cell rank at most the original's.
+
+    Each item counts the escaping words of one vertex pair; a failing item
+    also names its first escaping composition and the word that escapes.
+    One reducer serves every composition, so a path shared by several
+    rewrite trees is reduced once (the step budget of `normal_form` holds
+    per composition)."""
     words = irreducible_words(quiver, rels, result.max_len)
     core = quiver.core
+    reducer = _Reducer(rels, _MAX_STEPS)
     rep = Report("cell-filtration", {"preset": quiver.preset, "max_len": result.max_len})
     for (src, tgt), plist in sorted(words.items(), key=_pair_key):
         if src not in core or tgt not in core:
             continue
         violations = 0
         checked = 0
+        escape = None
         for path in plist:
             cell = word_cell_rank(quiver, src, path)
             extensions: list[tuple[Vertex, Path]] = []
@@ -1086,13 +1198,20 @@ def cell_filtration_check(quiver: Quiver, rels: RelationSet, result: QuotientDim
                 if quiver.arrows[aid].source in core:
                     extensions.append((quiver.arrows[aid].source, (aid,) + path))
             for esrc, epath in extensions:
-                etgt = quiver.path_target(esrc, epath)
-                nf = normal_form(PathElement(esrc, etgt, {epath: Fraction(1)}), rels)
+                reducer.steps = 0
                 checked += 1
-                for comp in nf.terms:
+                for comp, _ in reducer.reduce(epath):
                     if word_cell_rank(quiver, esrc, comp) > cell:
                         violations += 1
-        rep.add({"source": src, "target": tgt, "compositions": checked}, violations, 0)
+                        if escape is None:
+                            escape = {
+                                "composition": quiver.format_path(epath),
+                                "word": quiver.format_path(comp),
+                            }
+        item = {"source": src, "target": tgt, "compositions": checked}
+        if escape is not None:
+            item["first_escape"] = escape
+        rep.add(item, violations, 0)
     return rep
 
 

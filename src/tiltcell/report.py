@@ -6,7 +6,6 @@ both sides of its equality so the CLI can render exactly what disagreed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 
@@ -22,11 +21,23 @@ class ReportItem(NamedTuple):
         return {"input": self.input, "lhs": self.lhs, "rhs": self.rhs, "pass": self.passed}
 
 
-@dataclass
 class Report:
-    check: str
-    context: dict
-    items: list[ReportItem] = field(default_factory=list)
+    """The items of one named check, in the order they were checked."""
+
+    __slots__ = ("check", "context", "items")
+
+    def __init__(self, check: str, context: dict, items: list[ReportItem] | None = None) -> None:
+        self.check = check
+        self.context = context
+        self.items = [] if items is None else items
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Report:
+            return NotImplemented
+        return (self.check, self.context, self.items) == (other.check, other.context, other.items)
+
+    def __repr__(self) -> str:
+        return f"Report(check={self.check!r}, context={self.context!r}, items={self.items!r})"
 
     @property
     def all_pass(self) -> bool:

@@ -18,7 +18,6 @@ so the module is safe to use from any number of threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -35,18 +34,40 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class Context:
-    """A prime p >= 3 and a level r >= 1.  Validated at construction."""
+    """A prime p >= 3 and a level r >= 1.  Validated at construction, and
+    immutable: equality and hashing go by (p, r)."""
 
-    p: int
-    r: int = 1
+    __slots__ = ("p", "r")
 
-    def __post_init__(self) -> None:
-        if self.p < 3 or not is_prime(self.p):
-            raise ValueError(f"p must be an odd prime >= 3, got {self.p}")
-        if self.r < 1:
-            raise ValueError(f"r must be a positive integer, got {self.r}")
+    def __init__(self, p: int, r: int = 1) -> None:
+        if p < 3 or not is_prime(p):
+            raise ValueError(f"p must be an odd prime >= 3, got {p}")
+        if r < 1:
+            raise ValueError(f"r must be a positive integer, got {r}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "r", r)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Context:
+            return NotImplemented
+        return (self.p, self.r) == (other.p, other.r)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.r))
+
+    def __repr__(self) -> str:
+        return f"Context(p={self.p!r}, r={self.r!r})"
+
+    def __reduce__(self):
+        # copy and pickle through the constructor, as fields cannot be set
+        return (Context, (self.p, self.r))
 
     @property
     def q(self) -> int:
@@ -64,8 +85,7 @@ WALL = "wall"
 REGULAR = "regular"
 
 
-@dataclass(frozen=True)
-class AlcoveClass:
+class AlcoveClass(NamedTuple):
     """Position of a weight in the level-r alcove pattern.
 
     kind is one of "special" (congruent to -1 mod p**r), "wall" (congruent

@@ -2,6 +2,7 @@
 
 `tiltcell` and `tiltcell.cli` import the quiver module (and the exact linear
 algebra under it) only when a quiver is built or a quiver name is looked up.
+No module of the package loads `dataclasses` (and `inspect` under it).
 """
 
 from __future__ import annotations
@@ -83,11 +84,13 @@ EXPORTS = {
 }
 
 
-def _imported_after(statements: str) -> set[str]:
+def _imported_after(statements: str, prefix: str = "tiltcell") -> set[str]:
+    """The modules named `prefix...` that a fresh interpreter has loaded after
+    running `statements`."""
     code = (
         "import sys\n"
         f"{statements}\n"
-        "sys.stderr.write(' '.join(sorted(m for m in sys.modules if m.startswith('tiltcell'))))\n"
+        f"sys.stderr.write(' '.join(sorted(m for m in sys.modules if m.startswith({prefix!r}))))\n"
     )
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -116,6 +119,11 @@ def test_weight_side_commands_skip_the_quiver_engine(argv):
 def test_quiver_names_load_the_engine_on_first_use():
     assert "tiltcell.quiver" not in _imported_after("import tiltcell")
     assert "tiltcell.ratlinalg" in _imported_after("from tiltcell import quotient_dims")
+
+
+@pytest.mark.parametrize("module", ["tiltcell.cli", "tiltcell.quiver"])
+def test_import_skips_dataclasses(module):
+    assert not _imported_after(f"import {module}", prefix="dataclasses")
 
 
 @pytest.mark.parametrize("module", list(EXPORTS), ids=lambda m: m.__name__)
