@@ -4,9 +4,10 @@ Each entry pins the exit status and the sha256 of stdout for one cheap
 command.  The quiver entries were recorded before the preset handling was
 refactored, the weight-side entries before the factor tables became a walk
 over p-adic digits, the six weight-side hot loops before peeling, linkage,
-Hom and the generator family stopped rebuilding a dict per step, and the
-last six quiver checks before the linear engine was folded by symmetries of
-the vertex pairs.  A refactor of `cli.py`, `quiver.py`, `deltafilt.py` or
+Hom and the generator family stopped rebuilding a dict per step, the six
+quiver checks across translates before the linear engine was folded by
+symmetries of the vertex pairs, and the last five entries before every
+command wrote through one emitter.  A refactor of `cli.py`, `quiver.py`, `deltafilt.py` or
 `weights.py` must leave every entry unchanged; a deliberate change of output
 format must update the digests in the same change.
 """
@@ -85,6 +86,13 @@ GOLDEN = [
     ("quiver-check --preset sl3", 0, "7f73ca8d991f3f16a7ed38e6063451ff139b563d90905dafbecd5946cc2b35a2"),
     ("quiver-check --preset p2 --p 3 --max-len 6", 0, "000e081432603abc2e810575279692d2e14a8a82c41447d4c37fd9d099954e12"),
     ("quiver-check --preset sl3 --scalars a=1,b=1,r=1 --max-len 8 --allow-unsaturated", 1, "b7779522c136f7db0c5b59b306bd2d739cd8cc2219039ded57b8fefda5b0c49a"),
+    # the remaining emitter paths: an empty TSV table (one newline), a simple
+    # character, the sl3 generator pairs in both formats, and a report as TSV
+    ("char --kind weyl --weight -1 --format tsv", 0, "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+    ("char --kind simple --p 3 --weight 7", 0, "cd0b758481e54a234f5292c9a9bbe355464c3b27a4b8336a22318d0dce245139"),
+    ("generators --preset sl3", 0, "08635ee41c88afa3813fe5d8688e677a20e76cf1a92aab81b05e508220e5d8f9"),
+    ("generators --preset sl3 --format tsv", 0, "515cdb4e98ebcffcf90761ddc4cb8679c43bca136cefcc8c032e9e93b720e65e"),
+    ("quiver-check --preset sl3 --scalars a=1,b=1,r=1 --format tsv", 1, "40d9f1d8bc2c188eeeb1b4476a9ccd5fe93a41e6af6330b3c43fc0cd92ed329c"),
 ]
 
 
