@@ -173,8 +173,3 @@ def sl3_generator_set_bprime() -> list[tuple[str, str]]:
         ("s", "1"),
         ("t", "1"),
     ]
-
-
-def sl3_is_bruhat_neighbor(x: str, y: str) -> bool:
-    lo, hi = (x, y) if SL3_LENGTH[x] < SL3_LENGTH[y] else (y, x)
-    return SL3_LENGTH[hi] - SL3_LENGTH[lo] == 1 and sl3_bruhat_leq(lo, hi)

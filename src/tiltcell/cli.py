@@ -6,7 +6,8 @@ for fixed inputs.  Exit status: 0 on success, 1 when a verification ran and
 found a failure, 2 on usage errors.  TILTCELL_MAX_WORK caps sweep sizes, the
 entries of the factor tables a command reads, the support of a `char`
 character and the vertex count of a preset quiver, each checked before it is
-built.
+built.  It also bounds --p by the sqrt(p)/2 trial divisions of its primality
+test, and --r, the length of every factor-table walk.
 
 `verify` output carries per-check item/failure counts plus the failing items
 themselves; passing items of large sweeps are not echoed.  `quiver-check`
@@ -19,6 +20,8 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
+from math import isqrt
 from typing import TYPE_CHECKING
 
 from . import cellbasis, deltafilt
@@ -80,7 +83,17 @@ def guard_tables(weights, ctx: Context) -> None:
     guard_work(sum(table_size(lam, ctx) for lam in weights))
 
 
+def guard_level(p: int, r: int = 1) -> None:
+    """Bound p by the sqrt(p)/2 trial divisions of its primality test (a p
+    below 3 is left to Context's message) and r, the steps of every
+    factor-table walk."""
+    if p >= 3:
+        guard_work(isqrt(p) // 2)
+    guard_work(r)
+
+
 def _context(args) -> Context:
+    guard_level(args.p, args.r)
     try:
         return Context(args.p, args.r)
     except ValueError as exc:
@@ -95,28 +108,21 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _emit_report(args, report: Report) -> int:
-    doc = {"schema": SCHEMA, **report.to_dict()}
+def _emit_doc(args, doc: dict, rows=None) -> None:
+    """The one writer of documents: `doc` under the schema key as JSON, or
+    with --format tsv the rows, one tab-separated line each."""
     if args.format == "tsv":
-        lines = ["input\tlhs\trhs\tpass"]
-        for item in report.items:
-            lines.append(
-                "\t".join(
-                    [
-                        json.dumps(item.input, sort_keys=True),
-                        json.dumps(item.lhs, sort_keys=True),
-                        json.dumps(item.rhs, sort_keys=True),
-                        "true" if item.passed else "false",
-                    ]
-                )
-            )
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, "\n".join("\t".join(map(str, row)) for row in rows) + "\n")
     else:
-        _emit(args, _json(doc))
+        _emit(args, json.dumps({"schema": SCHEMA, **doc}, indent=2, sort_keys=True) + "\n")
+
+
+def _emit_report(args, report: Report, rows=None) -> int:
+    """Emit a report; its TSV defaults to one line of JSON cells per item."""
+    if rows is None:
+        cells = ([json.dumps(x, sort_keys=True) for x in item] for item in report.items)
+        rows = chain([("input", "lhs", "rhs", "pass")], cells)
+    _emit_doc(args, report.to_dict(), rows)
     return 0 if report.all_pass else 1
 
 
@@ -168,6 +174,7 @@ def _build_preset(args, max_len: int | None = None) -> tuple[qv.Quiver, qv.Relat
     for key in scalars:
         if key not in names:
             raise UsageError(f"unknown scalar {key!r}; valid: {', '.join(names) or 'none'}")
+    guard_level(args.p)
     vertices = preset.vertex_count(args.p, window)
     guard_work(vertices)
     if max_len is not None:
@@ -189,64 +196,32 @@ def cmd_delta_factors(args) -> int:
     guard_tables([args.weight], ctx)
     fac = delta_factors(args.weight, ctx)
     pairs = [[nu, fac[nu]] for nu in sorted(fac)]
-    if args.format == "tsv":
-        _emit(args, "\n".join(f"{nu}\t{m}" for nu, m in pairs) + "\n")
-    else:
-        _emit(
-            args,
-            _json(
-                {
-                    "schema": SCHEMA,
-                    "p": ctx.p,
-                    "r": ctx.r,
-                    "weight": args.weight,
-                    "factors": pairs,
-                }
-            ),
-        )
+    _emit_doc(args, {"p": ctx.p, "r": ctx.r, "weight": args.weight, "factors": pairs}, pairs)
     return 0
+
+
+def _dominant(lam: int) -> None:
+    if lam < 0:
+        raise UsageError("simple characters need a dominant (non-negative) weight")
+
+
+# each kind's callable bounds the character's support (|weight|+1, p^r or
+# (2p)^r; a guard returns None) and then builds it, looking the builder up on
+# this module when it runs
+_CHARS = {
+    "weyl": lambda lam, ctx: guard_work(abs(lam) + 1) or weyl_char(lam),
+    "simple": lambda lam, ctx: _dominant(lam) or guard_work(lam + 1) or simple_char(lam, ctx.p),
+    "simple-r": lambda lam, ctx: guard_power(1, ctx.p, ctx.r) or simple_char_r(lam, ctx),
+    "baby-verma": lambda lam, ctx: guard_power(1, ctx.p, ctx.r) or baby_verma_char(lam, ctx),
+    "tilting": lambda lam, ctx: guard_power(1, 2 * ctx.p, ctx.r) or tilting_char(lam, ctx),
+}
 
 
 def cmd_char(args) -> int:
     ctx = _context(args)
-    kind = args.kind
-    # each kind's support is bounded before the character is built
-    if kind == "weyl":
-        guard_work(abs(args.weight) + 1)
-        ch = weyl_char(args.weight)
-    elif kind == "simple":
-        if args.weight < 0:
-            raise UsageError("simple characters need a dominant (non-negative) weight")
-        guard_work(args.weight + 1)
-        ch = simple_char(args.weight, ctx.p)
-    elif kind == "simple-r":
-        guard_power(1, ctx.p, ctx.r)
-        ch = simple_char_r(args.weight, ctx)
-    elif kind == "baby-verma":
-        guard_power(1, ctx.p, ctx.r)
-        ch = baby_verma_char(args.weight, ctx)
-    elif kind == "tilting":
-        guard_power(1, 2 * ctx.p, ctx.r)
-        ch = tilting_char(args.weight, ctx)
-    else:
-        raise UsageError(f"unknown character kind {kind!r}")
-    pairs = ch.to_pairs()
-    if args.format == "tsv":
-        _emit(args, "\n".join(f"{w}\t{c}" for w, c in pairs) + "\n")
-    else:
-        _emit(
-            args,
-            _json(
-                {
-                    "schema": SCHEMA,
-                    "kind": kind,
-                    "p": ctx.p,
-                    "r": ctx.r,
-                    "weight": args.weight,
-                    "coeffs": pairs,
-                }
-            ),
-        )
+    pairs = _CHARS[args.kind](args.weight, ctx).to_pairs()
+    doc = {"kind": args.kind, "p": ctx.p, "r": ctx.r, "weight": args.weight, "coeffs": pairs}
+    _emit_doc(args, doc, pairs)
     return 0
 
 
@@ -256,18 +231,7 @@ def cmd_hom_dim(args) -> int:
         raise UsageError("hom-dim needs exactly two --weight flags")
     lam, mu = args.weight
     guard_tables(args.weight, ctx)
-    _emit(
-        args,
-        _json(
-            {
-                "schema": SCHEMA,
-                "p": ctx.p,
-                "r": ctx.r,
-                "weights": [lam, mu],
-                "dim": hom_dim(lam, mu, ctx),
-            }
-        ),
-    )
+    _emit_doc(args, {"p": ctx.p, "r": ctx.r, "weights": [lam, mu], "dim": hom_dim(lam, mu, ctx)})
     return 0
 
 
@@ -278,29 +242,15 @@ def cmd_cell_basis(args) -> int:
     if not P or not Q:
         raise UsageError("cell-basis needs --source and --target weight lists")
     guard_tables([*P, *Q], ctx)
-    indices = cellbasis.cell_indices(P, Q, ctx)
-    _emit(
-        args,
-        _json(
-            {
-                "schema": SCHEMA,
-                "p": ctx.p,
-                "r": ctx.r,
-                "count": len(indices),
-                "indices": [c.to_dict() for c in indices],
-            }
-        ),
-    )
+    indices = [c.to_dict() for c in cellbasis.cell_indices(P, Q, ctx)]
+    _emit_doc(args, {"p": ctx.p, "r": ctx.r, "count": len(indices), "indices": indices})
     return 0
 
 
 def cmd_generators(args) -> int:
     if args.preset == "sl3":
         pairs = cellbasis.sl3_generator_set_bprime()
-        if args.format == "tsv":
-            _emit(args, "".join(f"{hi}\t{lo}\n" for hi, lo in pairs))
-        else:
-            _emit(args, _json({"schema": SCHEMA, "preset": "sl3", "pairs": [list(t) for t in pairs]}))
+        _emit_doc(args, {"preset": "sl3", "pairs": pairs}, pairs)
         return 0
     ctx = _context(args)
     guard_power(2, ctx.p, 2 * ctx.r)  # 2 * q * q
@@ -310,22 +260,17 @@ def cmd_generators(args) -> int:
         else cellbasis.generator_set_br(ctx)
     )
     doc = {
-        "schema": SCHEMA,
         "p": ctx.p,
         "r": ctx.r,
         "principal_block": bool(args.principal_block),
         "generators": [g.to_dict() for g in gens],
     }
-    if args.format == "tsv":
-        _emit(args, "\n".join(f"{g.low_weight}\t{g.high_weight}\t{g.index}" for g in gens) + "\n")
-    else:
-        _emit(args, _json(doc))
+    _emit_doc(args, doc, [(g.low_weight, g.high_weight, g.index) for g in gens])
     return 0
 
 
 def _quiver_json(quiver: qv.Quiver, rels: qv.RelationSet) -> dict:
     return {
-        "schema": SCHEMA,
         "preset": quiver.preset,
         "shift_period": quiver.shift_period,
         "vertices": [
@@ -358,7 +303,7 @@ def cmd_quiver_build(args) -> int:
     if args.format == "dot":
         _emit(args, qv.export_dot(quiver))
     else:
-        _emit(args, _json(_quiver_json(quiver, rels)))
+        _emit_doc(args, _quiver_json(quiver, rels))
     return 0
 
 
@@ -378,13 +323,8 @@ def cmd_quiver_check(args) -> int:
     report = qv.check_against_cellular(quiver, result, scalars=rels.scalars)
     if not result.saturated:
         report.add({"saturation": result.unsaturated}, False, True)
-    if args.format == "tsv":
-        lines = ["source\ttarget\tdim"]
-        for (v, w) in result.core_pairs:
-            lines.append(f"{v}\t{w}\t{result.dim(v, w)}")
-        _emit(args, "\n".join(lines) + "\n")
-        return 0 if report.all_pass else 1
-    return _emit_report(args, report)
+    dims = [(v, w, result.dim(v, w)) for v, w in result.core_pairs]
+    return _emit_report(args, report, [("source", "target", "dim"), *dims])
 
 
 _SUITES = ("reciprocity", "bounds", "linkage", "multfree", "steinberg", "quiver", "all")
@@ -482,7 +422,6 @@ def cmd_verify(args) -> int:
     failed = [Report(rep.check, rep.context, rep.failures) for rep in reports]
     ok = not any(rep.items for rep in failed)
     doc = {
-        "schema": SCHEMA,
         "suite": args.suite,
         "pass": ok,
         "reports": [rep.to_dict() for rep in failed],
@@ -491,7 +430,7 @@ def cmd_verify(args) -> int:
             for rep, bad in zip(reports, failed)
         ],
     }
-    _emit(args, _json(doc))
+    _emit_doc(args, doc)
     return 0 if ok else 1
 
 
@@ -522,11 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("char", help="character of a standard/simple/tilting object")
     _add_common(sp)
-    sp.add_argument(
-        "--kind",
-        choices=("weyl", "simple", "simple-r", "baby-verma", "tilting"),
-        default="weyl",
-    )
+    sp.add_argument("--kind", choices=tuple(_CHARS), default="weyl")
     sp.add_argument("--weight", type=int, required=True)
     sp.set_defaults(func=cmd_char)
 

@@ -79,7 +79,9 @@ three such maps, each only once an exact certificate passes:
 * duality: each arrow to its `dual`, paths reversed, (s, t) to (t, s).  The
   cellular anti-involution of the tilting categories makes every preset
   self-dual.  Certified once per call, relation by relation.
-* the preset's `mirror` (sl3: s <-> t, st <-> ts), certified the same way.
+* the preset's `mirror`, a vertex involution (sl3: s <-> t, st <-> ts) that
+  sends each arrow to the arrow of its kind between the images of its ends,
+  certified the same way.
 * translation by `shift_period`: not a global automorphism, because the
   window cuts the ladder, so it is certified per pair.  (s, t) and
   (s - P, t - P) are translates when the alive path list of the first,
@@ -560,18 +562,11 @@ class Preset(NamedTuple):
     scalar_names: Callable[[int], list[str]] = lambda p: []
     oracle: Callable[..., int] = lambda lam, mu, ctx: hom_dim(lam, mu, ctx)
     cell_rank: Callable[[Quiver], dict] = lambda quiver: dict(quiver.weights)
-    # arrow names swapped by an automorphism of the presentation (unlisted
-    # arrows stay put); the linear engine uses it only once it is certified
-    mirror: Mapping[str, str] = MappingProxyType({})
-
-
-def _swaps(*pairs: str) -> dict[str, str]:
-    """The involution exchanging the two names of each "a b" in pairs."""
-    out: dict[str, str] = {}
-    for pair in pairs:
-        a, b = pair.split()
-        out[a], out[b] = b, a
-    return out
+    # vertices swapped by an automorphism of the presentation (unlisted
+    # vertices stay put), which sends each arrow to the arrow of its kind
+    # between the images of its ends; the linear engine uses it only once it
+    # is certified
+    mirror: Mapping[Vertex, Vertex] = MappingProxyType({})
 
 
 PRESETS: dict[str, Preset] = {
@@ -596,8 +591,8 @@ PRESETS: dict[str, Preset] = {
         scalar_names=lambda p: ["a", "b", "r"],
         oracle=lambda lam, mu, ctx: sl3_hom_dim(lam, mu),
         cell_rank=lambda quiver: {v: -SL3_LENGTH[v] for v in quiver.vertices},
-        # s <-> t, st <-> ts: the Dynkin diagram automorphism, for every (a, b, r)
-        mirror=_swaps("u1 u2", "u3 u6", "u4 u5", "u7 u8", "d1 d2", "d3 d6", "d4 d5", "d7 d8"),
+        # the Dynkin diagram automorphism, for every (a, b, r)
+        mirror=MappingProxyType({"s": "t", "t": "s", "st": "ts", "ts": "st"}),
     ),
 }
 
@@ -809,16 +804,17 @@ class _Fold:
     def __init__(self, quiver: Quiver, rels: RelationSet, setup: _LinearSetup):
         self.alive = setup.alive
         arrows, by_name = quiver.arrows, quiver.by_name
+        by_ends = {(a.source, a.target, a.kind): i for i, a in enumerate(arrows)}
         images = [([by_name.get(a.dual) for a in arrows], True)]
-        mirror = PRESETS[quiver.preset].mirror
-        if mirror:
-            images.append(([by_name.get(mirror.get(a.name, a.name)) for a in arrows], False))
+        m = PRESETS[quiver.preset].mirror
+        if m:
+            ends = [(m.get(a.source, a.source), m.get(a.target, a.target), a.kind) for a in arrows]
+            images.append(([by_ends.get(e) for e in ends], False))
         maps = (_pair_map(quiver, rels, image, reverse) for image, reverse in images)
         self.maps = [move for move in maps if move is not None]
         self.period = period = quiver.shift_period
         self.same: dict[Vertex, bool] = {}  # index at v, translated, is the index at v - period
         self.step: list[int | None] = []  # arrow -> its translate by -period, if usable
-        by_ends = {(a.source, a.target, a.kind): i for i, a in enumerate(arrows)}
         if not period or len(by_ends) < len(arrows):
             return
         shift = [by_ends.get((a.source - period, a.target - period, a.kind)) for a in arrows]

@@ -7,6 +7,7 @@ import pytest
 from tiltcell import cellbasis
 from tiltcell.cellbasis import (
     SL3_ELEMENTS,
+    SL3_LENGTH,
     cell_indices,
     dagger,
     generator_set_br,
@@ -15,7 +16,6 @@ from tiltcell.cellbasis import (
     sl3_delta_table,
     sl3_generator_set_bprime,
     sl3_hom_dim,
-    sl3_is_bruhat_neighbor,
     sl3_upper_set,
 )
 from tiltcell.deltafilt import InvariantViolation, delta_factors, hom_dim_sum
@@ -125,4 +125,4 @@ def test_sl3_generators():
     assert len(pairs) == 8
     assert pairs[0] == ("w0", "st") and pairs[1] == ("w0", "ts")
     for hi, lo in pairs:
-        assert sl3_bruhat_leq(lo, hi) and sl3_is_bruhat_neighbor(lo, hi)
+        assert sl3_bruhat_leq(lo, hi) and SL3_LENGTH[hi] - SL3_LENGTH[lo] == 1

@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from tiltcell import cellbasis, cli, deltafilt, quiver as qv
+from tiltcell import cellbasis, cli, deltafilt, quiver as qv, weights
 from tiltcell.cli import run
 
 
@@ -274,6 +274,35 @@ def test_factor_tables_bounded_before_build(monkeypatch, argv, cap):
         monkeypatch.setenv("TILTCELL_MAX_WORK", cap)
     code, out = invoke(argv)
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 2**61 - 1 is prime: about 7.6e8 trial divisions
+        ["delta-factors", "--p", "2305843009213693951", "--weight", "0"],
+        # every factor-table walk takes r steps and forms p**r
+        ["delta-factors", "--p", "3", "--r", "30000000", "--weight", "0"],
+        # the p1 ladder has a fixed vertex count, whatever p
+        ["quiver-build", "--preset", "p1", "--p", "2305843009213693951"],
+    ],
+    ids=["p-mersenne61", "r-3e7", "quiver-p-mersenne61"],
+)
+def test_p_and_r_bounded_before_context(monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("p was tested for primality")
+
+    monkeypatch.setattr(weights, "is_prime", refuse)
+    monkeypatch.delenv("TILTCELL_MAX_WORK", raising=False)
+    code, out = invoke(argv)
+    assert code == 2 and out == ""
+
+
+def test_large_prime_within_bound(monkeypatch):
+    # about 5e5 trial divisions, below the default cap
+    monkeypatch.delenv("TILTCELL_MAX_WORK", raising=False)
+    code, out = invoke(["hom-dim", "--p", "1000000000039", "--weight", "0", "--weight", "0"])
+    assert code == 0 and json.loads(out)["dim"] == 2
 
 
 @pytest.mark.parametrize("suite", ["reciprocity", "all"])
