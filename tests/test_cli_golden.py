@@ -6,8 +6,9 @@ refactored, the weight-side entries before the factor tables became a walk
 over p-adic digits, the six weight-side hot loops before peeling, linkage,
 Hom and the generator family stopped rebuilding a dict per step, the six
 quiver checks across translates before the linear engine was folded by
-symmetries of the vertex pairs, and the last five entries before every
-command wrote through one emitter.  A refactor of `cli.py`, `quiver.py`, `deltafilt.py` or
+symmetries of the vertex pairs, the five emitter entries before every
+command wrote through one emitter, and the last four before p1 and p2 were
+built by one ladder builder.  A refactor of `cli.py`, `quiver.py`, `deltafilt.py` or
 `weights.py` must leave every entry unchanged; a deliberate change of output
 format must update the digests in the same change.
 """
@@ -93,6 +94,13 @@ GOLDEN = [
     ("generators --preset sl3", 0, "08635ee41c88afa3813fe5d8688e677a20e76cf1a92aab81b05e508220e5d8f9"),
     ("generators --preset sl3 --format tsv", 0, "515cdb4e98ebcffcf90761ddc4cb8679c43bca136cefcc8c032e9e93b720e65e"),
     ("quiver-check --preset sl3 --scalars a=1,b=1,r=1 --format tsv", 1, "40d9f1d8bc2c188eeeb1b4476a9ccd5fe93a41e6af6330b3c43fc0cd92ed329c"),
+    # the ladders beyond their default shapes: a wider p1 window at p=5, a
+    # wider p2 window, and p2 without the chain-top loops and with fractional
+    # scalars, relation by relation
+    ("quiver-build --preset p1 --p 5 --window 3 --format json", 0, "f84920ec796262030b138dd2b38e57ea02b1452cb90dba98f3089166593d436d"),
+    ("quiver-build --preset p2 --p 5 --window 2 --format json", 0, "cd32c3ffb9c84401ef5c5dbe8ec028d21677c52465d4acf5f05635c64595f192"),
+    ("quiver-build --preset p2 --p 3 --no-boundary-loops --format json", 0, "8b78a7565ee9835190ff1f2694fb3ad94439176f52ee16da5c951996fc0d698d"),
+    (f"quiver-build --preset p2 --p 3 --scalars {BALANCED_P3} --format json", 0, "fa3ddc681ea643353b5f87411f76221327f83193fdeaffe995cdf865eaf59cba"),
 ]
 
 

@@ -1,0 +1,217 @@
+"""The two ladder builders as they were before p1 and p2 became instances of
+one builder, kept verbatim as references.
+
+Every build on the grid below must equal its reference: the quiver (arrow
+order included), and the relations, rules and derived rules of the relation
+set, each compared as a list so that their order is pinned too.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Mapping
+
+import pytest
+
+from tiltcell.deltafilt import delta_factors
+from tiltcell.quiver import (
+    _MARGIN,
+    Arrow,
+    Quiver,
+    QuiverConfigError,
+    RelationSet,
+    _Builder,
+    _resolve_scalars,
+    build_p1_quiver,
+    build_p2_quiver,
+    ladder_weight,
+    p2_scalar_names,
+    right_neighbor,
+)
+from tiltcell.weights import Context
+
+
+def left_neighbor(j: int, p: int) -> int:
+    """Reflect j in the nearest multiple of p strictly below it."""
+    return 2 * p * (j // p) - j
+
+
+def reference_p1(p: int, window: int = 2) -> tuple[Quiver, RelationSet]:
+    """The zigzag chain on positions [-2(window+_MARGIN), 2(window+_MARGIN)];
+    positions within 2*window of zero form the trusted core."""
+    if window < 2:
+        raise QuiverConfigError("p1 window must be >= 2")
+    ctx = Context(p, 1)
+    half = 2 * (window + _MARGIN)
+    vertices = list(range(-half, half + 1))
+    arrows: list[Arrow] = []
+    for n in range(-half, half):
+        arrows.append(Arrow(f"u{n}", n, n + 1, "u", f"d{n}"))
+        arrows.append(Arrow(f"d{n}", n + 1, n, "d", f"u{n}"))
+    weights = {n: ladder_weight(n, p) for n in vertices}
+    core = frozenset(range(-2 * window, 2 * window + 1))
+    quiver = Quiver("p1", vertices, arrows, weights, core, 2, ctx)
+    b = _Builder(quiver)
+    for n in range(-half, half - 1):
+        b.zero([f"u{n}", f"u{n+1}"])
+        b.zero([f"d{n+1}", f"d{n}"])
+    for x in range(-half + 1, half):
+        # the loop at x through x+1 becomes the loop through x-1
+        b.rule([f"u{x}", f"d{x}"], [([f"d{x-1}", f"u{x-1}"], Fraction(1))])
+    return quiver, b.finish({})
+
+
+def reference_p2(
+    p: int,
+    window: int = 1,
+    scalars: Mapping[str, object] | None = None,
+    boundary_loops: bool = True,
+) -> tuple[Quiver, RelationSet]:
+    """The level-two ladder on columns [-2p(window+_MARGIN), 2p(window+_MARGIN)].
+
+    Columns within 2p*window of zero form the trusted core.  The window is
+    cut at multiples of 2p, so every vertical chain is complete and only the
+    horizontal rows are severed at the ends.
+    """
+    if window < 1:
+        raise QuiverConfigError("p2 window must be >= 1")
+    ctx = Context(p, 2)
+    period = 2 * p
+    half = period * (window + _MARGIN)
+    lo, hi = -half, half
+    vertices = list(range(lo, hi + 1))
+    weights = {j: ladder_weight(j, p) for j in vertices}
+    config = _resolve_scalars(p2_scalar_names(p), scalars)
+
+    arrows: list[Arrow] = []
+    for j in range(lo, hi):
+        if j % p != p - 1:
+            arrows.append(Arrow(f"u{j}", j, j + 1, "u", f"d{j}"))
+            arrows.append(Arrow(f"d{j}", j + 1, j, "d", f"u{j}"))
+    for j in range(lo, hi + 1):
+        if j % p != 0:
+            t = right_neighbor(j, p)
+            if lo <= t <= hi:
+                arrows.append(Arrow(f"u'{j}", j, t, "u'", f"d'{j}"))
+                arrows.append(Arrow(f"d'{j}", t, j, "d'", f"u'{j}"))
+
+    core = frozenset(range(-period * window, period * window + 1))
+    quiver = Quiver("p2", vertices, arrows, weights, core, period, ctx)
+    for a in quiver.arrows:
+        if a.kind in ("u", "u'"):
+            # sanity: the arrow's cell weight occurs in its target's table
+            if delta_factors(weights[a.target], ctx).get(weights[a.source], 0) != 1:
+                raise QuiverConfigError(f"arrow {a.name} has no cellular home")
+
+    has = quiver.by_name.__contains__
+    b = _Builder(quiver)
+
+    for j in range(lo, hi):
+        if has(f"u{j}") and has(f"u{j+1}"):
+            b.zero([f"u{j}", f"u{j+1}"])
+            b.zero([f"d{j+1}", f"d{j}"])
+    for j in range(lo, hi + 1):
+        if has(f"u'{j}"):
+            t = right_neighbor(j, p)
+            if has(f"u'{t}"):
+                b.zero([f"u'{j}", f"u'{t}"])
+                b.zero([f"d'{t}", f"d'{j}"])
+    for x in range(lo, hi + 1):
+        # vertical loops: through above equals through below
+        if has(f"u{x}") and has(f"u{x-1}"):
+            b.rule([f"u{x}", f"d{x}"], [([f"d{x-1}", f"u{x-1}"], Fraction(1))])
+        # horizontal loops: through the right neighbour equals through the left
+        if has(f"u'{x}"):
+            l = left_neighbor(x, p)
+            if has(f"u'{l}"):
+                b.rule([f"u'{x}", f"d'{x}"], [([f"d'{l}", f"u'{l}"], Fraction(1))])
+        if x % p in (0, p - 1):
+            continue
+        rn1 = right_neighbor(x, p) - 1  # equals right_neighbor(x + 1, p)
+        if not (has(f"u'{x}") and has(f"u{x}") and has(f"u{rn1}") and has(f"u'{x+1}")):
+            continue
+        m = config[f"m{x % period}"]
+        n = config[f"n{x % period}"]
+        # commuting squares: right-then-down equals down-then-right ...
+        b.rule([f"u'{x}", f"d{rn1}"], [([f"u{x}", f"u'{x+1}"], m)])
+        b.rule([f"u{rn1}", f"d'{x}"], [([f"d'{x+1}", f"d{x}"], m)])
+        # ... and the transposed squares
+        b.rule([f"u'{x+1}", f"u{rn1}"], [([f"d{x}", f"u'{x}"], n)])
+        b.rule([f"d{rn1}", f"d'{x+1}"], [([f"d'{x}", f"u{x}"], n)])
+
+    for c in range(lo, hi + 1):
+        if c % p != 0 or not has(f"u{c}"):
+            continue
+        if boundary_loops and has(f"u'{c-1}"):
+            # chain-top loop identification (see module docstring)
+            theta = config[f"theta{c % period}"]
+            b.rule(
+                [f"u{c}", f"d'{c-1}", f"u'{c-1}", f"d{c}"],
+                [([f"u{c}", f"d{c}"], theta)],
+            )
+        # consequences of the families above; rewriting only
+        b.derived_rule([f"u{c}", f"d{c}", f"u{c}"], [])
+        b.derived_rule([f"d{c}", f"u{c}", f"d{c}"], [])
+        if has(f"u'{c-1}") and has(f"u{c-2}"):
+            mn = config[f"m{(c - 2) % period}"] * config[f"n{(c - 2) % period}"]
+            b.derived_rule(
+                [f"u'{c-1}", f"d{c}", f"u{c}"],
+                [([f"d{c-2}", f"u{c-2}", f"u'{c-1}"], mn)],
+            )
+            b.derived_rule(
+                [f"d{c}", f"u{c}", f"d'{c-1}"],
+                [([f"d'{c-1}", f"d{c-2}", f"u{c-2}"], mn)],
+            )
+            b.derived_rule([f"u{c-2}", f"u'{c-1}", f"d{c}"], [])
+            b.derived_rule([f"u{c}", f"d'{c-1}", f"d{c-2}"], [])
+
+    return quiver, b.finish(config)
+
+
+PRIMES = (3, 5, 7, 11, 13)
+
+
+def _fractional_balanced(p):
+    """A point of the balanced locus with fractional square and loop scalars."""
+    sign = {"m": 1, "n": -1}
+    out = {k: sign[k[0]] * Fraction(2, 3) for k in p2_scalar_names(p) if k[0] in sign}
+    out.update({"theta0": Fraction(-5, 7), f"theta{p}": Fraction(3, 11)})
+    return out
+
+
+SCALARS = {
+    "default": lambda p: None,
+    "balanced": _fractional_balanced,
+    "unbalanced": lambda p: {"m1": 2, f"n{p + 1}": Fraction(-1, 3)},
+}
+
+
+def _assert_same(got, want):
+    (q, rels), (q0, rels0) = got, want
+    assert q == q0
+    assert rels == rels0
+    assert rels.relations == rels0.relations
+    assert list(rels.rules.items()) == list(rels0.rules.items())
+    assert list(rels.derived_rules.items()) == list(rels0.derived_rules.items())
+
+
+@pytest.mark.parametrize("window", [2, 3, 5])
+@pytest.mark.parametrize("p", PRIMES)
+def test_p1_matches_reference(p, window):
+    _assert_same(build_p1_quiver(p, window), reference_p1(p, window))
+
+
+@pytest.mark.parametrize("loops", [True, False], ids=["loops", "bare"])
+@pytest.mark.parametrize("scalars", list(SCALARS))
+@pytest.mark.parametrize("window", [1, 2])
+@pytest.mark.parametrize("p", PRIMES)
+def test_p2_matches_reference(p, window, scalars, loops):
+    s = SCALARS[scalars](p)
+    _assert_same(build_p2_quiver(p, window, s, loops), reference_p2(p, window, s, loops))
+
+
+def test_window_minimums():
+    with pytest.raises(QuiverConfigError, match="p1 window must be >= 2"):
+        build_p1_quiver(3, window=1)
+    with pytest.raises(QuiverConfigError, match="p2 window must be >= 1"):
+        build_p2_quiver(3, window=0)
