@@ -3,11 +3,13 @@
 Every subcommand writes a machine-readable document (JSON by default, TSV or
 DOT where it makes sense) to stdout or --output and is byte-deterministic
 for fixed inputs.  Exit status: 0 on success, 1 when a verification ran and
-found a failure, 2 on usage errors.  TILTCELL_MAX_WORK caps sweep sizes, the
-entries of the factor tables a command reads, the support of a `char`
-character and the vertex count of a preset quiver, each checked before it is
-built.  It also bounds --p by the sqrt(p)/2 trial divisions of its primality
-test, and --r, the length of every factor-table walk.
+found a failure, 2 on usage errors, an unwritable --output among them.
+TILTCELL_MAX_WORK caps sweep sizes, the entries of the factor tables a
+command reads, the support of a `char` character, and the vertex count and
+(where a quotient is computed) the rough path count of a preset quiver,
+each checked before it is built.  It also bounds --p by the sqrt(p)/2 trial
+divisions of its primality test, and --r, the length of every factor-table
+walk.
 
 `verify` output carries per-check item/failure counts plus the failing items
 themselves; passing items of large sweeps are not echoed.  `quiver-check`
@@ -22,7 +24,7 @@ import os
 import sys
 from itertools import chain
 from math import isqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from . import cellbasis, deltafilt
 from .charring import baby_verma_char, simple_char, simple_char_r, weyl_char
@@ -102,8 +104,11 @@ def _context(args) -> Context:
 
 def _emit(args, text: str) -> None:
     if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -160,30 +165,37 @@ def _weights_list(raw: list[str]) -> dict[int, int]:
     return out
 
 
-def _build_preset(args, max_len: int | None = None) -> tuple[qv.Quiver, qv.RelationSet]:
-    """Validate the preset flags and build; with max_len, also bound the path
-    count of a quiver-check before building."""
+def _preset_build(
+    args, max_len: int | None = None
+) -> Callable[[], tuple[qv.Quiver, qv.RelationSet]]:
+    """Validate the preset flags and bound the build (with max_len, also the
+    path count of a quiver-check); return the build, which has not run."""
     from . import quiver as qv
 
+    guard_level(args.p)
     preset = qv.PRESETS[args.preset]
     if preset.window is None and args.window is not None:
         raise UsageError(f"--preset {args.preset} has no window")
     window = preset.window if args.window is None else args.window
-    scalars = _parse_scalars(args.scalars)
-    names = preset.scalar_names(args.p)
-    for key in scalars:
-        if key not in names:
-            raise UsageError(f"unknown scalar {key!r}; valid: {', '.join(names) or 'none'}")
-    guard_level(args.p)
     vertices = preset.vertex_count(args.p, window)
     guard_work(vertices)
     if max_len is not None:
         # rough path-object count; monomial pruning keeps the real work below this
         guard_power(vertices, 4, max_len)
-    try:
-        return preset.build(args.p, window, scalars, not args.no_boundary_loops)
-    except (qv.QuiverConfigError, ValueError) as exc:
-        raise UsageError(str(exc))
+    # after the vertex guard, which bounds p for p2, whose scalar names count to 2p
+    scalars = _parse_scalars(args.scalars)
+    names = preset.scalar_names(args.p)
+    for key in scalars:
+        if key not in names:
+            raise UsageError(f"unknown scalar {key!r}; valid: {', '.join(names) or 'none'}")
+
+    def build() -> tuple[qv.Quiver, qv.RelationSet]:
+        try:
+            return preset.build(args.p, window, scalars, not args.no_boundary_loops)
+        except (qv.QuiverConfigError, ValueError) as exc:
+            raise UsageError(str(exc))
+
+    return build
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +311,7 @@ def _quiver_json(quiver: qv.Quiver, rels: qv.RelationSet) -> dict:
 def cmd_quiver_build(args) -> int:
     from . import quiver as qv
 
-    quiver, rels = _build_preset(args)
+    quiver, rels = _preset_build(args)()
     if args.format == "dot":
         _emit(args, qv.export_dot(quiver))
     else:
@@ -313,7 +325,7 @@ def cmd_quiver_check(args) -> int:
     max_len = qv.PRESETS[args.preset].max_len if args.max_len is None else args.max_len
     if max_len < 1:
         raise UsageError(f"--max-len must be >= 1, got {max_len}")
-    quiver, rels = _build_preset(args, max_len)
+    quiver, rels = _preset_build(args, max_len)()
     try:
         result = qv.quotient_dims(quiver, rels, max_len, require_saturation=not args.allow_unsaturated)
     except qv.NotSaturated as exc:
@@ -379,6 +391,17 @@ def _run_suite(name: str, args) -> list[Report]:
         raise UsageError("--lo must not exceed --hi")
     if name != "quiver":
         _guard_weight_suites(name, lo, hi, ctx)
+    builds = []
+    if name in ("quiver", "all"):
+        from . import quiver as qv
+
+        # every preset at its defaults, each bounded as quiver-check bounds it,
+        # all before the first is built
+        defaults = {"window": None, "scalars": None, "no_boundary_loops": False}
+        builds = [
+            _preset_build(argparse.Namespace(preset=key, p=ctx.p, **defaults), preset.max_len)
+            for key, preset in qv.PRESETS.items()
+        ]
     reports: list[Report] = []
     if name in ("reciprocity", "all"):
         rep = Report("reciprocity", {"p": ctx.p, "r": ctx.r, "lo": lo, "hi": hi})
@@ -404,14 +427,10 @@ def _run_suite(name: str, args) -> list[Report]:
         for m in range(-span, span + 1):
             rep.extend(deltafilt.verify_steinberg_equivalence(m, ctx))
         reports.append(rep)
-    if name in ("quiver", "all"):
-        from . import quiver as qv
-
-        for preset in qv.PRESETS.values():
-            guard_work(preset.vertex_count(ctx.p, preset.window))
-            quiver, rels = preset.build(ctx.p, preset.window, {}, True)
-            result = qv.quotient_dims(quiver, rels)
-            reports.append(qv.check_against_cellular(quiver, result, scalars=rels.scalars))
+    for build in builds:
+        quiver, rels = build()
+        result = qv.quotient_dims(quiver, rels)
+        reports.append(qv.check_against_cellular(quiver, result, scalars=rels.scalars))
     return reports
 
 

@@ -3,20 +3,20 @@ presentations they are checked against.
 
 Presentations
 -------------
-* `build_p1_quiver`: the doubly infinite zigzag chain carrying the level-one
-  principal block.  Vertices are chain positions n with highest weight n*p
-  (n even) or (n+1)*p - 2 (n odd); consecutive like arrows compose to zero
-  and the two loops at a vertex agree.
-* `build_p2_quiver`: the level-two ladder.  Vertical chains of p vertices
-  hang below the columns whose index is a multiple of p; horizontal arrows
-  reflect the index in the nearest multiple of p from above.  Relations:
-  consecutive like arrows vanish, the two vertical loops at a vertex agree,
-  the two horizontal loops agree, and the squares formed by a vertical and a
-  horizontal step commute (with configurable nonzero scalars).  These
-  families leave the endomorphism space at each chain-top column one
-  dimension too big, so by default an extra relation identifies the
-  length-four loop through the adjacent row with the length-two vertical
-  loop there; pass boundary_loops=False to reproduce the bare families.
+* `build_p1_quiver`, `build_p2_quiver`: the ladders of levels r = 1 and 2,
+  both built by `_build_ladder`.  Column j has highest weight j*p (j even)
+  or (j+1)*p - 2 (j odd), and the shift period is P = 2p^(r-1).  Each level
+  adds one kind of up arrow, each with its dual: `u` steps from j to j+1
+  (at r = 2 not out of j = p-1 mod p, so vertical chains of p vertices hang
+  below the multiples of p), and `u'` (r = 2) reflects j in the nearest
+  multiple of p from above.  Relations, kind by kind: consecutive like
+  arrows vanish and the two loops at a vertex agree.  At r = 2 the squares
+  formed by a vertical and a horizontal step commute (with configurable
+  nonzero scalars).  These families leave the endomorphism space at each
+  chain-top column one dimension too big, so by default an extra relation
+  identifies the length-four loop through the adjacent row with the
+  length-two vertical loop there; pass boundary_loops=False to reproduce
+  the bare families.
 * `build_sl3_quiver`: six vertices on the Bruhat graph of S3 with eight up
   arrows, their duals, and the block's relations with scalar parameters
   (a, b, r).
@@ -324,37 +324,14 @@ def right_neighbor(j: int, p: int) -> int:
     return 2 * p * (-((-j) // p)) - j
 
 
-def left_neighbor(j: int, p: int) -> int:
-    """Reflect j in the nearest multiple of p strictly below it."""
-    return 2 * p * (j // p) - j
-
-
 _MARGIN = 2  # windows of padding around the core of a ladder
 
 
-def build_p1_quiver(p: int, window: int = 2) -> tuple[Quiver, RelationSet]:
-    """The zigzag chain on positions [-2(window+_MARGIN), 2(window+_MARGIN)];
-    positions within 2*window of zero form the trusted core."""
-    if window < 2:
-        raise QuiverConfigError("p1 window must be >= 2")
-    ctx = Context(p, 1)
-    half = 2 * (window + _MARGIN)
-    vertices = list(range(-half, half + 1))
-    arrows: list[Arrow] = []
-    for n in range(-half, half):
-        arrows.append(Arrow(f"u{n}", n, n + 1, "u", f"d{n}"))
-        arrows.append(Arrow(f"d{n}", n + 1, n, "d", f"u{n}"))
-    weights = {n: ladder_weight(n, p) for n in vertices}
-    core = frozenset(range(-2 * window, 2 * window + 1))
-    quiver = Quiver("p1", vertices, arrows, weights, core, 2, ctx)
-    b = _Builder(quiver)
-    for n in range(-half, half - 1):
-        b.zero([f"u{n}", f"u{n+1}"])
-        b.zero([f"d{n+1}", f"d{n}"])
-    for x in range(-half + 1, half):
-        # the loop at x through x+1 becomes the loop through x-1
-        b.rule([f"u{x}", f"d{x}"], [([f"d{x-1}", f"u{x-1}"], Fraction(1))])
-    return quiver, b.finish({})
+def _ladder_extent(p: int, r: int, window: int) -> tuple[int, int]:
+    """The shift period P = 2p^(r-1) of the level-r ladder and the half-width
+    P*(window+_MARGIN) of its columns; the core is |j| <= P*window."""
+    period = 2 * p ** (r - 1)
+    return period, period * (window + _MARGIN)
 
 
 def p2_scalar_names(p: int) -> list[str]:
@@ -378,71 +355,56 @@ def _resolve_scalars(
     return out
 
 
-def build_p2_quiver(
-    p: int,
-    window: int = 1,
-    scalars: Mapping[str, object] | None = None,
-    boundary_loops: bool = True,
+def _build_ladder(
+    p: int, r: int, window: int, scalars: Mapping[str, object] | None, boundary_loops: bool
 ) -> tuple[Quiver, RelationSet]:
-    """The level-two ladder on columns [-2p(window+_MARGIN), 2p(window+_MARGIN)].
-
-    Columns within 2p*window of zero form the trusted core.  The window is
-    cut at multiples of 2p, so every vertical chain is complete and only the
-    horizontal rows are severed at the ends.
-    """
-    if window < 1:
-        raise QuiverConfigError("p2 window must be >= 1")
-    ctx = Context(p, 2)
-    period = 2 * p
-    half = period * (window + _MARGIN)
-    lo, hi = -half, half
-    vertices = list(range(lo, hi + 1))
+    """The level-r ladder (r = 1 or 2) on the columns |j| <= P*(window+_MARGIN),
+    P = 2p^(r-1) its shift period; columns |j| <= P*window form the trusted
+    core.  At r = 2 the window is cut at multiples of 2p, so every vertical
+    chain is complete and only the horizontal rows are severed at the ends."""
+    ctx = Context(p, r)
+    period, half = _ladder_extent(p, r, window)
+    vertices = list(range(-half, half + 1))
     weights = {j: ladder_weight(j, p) for j in vertices}
-    config = _resolve_scalars(p2_scalar_names(p), scalars)
-
+    config = _resolve_scalars(p2_scalar_names(p) if r == 2 else [], scalars)
+    # each level adds one kind of up arrow: its target from a column, or None
+    steps = {"u": lambda j: j + 1 if r == 1 or j % p != p - 1 else None}
+    if r == 2:
+        steps["u'"] = lambda j: right_neighbor(j, p) if j % p else None
     arrows: list[Arrow] = []
-    for j in range(lo, hi):
-        if j % p != p - 1:
-            arrows.append(Arrow(f"u{j}", j, j + 1, "u", f"d{j}"))
-            arrows.append(Arrow(f"d{j}", j + 1, j, "d", f"u{j}"))
-    for j in range(lo, hi + 1):
-        if j % p != 0:
-            t = right_neighbor(j, p)
-            if lo <= t <= hi:
-                arrows.append(Arrow(f"u'{j}", j, t, "u'", f"d'{j}"))
-                arrows.append(Arrow(f"d'{j}", t, j, "d'", f"u'{j}"))
+    for kind, step in steps.items():
+        down = "d" + kind[1:]
+        for j in vertices:
+            t = step(j)
+            if t is not None and -half <= t <= half:
+                arrows.append(Arrow(f"{kind}{j}", j, t, kind, f"{down}{j}"))
+                arrows.append(Arrow(f"{down}{j}", t, j, down, f"{kind}{j}"))
 
     core = frozenset(range(-period * window, period * window + 1))
-    quiver = Quiver("p2", vertices, arrows, weights, core, period, ctx)
-    for a in quiver.arrows:
-        if a.kind in ("u", "u'"):
-            # sanity: the arrow's cell weight occurs in its target's table
-            if delta_factors(weights[a.target], ctx).get(weights[a.source], 0) != 1:
-                raise QuiverConfigError(f"arrow {a.name} has no cellular home")
+    quiver = Quiver(f"p{r}", vertices, arrows, weights, core, period, ctx)
+    ups = [a for a in arrows if a.kind in steps]
+    for a in ups:
+        # sanity: the arrow's cell weight occurs in its target's table
+        if delta_factors(weights[a.target], ctx).get(weights[a.source], 0) != 1:
+            raise QuiverConfigError(f"arrow {a.name} has no cellular home")
+    out_of = {(a.source, a.kind): a for a in ups}
+    into = {(a.target, a.kind): a for a in ups}
 
     has = quiver.by_name.__contains__
     b = _Builder(quiver)
-
-    for j in range(lo, hi):
-        if has(f"u{j}") and has(f"u{j+1}"):
-            b.zero([f"u{j}", f"u{j+1}"])
-            b.zero([f"d{j+1}", f"d{j}"])
-    for j in range(lo, hi + 1):
-        if has(f"u'{j}"):
-            t = right_neighbor(j, p)
-            if has(f"u'{t}"):
-                b.zero([f"u'{j}", f"u'{t}"])
-                b.zero([f"d'{t}", f"d'{j}"])
-    for x in range(lo, hi + 1):
-        # vertical loops: through above equals through below
-        if has(f"u{x}") and has(f"u{x-1}"):
-            b.rule([f"u{x}", f"d{x}"], [([f"d{x-1}", f"u{x-1}"], Fraction(1))])
-        # horizontal loops: through the right neighbour equals through the left
-        if has(f"u'{x}"):
-            l = left_neighbor(x, p)
-            if has(f"u'{l}"):
-                b.rule([f"u'{x}", f"d'{x}"], [([f"d'{l}", f"u'{l}"], Fraction(1))])
-        if x % p in (0, p - 1):
+    for a in ups:
+        # consecutive like arrows vanish
+        c = out_of.get((a.target, a.kind))
+        if c:
+            b.zero([a.name, c.name])
+            b.zero([c.dual, a.dual])
+    for x in vertices:
+        for kind in steps:
+            # the loop at x through the next column equals the loop through the previous
+            a, c = out_of.get((x, kind)), into.get((x, kind))
+            if a and c:
+                b.rule([a.name, a.dual], [([c.dual, c.name], Fraction(1))])
+        if r == 1 or x % p in (0, p - 1):
             continue
         rn1 = right_neighbor(x, p) - 1  # equals right_neighbor(x + 1, p)
         if not (has(f"u'{x}") and has(f"u{x}") and has(f"u{rn1}") and has(f"u'{x+1}")):
@@ -456,8 +418,8 @@ def build_p2_quiver(
         b.rule([f"u'{x+1}", f"u{rn1}"], [([f"d{x}", f"u'{x}"], n)])
         b.rule([f"d{rn1}", f"d'{x+1}"], [([f"d'{x}", f"u{x}"], n)])
 
-    for c in range(lo, hi + 1):
-        if c % p != 0 or not has(f"u{c}"):
+    for c in vertices:
+        if r == 1 or c % p != 0 or not has(f"u{c}"):
             continue
         if boundary_loops and has(f"u'{c-1}"):
             # chain-top loop identification (see module docstring)
@@ -483,6 +445,25 @@ def build_p2_quiver(
             b.derived_rule([f"u{c}", f"d'{c-1}", f"d{c-2}"], [])
 
     return quiver, b.finish(config)
+
+
+def build_p1_quiver(p: int, window: int = 2) -> tuple[Quiver, RelationSet]:
+    """The zigzag chain, the level-one ladder."""
+    if window < 2:
+        raise QuiverConfigError("p1 window must be >= 2")
+    return _build_ladder(p, 1, window, None, False)
+
+
+def build_p2_quiver(
+    p: int,
+    window: int = 1,
+    scalars: Mapping[str, object] | None = None,
+    boundary_loops: bool = True,
+) -> tuple[Quiver, RelationSet]:
+    """The level-two ladder; scalars override the defaults of p2_scalar_names."""
+    if window < 1:
+        raise QuiverConfigError("p2 window must be >= 1")
+    return _build_ladder(p, 2, window, scalars, boundary_loops)
 
 
 def build_sl3_quiver(a=1, b=1, r=0) -> tuple[Quiver, RelationSet]:
@@ -574,13 +555,13 @@ PRESETS: dict[str, Preset] = {
         build=lambda p, window, scalars, loops: build_p1_quiver(p, window),
         window=2,
         max_len=4,
-        vertex_count=lambda p, window: 4 * (window + _MARGIN) + 1,
+        vertex_count=lambda p, window: 2 * _ladder_extent(p, 1, window)[1] + 1,
     ),
     "p2": Preset(
         build=lambda p, window, scalars, loops: build_p2_quiver(p, window, scalars, loops),
         window=1,
         max_len=5,
-        vertex_count=lambda p, window: 4 * p * (window + _MARGIN) + 1,
+        vertex_count=lambda p, window: 2 * _ladder_extent(p, 2, window)[1] + 1,
         scalar_names=p2_scalar_names,
     ),
     "sl3": Preset(

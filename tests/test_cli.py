@@ -285,8 +285,11 @@ def test_factor_tables_bounded_before_build(monkeypatch, argv, cap):
         ["delta-factors", "--p", "3", "--r", "30000000", "--weight", "0"],
         # the p1 ladder has a fixed vertex count, whatever p
         ["quiver-build", "--preset", "p1", "--p", "2305843009213693951"],
+        # a p within the primality bound: the p2 vertex count refuses it
+        # before the 4p - 2 scalar names are listed to check --scalars
+        ["quiver-build", "--preset", "p2", "--p", "1000000000039"],
     ],
-    ids=["p-mersenne61", "r-3e7", "quiver-p-mersenne61"],
+    ids=["p-mersenne61", "r-3e7", "quiver-p-mersenne61", "quiver-p2-p1e12"],
 )
 def test_p_and_r_bounded_before_context(monkeypatch, argv):
     def refuse(*args, **kwargs):
@@ -359,3 +362,32 @@ def test_output_file(tmp_path):
     code, out = invoke(["delta-factors", "--p", "3", "--weight", "0", "--output", str(target)])
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["factors"] == [[-2, 1], [0, 1]]
+
+
+@pytest.mark.parametrize("suite", ["quiver", "all"])
+def test_verify_quiver_bounded_before_build(monkeypatch, suite):
+    # the suite bounds each preset's vertices * 4**max_len as quiver-check
+    # does, all three before the first is built: p2 at p=11 is past the cap
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quiver was built")
+
+    for name in ("build_p1_quiver", "build_p2_quiver", "build_sl3_quiver"):
+        monkeypatch.setattr(qv, name, refuse)
+    monkeypatch.setenv("TILTCELL_MAX_WORK", "100000")
+    code, out = invoke(["verify", "--suite", suite, "--p", "11"])
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,where",
+    [
+        (["delta-factors", "--weight", "0"], "."),
+        (["quiver-build", "--preset", "p1", "--format", "dot"], "missing/out.dot"),
+    ],
+    ids=["json-directory", "dot-missing-parent"],
+)
+def test_unwritable_output_is_usage_error(tmp_path, capsys, argv, where):
+    code, out = invoke(argv + ["--output", str(tmp_path / where)])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

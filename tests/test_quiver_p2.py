@@ -15,7 +15,6 @@ from tiltcell.quiver import (
     export_dot,
     ideal_member,
     irreducible_words,
-    left_neighbor,
     normal_form,
     p2_scalar_names,
     quotient_dims,
@@ -37,7 +36,7 @@ def test_ladder_geometry_p7():
     # no vertical arrow across a chain break, no horizontal arrow at chain tops
     assert "u6" not in arrows and "u13" not in arrows and "u-8" not in arrows
     assert "u'0" not in arrows and "u'7" not in arrows and "u'-14" not in arrows
-    assert right_neighbor(8, 7) == 20 and left_neighbor(8, 7) == 6
+    assert right_neighbor(8, 7) == 20
     assert q.shift_period == 14
 
 
