@@ -7,10 +7,12 @@ over p-adic digits, the six weight-side hot loops before peeling, linkage,
 Hom and the generator family stopped rebuilding a dict per step, the six
 quiver checks across translates before the linear engine was folded by
 symmetries of the vertex pairs, the five emitter entries before every
-command wrote through one emitter, and the last four before p1 and p2 were
-built by one ladder builder.  A refactor of `cli.py`, `quiver.py`, `deltafilt.py` or
-`weights.py` must leave every entry unchanged; a deliberate change of output
-format must update the digests in the same change.
+command wrote through one emitter, the four ladder shapes before p1 and p2
+were built by one ladder builder, and the last two before `verify` counted
+its passing weight checks instead of storing them.  A refactor of `cli.py`,
+`quiver.py`, `deltafilt.py` or `weights.py` must leave every entry
+unchanged; a deliberate change of output format must update the digests in
+the same change.
 """
 
 from __future__ import annotations
@@ -101,6 +103,10 @@ GOLDEN = [
     ("quiver-build --preset p2 --p 5 --window 2 --format json", 0, "cd32c3ffb9c84401ef5c5dbe8ec028d21677c52465d4acf5f05635c64595f192"),
     ("quiver-build --preset p2 --p 3 --no-boundary-loops --format json", 0, "8b78a7565ee9835190ff1f2694fb3ad94439176f52ee16da5c951996fc0d698d"),
     (f"quiver-build --preset p2 --p 3 --scalars {BALANCED_P3} --format json", 0, "fa3ddc681ea643353b5f87411f76221327f83193fdeaffe995cdf865eaf59cba"),
+    # the heaviest verify shapes of the weight-sweeps benchmark: the level-drop
+    # sweep over about two periods of p^(r-1), and a reciprocity half period
+    ("verify --suite steinberg --p 3 --r 5 --lo -244 --hi 244", 0, "8881d22bdc6c0254aaf251c3e0ada56625c5488e16308414bc9c30cd29a8723c"),
+    ("verify --suite reciprocity --p 3 --r 5 --lo -897 --hi -655", 0, "fb03e01dac2e782932a7d2310c9c452cb3bb1a8b9039c45585b011a59f48fd5f"),
 ]
 
 
