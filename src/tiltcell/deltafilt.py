@@ -31,7 +31,16 @@ the digits turns that shift of 1 into a shift of p^r.  The cache is the
 standard library LRU cache, so concurrent readers are safe.
 
 The reciprocity sweep reads the composition factors of standard objects
-from one index per (p, r), built from the peels of a single period.
+from one index per (p, r), built from the peels of a single period.  The
+level-drop (Steinberg) sweep computes the Hom pairs of each residue of m mod
+p^(r-1) once: moving m and its partner by p^(r-1) moves their images
+p-1+p*m by p^r, so by the shift equivariance of `hom_dim` at both levels the
+pairs depend only on that residue and on the distance of the partner.
+
+Both sweeps take an optional target report.  Without one they return a
+report of every item; with one they add only the failing items to it and
+count the rest in `Report.unlisted`, so a sweep whose passing items nobody
+reads never builds them.
 
 `hom_dim` never builds a shifted table: it compares the cached folded tables
 of both weights at their relative shift, and answers 0 at once when the
@@ -168,16 +177,29 @@ def _simples_index(p: int, r: int) -> tuple[dict[int, int], ...]:
     return index
 
 
-def verify_reciprocity(lam: int, ctx: Context) -> Report:
+def verify_reciprocity(lam: int, ctx: Context, target: Report | None = None) -> Report:
     """Factor multiplicities of the projective cover of the simple at lam
     against composition multiplicities of costandard objects, computed by the
-    independent character-peeling oracle and read from its inverted index."""
+    independent character-peeling oracle and read from its inverted index,
+    for every mu in [lam, tilde(lam)].
+
+    With a target, only the mu in the support of either side are compared
+    (every other mu reads 0 on both), the failures are added to the target
+    and the other items counted; the target is returned."""
     lt = tilde(lam, ctx)
     fac = delta_factors(lt, ctx)
     simples = _simples_index(ctx.p, ctx.r)[lam % ctx.q]
-    rep = Report("reciprocity", _ctx_dict(ctx))
-    for mu in range(lam, lt + 1):
-        rep.add({"lam": lam, "mu": mu}, fac.get(mu, 0), simples.get(mu - lam, 0))
+    top = lt - lam
+    if target is None:
+        rep, offsets = Report("reciprocity", _ctx_dict(ctx)), range(top + 1)
+    else:
+        support = sorted({mu - lam for mu in fac}.union(simples))
+        rep, offsets = target, [
+            d for d in support if 0 <= d <= top and fac.get(lam + d, 0) != simples.get(d, 0)
+        ]
+    for d in offsets:
+        rep.add({"lam": lam, "mu": lam + d}, fac.get(lam + d, 0), simples.get(d, 0))
+    rep.unlisted += top + 1 - len(offsets)
     return rep
 
 
@@ -209,25 +231,45 @@ def verify_strong_linkage(lam: int, ctx: Context) -> Report:
     return rep
 
 
-def verify_steinberg_equivalence(m: int, ctx: Context) -> Report:
+@lru_cache(maxsize=None)
+def _steinberg_homs(p: int, r: int, m0: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The Hom pairs of the level-drop sweep at m0 (level r of the images,
+    level r - 1), one per partner m0 + d for d in [-2p^(r-1), 2p^(r-1)], and
+    the positions where the two differ.  They are also the pairs at any m
+    congruent to m0 mod p^(r-1): see the module docstring."""
+    ctx, sub_ctx = Context(p, r), Context(p, r - 1)
+    span = 2 * sub_ctx.q
+    homs = tuple(
+        (hom_dim(p - 1 + p * m0, p - 1 + p * m2, ctx), hom_dim(m0, m2, sub_ctx))
+        for m2 in range(m0 - span, m0 + span + 1)
+    )
+    return homs, tuple(i for i, (a, b) in enumerate(homs) if a != b)
+
+
+def verify_steinberg_equivalence(m: int, ctx: Context, target: Report | None = None) -> Report:
     """The level-(r-1) table of m matches the level-r table of p-1+p*m under
     nu -> p-1+p*nu, and Hom dimensions agree across the embedding on a
-    window of partners."""
+    window of partners.
+
+    With a target, the failures are added to it and the other items
+    counted; the target is returned."""
     if ctx.r < 2:
         raise ValueError("the level-drop check needs r >= 2")
     p = ctx.p
     sub_ctx = Context(p, ctx.r - 1)
-    rep = Report("steinberg-equivalence", _ctx_dict(ctx))
-    image = {p - 1 + p * nu: k for nu, k in delta_factors(m, sub_ctx).items()}
-    lhs = delta_factors(p - 1 + p * m, ctx)
-    rep.add({"m": m, "check": "factor-table"}, sorted(lhs.items()), sorted(image.items()))
-    span = 2 * sub_ctx.q
-    for mp in range(m - span, m + span + 1):
-        rep.add(
-            {"m": m, "m2": mp, "check": "hom"},
-            hom_dim(p - 1 + p * m, p - 1 + p * mp, ctx),
-            hom_dim(m, mp, sub_ctx),
-        )
+    rep = Report("steinberg-equivalence", _ctx_dict(ctx)) if target is None else target
+    image = sorted((p - 1 + p * nu, k) for nu, k in delta_factors(m, sub_ctx).items())
+    lhs = sorted(delta_factors(p - 1 + p * m, ctx).items())
+    if target is None or lhs != image:
+        rep.add({"m": m, "check": "factor-table"}, lhs, image)
+    else:
+        rep.unlisted += 1
+    homs, fails = _steinberg_homs(p, ctx.r, m % sub_ctx.q)
+    listed = range(len(homs)) if target is None else fails
+    low = m - 2 * sub_ctx.q
+    for i in listed:
+        rep.add({"m": m, "m2": low + i, "check": "hom"}, *homs[i])
+    rep.unlisted += len(homs) - len(listed)
     return rep
 
 

@@ -2,6 +2,8 @@
 
 A report never raises on a mathematical failure: each checked item records
 both sides of its equality so the CLI can render exactly what disagreed.
+A sweep that reports only its failures adds those as items and counts the
+items that passed without listing them.
 """
 
 from __future__ import annotations
@@ -22,22 +24,32 @@ class ReportItem(NamedTuple):
 
 
 class Report:
-    """The items of one named check, in the order they were checked."""
+    """The items of one named check, in the order they were checked, and the
+    count of passing items checked but not listed."""
 
-    __slots__ = ("check", "context", "items")
+    __slots__ = ("check", "context", "items", "unlisted")
 
     def __init__(self, check: str, context: dict, items: list[ReportItem] | None = None) -> None:
         self.check = check
         self.context = context
         self.items = [] if items is None else items
+        self.unlisted = 0
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Report:
             return NotImplemented
-        return (self.check, self.context, self.items) == (other.check, other.context, other.items)
+        return (self.check, self.context, self.items, self.unlisted) == (
+            other.check,
+            other.context,
+            other.items,
+            other.unlisted,
+        )
 
     def __repr__(self) -> str:
-        return f"Report(check={self.check!r}, context={self.context!r}, items={self.items!r})"
+        return (
+            f"Report(check={self.check!r}, context={self.context!r}, items={self.items!r}, "
+            f"unlisted={self.unlisted!r})"
+        )
 
     @property
     def all_pass(self) -> bool:
@@ -54,6 +66,7 @@ class Report:
 
     def extend(self, other: "Report") -> None:
         self.items.extend(other.items)
+        self.unlisted += other.unlisted
 
     def to_dict(self) -> dict:
         return {

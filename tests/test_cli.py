@@ -322,6 +322,89 @@ def test_reciprocity_peeling_bounded_before_peel(monkeypatch, suite):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("suite", ["steinberg", "all"])
+def test_steinberg_items_bounded_before_build(monkeypatch, suite):
+    # a one-weight window far out still sweeps every m with |m| <= 20000/3,
+    # each with 4p^(r-1) + 2 items: 4 347 210 at (3, 5), past the default cap
+    def refuse(*args, **kwargs):
+        raise AssertionError("a factor table was built")
+
+    monkeypatch.setattr(deltafilt, "_folded_factors", refuse)
+    monkeypatch.delenv("TILTCELL_MAX_WORK", raising=False)
+    argv = ["verify", "--suite", suite, "--p", "3", "--r", "5", "--lo", "20000", "--hi", "20000"]
+    code, out = invoke(argv)
+    assert code == 2 and out == ""
+
+
+@pytest.fixture
+def fresh_caches():
+    caches = (deltafilt._folded_factors, deltafilt._simples_index, deltafilt._steinberg_homs)
+    for cache in caches:
+        cache.cache_clear()
+    yield caches
+    for cache in caches:
+        cache.cache_clear()
+
+
+def _counted_against_full(argv, sweep, points, ctx, fresh_caches):
+    """Run `verify` under an injected fault, then the per-weight full reports
+    of `sweep` from cold caches, and check that the suite lists exactly their
+    failures, in order, with their item and failure counts."""
+    code, out = invoke(argv)
+    for cache in fresh_caches:
+        cache.cache_clear()
+    full = [sweep(w, ctx) for w in points]
+    failures = [item.to_dict() for rep in full for item in rep.failures]
+    doc = json.loads(out)
+    assert code == 1 and not doc["pass"]
+    assert doc["reports"][0]["items"] == json.loads(json.dumps(failures))
+    counts = doc["counts"][0]
+    assert counts["items"] == sum(len(rep.items) for rep in full)
+    assert counts["failures"] == len(failures)
+    return failures
+
+
+def test_counted_reciprocity_lists_the_full_failures(monkeypatch, fresh_caches):
+    # every reciprocity item passes on real data: perturb the peeled side at
+    # one residue, once on an offset both sides hold and once on a new one
+    ctx = weights.Context(3, 3)
+    faulty = tuple(dict(entry) for entry in deltafilt._simples_index(3, 3))
+    held = min(d for d in faulty[5] if d > 0)
+    fresh = next(d for d in range(1, ctx.q) if d not in faulty[5])
+    faulty[5][held] += 1
+    faulty[5][fresh] = 1
+    monkeypatch.setattr(deltafilt, "_simples_index", lambda p, r: faulty)
+    argv = ["verify", "--suite", "reciprocity", "--p", "3", "--r", "3", "--lo", "-27", "--hi", "26"]
+    failures = _counted_against_full(
+        argv, deltafilt.verify_reciprocity, range(-27, 27), ctx, fresh_caches
+    )
+    assert len(failures) == 4  # two weights of the residue, two faults each
+
+
+def test_counted_steinberg_lists_the_full_failures(monkeypatch, fresh_caches):
+    # every level-drop item passes on real data: break the level-(r-1) side
+    # at one residue of m mod p^(r-1), Hom to the partners of one residue and
+    # the factor table at another; the span covers each residue twice or more
+    ctx = weights.Context(3, 3)
+    hom_dim, delta_factors = deltafilt.hom_dim, deltafilt.delta_factors
+
+    def faulty_hom(lam, mu, c):
+        return hom_dim(lam, mu, c) + (c.r == 2 and lam % 9 == 4 and mu % 9 == 1)
+
+    def faulty_factors(lam, c):
+        fac = delta_factors(lam, c)
+        return {nu: 2 for nu in fac} if c.r == 2 and lam % 9 == 2 else fac
+
+    monkeypatch.setattr(deltafilt, "hom_dim", faulty_hom)
+    monkeypatch.setattr(deltafilt, "delta_factors", faulty_factors)
+    argv = ["verify", "--suite", "steinberg", "--p", "3", "--r", "3", "--lo", "-30", "--hi", "30"]
+    failures = _counted_against_full(
+        argv, deltafilt.verify_steinberg_equivalence, range(-11, 12), ctx, fresh_caches
+    )
+    checks = {item["input"]["check"] for item in failures}
+    assert checks == {"hom", "factor-table"}
+
+
 @pytest.mark.parametrize(
     "kind,p,r,weight,cap",
     [
