@@ -140,15 +140,6 @@ _UPPER = {
 }
 
 
-def sl3_bruhat_leq(x: str, y: str) -> bool:
-    return y in _UPPER[x]
-
-
-def sl3_upper_set(x: str) -> frozenset[str]:
-    """All w with x <= w in the Bruhat order."""
-    return _UPPER[x]
-
-
 def sl3_delta_table() -> dict[str, frozenset[str]]:
     """Standard-factor supports of the six indecomposable tiltings: the
     tilting labelled y contains the Verma labelled x exactly when x >= y."""

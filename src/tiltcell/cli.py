@@ -147,9 +147,11 @@ def _parse_scalars(raw: str | None) -> dict[str, Fraction]:
             continue
         if "=" not in piece:
             raise UsageError(f"scalar assignment {piece!r} is not of the form key=value")
-        key, val = piece.split("=", 1)
+        key, val = (s.strip() for s in piece.split("=", 1))
+        if key in out:
+            raise UsageError(f"scalar {key!r} is assigned twice")
         try:
-            out[key.strip()] = Fraction(val.strip())
+            out[key] = Fraction(val)
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"bad scalar value {val!r}")
     return out
@@ -180,6 +182,8 @@ def _preset_build(
     preset = qv.PRESETS[args.preset]
     if preset.window is None and args.window is not None:
         raise UsageError(f"--preset {args.preset} has no window")
+    if args.no_boundary_loops and not preset.boundary_loops:
+        raise UsageError(f"--preset {args.preset} has no boundary loops")
     window = preset.window if args.window is None else args.window
     vertices = preset.vertex_count(args.p, window)
     guard_work(vertices)
@@ -265,6 +269,8 @@ def cmd_cell_basis(args) -> int:
 
 def cmd_generators(args) -> int:
     if args.preset == "sl3":
+        if args.principal_block:
+            raise UsageError("--preset sl3 has no principal-block variant")
         pairs = cellbasis.sl3_generator_set_bprime()
         _emit_doc(args, {"preset": "sl3", "pairs": pairs}, pairs)
         return 0

@@ -183,27 +183,22 @@ class Quiver:
         return "*".join(self.arrows[i].name for i in reversed(path))
 
 
-class PathElement:
+class _PathElementFields(NamedTuple):
+    source: Vertex
+    target: Vertex
+    terms: dict[Path, Fraction]
+
+
+class PathElement(_PathElementFields):
     """A rational combination of parallel paths (shared source and target).
     Zero coefficients are dropped at construction, and the others made
     Fractions."""
 
-    __slots__ = ("source", "target", "terms")
+    __slots__ = ()
 
-    def __init__(self, source: Vertex, target: Vertex, terms: Mapping[Path, object]) -> None:
-        self.source = source
-        self.target = target
-        self.terms: dict[Path, Fraction] = {
-            p: c if c.__class__ is Fraction else Fraction(c) for p, c in terms.items() if c
-        }
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not PathElement:
-            return NotImplemented
-        return (self.source, self.target, self.terms) == (other.source, other.target, other.terms)
-
-    def __repr__(self) -> str:
-        return f"PathElement(source={self.source!r}, target={self.target!r}, terms={self.terms!r})"
+    def __new__(cls, source: Vertex, target: Vertex, terms: Mapping[Path, object]) -> PathElement:
+        terms = {p: c if c.__class__ is Fraction else Fraction(c) for p, c in terms.items() if c}
+        return super().__new__(cls, source, target, terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -541,6 +536,7 @@ class Preset(NamedTuple):
     vertex_count: Callable[[int, int | None], int]  # from p and window, before building
     # the ladders' choices: no scalars, common-factor Hom counts, cells ranked by weight
     scalar_names: Callable[[int], list[str]] = lambda p: []
+    boundary_loops: bool = False  # whether build reads boundary_loops
     oracle: Callable[..., int] = lambda lam, mu, ctx: hom_dim(lam, mu, ctx)
     cell_rank: Callable[[Quiver], dict] = lambda quiver: dict(quiver.weights)
     # vertices swapped by an automorphism of the presentation (unlisted
@@ -563,6 +559,7 @@ PRESETS: dict[str, Preset] = {
         max_len=5,
         vertex_count=lambda p, window: 2 * _ladder_extent(p, 2, window)[1] + 1,
         scalar_names=p2_scalar_names,
+        boundary_loops=True,
     ),
     "sl3": Preset(
         build=lambda p, window, scalars, loops: build_sl3_quiver(**scalars),
@@ -969,7 +966,6 @@ def ideal_member(
 def check_against_cellular(
     quiver: Quiver,
     result: QuotientDims,
-    ctx: Context | None = None,
     scalars: Mapping[str, Fraction] | None = None,
 ) -> Report:
     """Compare core-pair quotient dimensions with the cellular counts:
@@ -977,7 +973,7 @@ def check_against_cellular(
     for the sl3 block.  Boundary pairs are excluded and counted in the
     report context; the scalar configuration that was checked is recorded
     there too."""
-    ctx = ctx or quiver.context
+    ctx = quiver.context
     rep = Report(
         "quiver-vs-cellular",
         {

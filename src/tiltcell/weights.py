@@ -34,40 +34,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class Context:
-    """A prime p >= 3 and a level r >= 1.  Validated at construction, and
-    immutable: equality and hashing go by (p, r)."""
+class _ContextFields(NamedTuple):
+    p: int
+    r: int
 
-    __slots__ = ("p", "r")
 
-    def __init__(self, p: int, r: int = 1) -> None:
+class Context(_ContextFields):
+    """A prime p >= 3 and a level r >= 1: an immutable record, validated in
+    `__new__`, which copies and unpickling go through too."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, r: int = 1) -> Context:
         if p < 3 or not is_prime(p):
             raise ValueError(f"p must be an odd prime >= 3, got {p}")
         if r < 1:
             raise ValueError(f"r must be a positive integer, got {r}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "r", r)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Context:
-            return NotImplemented
-        return (self.p, self.r) == (other.p, other.r)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.r))
-
-    def __repr__(self) -> str:
-        return f"Context(p={self.p!r}, r={self.r!r})"
-
-    def __reduce__(self):
-        # copy and pickle through the constructor, as fields cannot be set
-        return (Context, (self.p, self.r))
+        return super().__new__(cls, p, r)
 
     @property
     def q(self) -> int:

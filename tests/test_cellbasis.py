@@ -12,11 +12,9 @@ from tiltcell.cellbasis import (
     dagger,
     generator_set_br,
     generator_set_br0,
-    sl3_bruhat_leq,
     sl3_delta_table,
     sl3_generator_set_bprime,
     sl3_hom_dim,
-    sl3_upper_set,
 )
 from tiltcell.deltafilt import InvariantViolation, delta_factors, hom_dim_sum
 from tiltcell.weights import Context
@@ -111,18 +109,21 @@ def test_sl3_delta_table():
     assert sl3_hom_dim("s", "t") == 3
     total = sum(sl3_hom_dim(x, y) for x in SL3_ELEMENTS for y in SL3_ELEMENTS)
     assert total == 77
-    assert sum(len(sl3_upper_set(w)) ** 2 for w in ("w0", "st", "ts", "s", "t", "1")) == 77
+    assert sum(len(table[w]) ** 2 for w in ("w0", "st", "ts", "s", "t", "1")) == 77
 
 
 def test_sl3_bruhat_order():
-    assert sl3_bruhat_leq("1", "w0") and sl3_bruhat_leq("s", "ts")
-    assert not sl3_bruhat_leq("st", "ts")
-    assert not sl3_bruhat_leq("w0", "s")
+    # x <= y in the Bruhat order exactly when y is in the upper set table[x]
+    table = sl3_delta_table()
+    assert "w0" in table["1"] and "ts" in table["s"]
+    assert "ts" not in table["st"]
+    assert "s" not in table["w0"]
 
 
 def test_sl3_generators():
+    table = sl3_delta_table()
     pairs = sl3_generator_set_bprime()
     assert len(pairs) == 8
     assert pairs[0] == ("w0", "st") and pairs[1] == ("w0", "ts")
     for hi, lo in pairs:
-        assert sl3_bruhat_leq(lo, hi) and SL3_LENGTH[hi] - SL3_LENGTH[lo] == 1
+        assert hi in table[lo] and SL3_LENGTH[hi] - SL3_LENGTH[lo] == 1

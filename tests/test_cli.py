@@ -157,6 +157,8 @@ def test_work_cap(monkeypatch):
         ["quiver-build", "--preset", "p1", "--scalars", "m1=0"],
         ["quiver-build", "--preset", "sl3", "--scalars", "m1=1", "--format", "dot"],
         ["quiver-build", "--preset", "p2", "--p", "3", "--scalars", "a=1"],
+        ["quiver-check", "--preset", "sl3", "--scalars", "a=0,a=1"],
+        ["quiver-build", "--preset", "p2", "--p", "3", "--scalars", "m1=0,m1=2"],
     ],
 )
 def test_unknown_scalars_rejected(argv):
@@ -189,6 +191,29 @@ def test_sl3_window_rejected_before_build(monkeypatch, capsys, command):
     code, out = invoke([command, "--preset", "sl3", "--window", "1"])
     assert code == 2 and out == ""
     assert "window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["quiver-build", "quiver-check"])
+@pytest.mark.parametrize("preset,builder", [("p1", "build_p1_quiver"), ("sl3", "build_sl3_quiver")])
+def test_boundary_loops_flag_rejected_before_build(monkeypatch, capsys, command, preset, builder):
+    # only p2 has the chain-top relation, so elsewhere the flag would be ignored
+    def refuse(*args, **kwargs):
+        raise AssertionError("the quiver was built")
+
+    monkeypatch.setattr(qv, builder, refuse)
+    code, out = invoke([command, "--preset", preset, "--no-boundary-loops"])
+    assert code == 2 and out == ""
+    assert "boundary loops" in capsys.readouterr().err
+
+
+def test_sl3_generators_principal_block_rejected(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the generators were listed")
+
+    monkeypatch.setattr(cellbasis, "sl3_generator_set_bprime", refuse)
+    code, out = invoke(["generators", "--preset", "sl3", "--principal-block"])
+    assert code == 2 and out == ""
+    assert "principal-block" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("max_len", ["-1", "0"])
