@@ -46,6 +46,9 @@ SCHEMA = 1
 # commands that build a quiver, so weight-side commands start without it
 PRESET_NAMES = ("p1", "p2", "sl3")
 DEFAULT_MAX_WORK = 2_000_000
+# what an omitted --p or --r means; the flags default to None, so that a
+# preset that reads neither can refuse them
+DEFAULT_P, DEFAULT_R = 3, 1
 
 
 class UsageError(Exception):
@@ -99,9 +102,10 @@ def guard_level(p: int, r: int = 1) -> None:
 
 
 def _context(args) -> Context:
-    guard_level(args.p, args.r)
+    p, r = (DEFAULT_P if args.p is None else args.p), (DEFAULT_R if args.r is None else args.r)
+    guard_level(p, r)
     try:
-        return Context(args.p, args.r)
+        return Context(p, r)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -178,28 +182,31 @@ def _preset_build(
     path count of a quiver-check); return the build, which has not run."""
     from . import quiver as qv
 
-    guard_level(args.p)
     preset = qv.PRESETS[args.preset]
+    if not preset.reads_p and args.p is not None:
+        raise UsageError(f"--preset {args.preset} reads no --p")
+    p = DEFAULT_P if args.p is None else args.p
+    guard_level(p)
     if preset.window is None and args.window is not None:
         raise UsageError(f"--preset {args.preset} has no window")
     if args.no_boundary_loops and not preset.boundary_loops:
         raise UsageError(f"--preset {args.preset} has no boundary loops")
     window = preset.window if args.window is None else args.window
-    vertices = preset.vertex_count(args.p, window)
+    vertices = preset.vertex_count(p, window)
     guard_work(vertices)
     if max_len is not None:
         # rough path-object count; monomial pruning keeps the real work below this
         guard_power(vertices, 4, max_len)
     # after the vertex guard, which bounds p for p2, whose scalar names count to 2p
     scalars = _parse_scalars(args.scalars)
-    names = preset.scalar_names(args.p)
+    names = preset.scalar_names(p)
     for key in scalars:
         if key not in names:
             raise UsageError(f"unknown scalar {key!r}; valid: {', '.join(names) or 'none'}")
 
     def build() -> tuple[qv.Quiver, qv.RelationSet]:
         try:
-            return preset.build(args.p, window, scalars, not args.no_boundary_loops)
+            return preset.build(p, window, scalars, not args.no_boundary_loops)
         except (qv.QuiverConfigError, ValueError) as exc:
             raise UsageError(str(exc))
 
@@ -271,6 +278,8 @@ def cmd_generators(args) -> int:
     if args.preset == "sl3":
         if args.principal_block:
             raise UsageError("--preset sl3 has no principal-block variant")
+        if args.p is not None or args.r is not None:
+            raise UsageError("--preset sl3 reads no --p or --r")
         pairs = cellbasis.sl3_generator_set_bprime()
         _emit_doc(args, {"preset": "sl3", "pairs": pairs}, pairs)
         return 0
@@ -410,11 +419,14 @@ def _run_suite(name: str, args) -> list[Report]:
     if name in ("quiver", "all"):
         from . import quiver as qv
 
-        # every preset at its defaults, each bounded as quiver-check bounds it,
-        # all before the first is built
+        # every preset at its defaults and at --p where it reads one, each
+        # bounded as quiver-check bounds it, all before the first is built
         defaults = {"window": None, "scalars": None, "no_boundary_loops": False}
         builds = [
-            _preset_build(argparse.Namespace(preset=key, p=ctx.p, **defaults), preset.max_len)
+            _preset_build(
+                argparse.Namespace(preset=key, p=ctx.p if preset.reads_p else None, **defaults),
+                preset.max_len,
+            )
             for key, preset in qv.PRESETS.items()
         ]
     reports: list[Report] = []
@@ -479,8 +491,8 @@ def cmd_verify(args) -> int:
 
 def _add_common(sp, *, context: bool = True, fmt: tuple[str, ...] = ("json", "tsv")) -> None:
     if context:
-        sp.add_argument("--p", type=int, default=3, help="odd prime (default 3)")
-        sp.add_argument("--r", type=int, default=1, help="level r >= 1 (default 1)")
+        sp.add_argument("--p", type=int, default=None, help=f"odd prime (default {DEFAULT_P})")
+        sp.add_argument("--r", type=int, default=None, help=f"level r >= 1 (default {DEFAULT_R})")
     sp.add_argument("--format", choices=fmt, default="json")
     sp.add_argument("--output", default="-", help="output path, - for stdout")
 
@@ -526,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=f"{name.replace('-', ' ')} for a preset quiver")
         sp.add_argument("--preset", choices=PRESET_NAMES, required=True)
-        sp.add_argument("--p", type=int, default=3)
+        sp.add_argument("--p", type=int, default=None)
         sp.add_argument("--window", type=int, default=None)
         sp.add_argument("--scalars", default=None, help="comma separated key=value pairs")
         sp.add_argument("--no-boundary-loops", action="store_true")

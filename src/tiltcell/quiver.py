@@ -36,10 +36,12 @@ Two independent engines are provided and cross-checked:
 
 * `quotient_dims`: exact linear algebra.  Per ordered vertex pair, span the
   paths of length <= max_len, quotient by every relation instance that
-  fits, and report the dimension.  A saturation flag certifies that each
-  maximal-length path reduces into shorter ones, which pins the truncation.
-  One pair per class of certified symmetries is eliminated and the others
-  take its verdict (see "Folding" below).
+  fits, and report the dimension.  Rows of one or two terms merge or kill
+  classes of paths in a weighted union-find, and only the longer rows are
+  eliminated (`ratlinalg.ContractedEchelon`).  A saturation flag certifies
+  that each maximal-length path reduces into shorter ones, which pins the
+  truncation.  One pair per class of certified symmetries is eliminated and
+  the others take its verdict (see "Folding" below).
 * `normal_form`: oriented rewriting.  Relations are oriented so that
   down-after-up patterns rewrite towards sorted words; a handful of derived
   rules (consequences of the relations near chain-top columns, each checked
@@ -104,7 +106,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .cellbasis import SL3_ELEMENTS, SL3_LENGTH, sl3_hom_dim
 from .deltafilt import delta_factors, hom_dim
-from .ratlinalg import SparseEchelon
+from .ratlinalg import ContractedEchelon
 from .report import Report
 from .weights import Context
 
@@ -537,6 +539,7 @@ class Preset(NamedTuple):
     # the ladders' choices: no scalars, common-factor Hom counts, cells ranked by weight
     scalar_names: Callable[[int], list[str]] = lambda p: []
     boundary_loops: bool = False  # whether build reads boundary_loops
+    reads_p: bool = True  # whether build reads p
     oracle: Callable[..., int] = lambda lam, mu, ctx: hom_dim(lam, mu, ctx)
     cell_rank: Callable[[Quiver], dict] = lambda quiver: dict(quiver.weights)
     # vertices swapped by an automorphism of the presentation (unlisted
@@ -567,6 +570,7 @@ PRESETS: dict[str, Preset] = {
         max_len=7,
         vertex_count=lambda p, window: len(SL3_ELEMENTS),
         scalar_names=lambda p: ["a", "b", "r"],
+        reads_p=False,
         oracle=lambda lam, mu, ctx: sl3_hom_dim(lam, mu),
         cell_rank=lambda quiver: {v: -SL3_LENGTH[v] for v in quiver.vertices},
         # the Dynkin diagram automorphism, for every (a, b, r)
@@ -712,16 +716,11 @@ def _relation_rows(setup: _LinearSetup, pair: Pair) -> Iterator[dict[Path, int]]
                         yield row
 
 
-def _echelon(setup: _LinearSetup, pair: Pair) -> SparseEchelon:
-    """Echelon basis of the relation rows of `pair`, eliminating longer
-    paths first.  It stops at full rank, where no further row can change it."""
+def _echelon(setup: _LinearSetup, pair: Pair) -> ContractedEchelon:
+    """The span of the relation rows of `pair`, longer paths pivoted first."""
     plist = setup.alive.get(pair, [])
     col_rank = {path: i for i, path in enumerate(sorted(plist, key=lambda q: (-len(q), q)))}
-    ech = SparseEchelon(col_rank)
-    for row in _relation_rows(setup, pair):
-        if ech.add(row) and ech.rank == len(plist):
-            break
-    return ech
+    return ContractedEchelon(col_rank, _relation_rows(setup, pair))
 
 
 def _canonical(source: Vertex, target: Vertex, terms: Mapping[Path, Fraction]) -> tuple:

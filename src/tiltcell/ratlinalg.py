@@ -12,6 +12,13 @@ low-priority columns" reduce to inspecting the residue support.  `reduce`
 returns that residue only up to a nonzero scalar; its support is canonical,
 because the residue modulo an echelon basis under a fixed column priority is
 unique.
+
+`ContractedEchelon` first contracts one- and two-term rows with a weighted
+union-find (Tarjan, J. ACM 22, 1975): as for a binomial ideal (Eisenbud and
+Sturmfels, Duke Math. J. 84, 1996), their span splits the columns into dead
+classes and multiples of one root, its member of lowest priority, so every
+other column is a pivot.  Longer rows wait for the end and are eliminated on
+the live roots, the candidate non-pivot columns: the supports stay canonical.
 """
 
 from __future__ import annotations
@@ -19,9 +26,10 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Hashable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 Row = dict[Hashable, int]
+Coeff = int | Fraction
 
 
 def _divide_content(row: dict[int, int]) -> None:
@@ -111,3 +119,86 @@ class SparseEchelon:
             red = {k: -v for k, v in red.items()}
         self._pivots[pivot] = red
         return True
+
+
+class ContractedEchelon:
+    """The span of a row stream (read until every class is dead), with the `rank`,
+    `pivots_among` and `reduce` of a `SparseEchelon` fed all of it; `col_rank` is onto 0..n-1."""
+
+    def __init__(self, col_rank: Mapping[Hashable, int], rows: Iterable[Mapping[Hashable, Coeff]]):
+        n = len(col_rank)
+        # column c is num[c]/den[c] times parent[c] modulo the short rows;
+        # dead[r]: the class of root r lies in the span
+        parent, num, den, dead = list(range(n)), [1] * n, [1] * n, [False] * n
+        live, wide = n, []
+
+        def find(c: int) -> tuple[int, int, int]:
+            # the root of c and c as a/b times it; compresses the path
+            chain = []
+            while parent[c] != c:
+                chain.append(c)
+                c = parent[c]
+            a = b = 1
+            for x in reversed(chain):
+                g = gcd(a := a * num[x], b := b * den[x])
+                a, b = a // g, b // g
+                parent[x], num[x], den[x] = c, a, b
+            return c, a, b
+
+        for row in rows:
+            if len(row) > 2:
+                wide.append(row)
+                continue
+            (k1, v1), *rest = row.items()
+            r1, n1, d1 = find(col_rank[k1])
+            doomed = (r1,)
+            if rest:
+                ((k2, v2),) = rest
+                r2, n2, d2 = find(col_rank[k2])
+                # root r1 is p/q times root r2, from v1*k1 + v2*k2 = 0
+                p = -v2.numerator * v1.denominator * d1 * n2
+                q = v1.numerator * v2.denominator * n1 * d2
+                if r1 != r2 and not (dead[r1] or dead[r2]):
+                    if r1 > r2:  # the root stays the member of lowest priority
+                        r1, r2, p, q = r2, r1, q, p
+                    parent[r1], num[r1], den[r1] = r2, p // (g := gcd(p, q)), q // g
+                    live -= 1
+                    continue
+                # a cycle of ratio 1 changes nothing; any other cycle, or a
+                # merge with a dead class, kills
+                doomed = () if r1 == r2 and p == q else (r1, r2)
+            for r in doomed:
+                live -= not dead[r]
+                dead[r] = True
+            if not live:
+                break
+        self._n, self._roots = n, [c for c in range(n) if parent[c] == c and not dead[c]]
+        # column -> (its root, as num, den) if it is live, None if it is dead
+        self._to_root: dict = dict.fromkeys(col_rank)
+        cols = {c: k for k, c in col_rank.items()} if live else {}
+        for c, k in cols.items():
+            r, a, b = find(c)
+            self._to_root[k] = None if dead[r] else (cols[r], a, b)
+        self._wide = SparseEchelon(col_rank)
+        for row in wide:
+            self._wide.add(self._project(row))
+        self.rank = n - len(self._roots) + self._wide.rank
+
+    def _project(self, row: Mapping[Hashable, Coeff]) -> dict[Hashable, int]:
+        # `row` moved onto the live roots and scaled to integers, which
+        # changes it by a vector of the span
+        to_root, out = self._to_root, {}
+        terms = [(t, v) for k, v in row.items() if (t := to_root[k])]
+        scale = lcm(*(v.denominator * b for (_, _, b), v in terms))
+        for (r, a, b), v in terms:
+            out[r] = out.get(r, 0) + v.numerator * a * (scale // (v.denominator * b))
+        return {r: v for r, v in out.items() if v}
+
+    def pivots_among(self, k: int) -> int:
+        # every column but the live roots is a pivot, and so is each pivot of
+        # the long rows moved onto the roots
+        return min(k, self._n) - sum(r < k for r in self._roots) + self._wide.pivots_among(k)
+
+    def reduce(self, row: Mapping[Hashable, Coeff]) -> Row:
+        """The residue of `row`, up to a nonzero scalar factor."""
+        return self._wide.reduce(self._project(row))

@@ -216,6 +216,30 @@ def test_sl3_generators_principal_block_rejected(monkeypatch, capsys):
     assert "principal-block" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["quiver-build", "quiver-check"])
+@pytest.mark.parametrize("p", ["4", "3"])
+def test_sl3_p_rejected_before_build(monkeypatch, capsys, command, p):
+    # sl3 reads no --p, so even the default value is refused, not ignored
+    def refuse(*args, **kwargs):
+        raise AssertionError("the quiver was built")
+
+    monkeypatch.setattr(qv, "build_sl3_quiver", refuse)
+    code, out = invoke([command, "--preset", "sl3", "--p", p])
+    assert code == 2 and out == ""
+    assert "--p" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--p", "4"], ["--p", "3"], ["--r", "0"], ["--r", "1"]])
+def test_sl3_generators_level_rejected(monkeypatch, capsys, flags):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the generators were listed")
+
+    monkeypatch.setattr(cellbasis, "sl3_generator_set_bprime", refuse)
+    code, out = invoke(["generators", "--preset", "sl3", *flags])
+    assert code == 2 and out == ""
+    assert flags[0] in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("max_len", ["-1", "0"])
 def test_max_len_bounded_before_build(monkeypatch, max_len):
     # no path has length <= 0 beyond the trivial ones, so a check there would

@@ -1,6 +1,7 @@
 """Cross-preset engine properties: idempotence of rewriting on random
 elements (seeded, and drawn by hypothesis inside each core), duality
-symmetry of the quotient dimensions, and the failure modes (unsaturated
+symmetry of the quotient dimensions, the contracted elimination against a
+plain echelon on every pair, and the failure modes (unsaturated
 truncations, runaway rewriting, empty exports)."""
 
 from __future__ import annotations
@@ -20,11 +21,15 @@ from tiltcell.quiver import (
     RelationSet,
     build_p1_quiver,
     build_p2_quiver,
+    _echelon,
+    _linear_setup,
+    _relation_rows,
     build_sl3_quiver,
     export_dot,
     normal_form,
     quotient_dims,
 )
+from tiltcell.ratlinalg import SparseEchelon
 
 
 def _random_elements(quiver, rels, rng, count, max_len=4):
@@ -126,6 +131,37 @@ def test_quotient_dims_duality_symmetric(maker, max_len):
     result = quotient_dims(quiver, rels, max_len)
     for v, w in result.core_pairs:
         assert result.dim(v, w) == result.dim(w, v)
+
+
+@pytest.mark.parametrize(
+    "maker,max_len",
+    [
+        (lambda: build_sl3_quiver(Fraction(7, 6), Fraction(4, 9)), 7),
+        (lambda: build_sl3_quiver(1, 1, 1), 7),
+        # off the balanced locus, so the squares do not all agree
+        (lambda: build_p2_quiver(3, 1, {"m1": 2, "m4": Fraction(-1, 3), "n1": 5, "theta0": -3}), 5),
+        (lambda: build_p2_quiver(3, 1, boundary_loops=False), 5),
+        (lambda: build_p1_quiver(3, window=2), 4),
+    ],
+    ids=["sl3-r0", "sl3-r1", "p2-unbalanced", "p2-no-loops", "p1"],
+)
+def test_contracted_echelon_matches_sparse_echelon(maker, max_len):
+    # the union-find contraction reports what a plain echelon of the same
+    # rows reports, on every alive pair: rank, saturation pivots and the
+    # residue support of each top-length path
+    quiver, rels = maker()
+    setup = _linear_setup(quiver, rels, max_len)
+    for pair, plist in setup.alive.items():
+        order = sorted(plist, key=lambda q: (-len(q), q))
+        plain = SparseEchelon({path: i for i, path in enumerate(order)})
+        for row in _relation_rows(setup, pair):
+            plain.add(row)
+        ech = _echelon(setup, pair)
+        tops = [path for path in plist if len(path) == max_len]
+        assert ech.rank == plain.rank
+        assert ech.pivots_among(len(tops)) == plain.pivots_among(len(tops))
+        for path in tops:
+            assert set(ech.reduce({path: 1})) == set(plain.reduce({path: 1}))
 
 
 def test_not_saturated_raises():

@@ -1,5 +1,6 @@
-"""SparseEchelon against a dense Fraction Gaussian elimination: rank, the
-verdict of each add, and the support of each residue must agree."""
+"""SparseEchelon and ContractedEchelon against a dense Fraction Gaussian
+elimination: rank, the verdict of each add, the pivot counts and the support
+of each residue must agree."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from tiltcell.ratlinalg import SparseEchelon
+from tiltcell.ratlinalg import ContractedEchelon, SparseEchelon
 
 
 class DenseReference:
@@ -100,3 +101,61 @@ def test_pivot_count_is_projected_rank(system, k):
         assert ech.pivots_among(k) == len(projected.rows)
         avoids = all(not set(ech.reduce({c: 1})) & set(head) for c in head)
         assert (ech.pivots_among(k) == k) == avoids
+
+
+@st.composite
+def binomial_systems(draw):
+    """Rows of one and two terms in shapes that decide a class: chains
+    closed into cycles of ratio product 1 (the class lives) or not (it
+    dies), kills before and after merges, repeated rows; and a few rows of
+    three or more terms.  Rows arrive in a drawn order."""
+    n = draw(st.integers(1, 6))
+    cols = [(i, "x" * i) for i in range(n)]
+    order = draw(st.permutations(cols))
+    rows: list[dict] = []
+    for _ in range(draw(st.integers(0, 5))):
+        shape = draw(st.sampled_from(["kill", "pair", "cycle", "cycle", "repeat", "wide"]))
+        if shape == "kill":
+            rows.append({draw(st.sampled_from(cols)): draw(coeff)})
+        elif shape == "pair" and n > 1:
+            a, b = draw(st.lists(st.sampled_from(cols), min_size=2, max_size=2, unique=True))
+            rows.append({a: draw(coeff), b: draw(coeff)})
+        elif shape == "cycle" and n > 1:
+            ring = draw(st.lists(st.sampled_from(cols), min_size=2, max_size=n, unique=True))
+            # ring[i] = ratio[i] * ring[i+1]; the closing ratio makes the
+            # product 1, or 2 if the cycle is to kill its class
+            ratios = draw(st.lists(coeff, min_size=len(ring) - 1, max_size=len(ring) - 1))
+            product = Fraction(1)
+            for r in ratios:
+                product *= r
+            ratios.append((1 if draw(st.booleans()) else 2) / product)
+            for i, r in enumerate(ratios):
+                scale = draw(coeff)
+                rows.append({ring[i]: scale, ring[(i + 1) % len(ring)]: -scale * r})
+        elif shape == "repeat" and rows:
+            scale = draw(coeff)
+            rows.append({k: scale * v for k, v in draw(st.sampled_from(rows)).items()})
+        elif shape == "wide" and n > 2:
+            keys = draw(st.lists(st.sampled_from(cols), min_size=3, max_size=5, unique=True))
+            rows.append({k: draw(coeff) for k in keys})
+    rows = draw(st.permutations(rows))
+    probes = [{c: 1} for c in cols] + draw(
+        st.lists(st.dictionaries(st.sampled_from(cols), coeff, min_size=1, max_size=4), max_size=3)
+    )
+    return order, rows, probes
+
+
+@settings(deadline=None, max_examples=50)
+@given(binomial_systems())
+def test_contracted_echelon_matches_dense_reference(system):
+    order, rows, probes = system
+    ech = ContractedEchelon({c: i for i, c in enumerate(order)}, iter(rows))
+    ref = DenseReference(order)
+    for row in rows:
+        ref.add(row)
+    assert ech.rank == len(ref.rows)
+    for k in range(len(order) + 1):
+        # ref.rows is keyed by pivot position in the priority order
+        assert ech.pivots_among(k) == sum(i < k for i in ref.rows)
+    for probe in probes:
+        assert set(ech.reduce(probe)) == ref.support(probe)
