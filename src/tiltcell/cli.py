@@ -49,6 +49,9 @@ DEFAULT_MAX_WORK = 2_000_000
 # what an omitted --p or --r means; the flags default to None, so that a
 # preset that reads neither can refuse them
 DEFAULT_P, DEFAULT_R = 3, 1
+# the digits a --scalars value may expand to, well below the 4300 that
+# Python converts an int to text with, so that every scalar prints
+SCALAR_DIGITS = 1000
 
 
 class UsageError(Exception):
@@ -139,6 +142,17 @@ def _emit_report(args, report: Report, rows=None) -> int:
     return 0 if report.all_pass else 1
 
 
+def _scalar_digits(val: str) -> int:
+    """A bound on the digits of the numerator and denominator `val` parses
+    to: the digits it is written with plus its decimal exponent, which is
+    read only once the written digits are few."""
+    digits = sum(ch.isdigit() for ch in val)
+    exp = val.lower().partition("e")[2].lstrip("+-").replace("_", "")
+    if digits <= SCALAR_DIGITS and exp.isdecimal():
+        digits += int(exp)
+    return digits
+
+
 def _parse_scalars(raw: str | None) -> dict[str, Fraction]:
     from fractions import Fraction
 
@@ -154,6 +168,8 @@ def _parse_scalars(raw: str | None) -> dict[str, Fraction]:
         key, val = (s.strip() for s in piece.split("=", 1))
         if key in out:
             raise UsageError(f"scalar {key!r} is assigned twice")
+        if _scalar_digits(val) > SCALAR_DIGITS:
+            raise UsageError(f"scalar {key!r} expands to more than {SCALAR_DIGITS} digits")
         try:
             out[key] = Fraction(val)
         except (ValueError, ZeroDivisionError):
@@ -369,7 +385,7 @@ def _guard_weight_suites(name: str, lo: int, hi: int, ctx: Context) -> None:
     """Bound the sweeps of the weight suites in `name`, then the entries of
     the factor tables they read, before any sweep runs."""
     window = range(lo, hi + 1)
-    n = len(window)
+    n = hi - lo + 1  # len(window) overflows past 2**63 items
     if name in ("reciprocity", "all"):
         guard_power(4 * n, ctx.p, ctx.r)
         # the index peels a whole period: q standard objects of mass q
@@ -403,17 +419,19 @@ def _guard_weight_suites(name: str, lo: int, hi: int, ctx: Context) -> None:
 
 
 def _run_suite(name: str, args) -> list[Report]:
+    if name == "quiver" and any(v is not None for v in (args.r, args.lo, args.hi)):
+        raise UsageError("the quiver suite reads no --r, --lo or --hi")
     ctx = _context(args)
     lo, hi = args.lo, args.hi
-    if name != "quiver" and (lo is None or hi is None):
-        # a defaulted end is -2q or 2q, and every weight suite sweeps more
-        # items than the window holds, so more than q = p**r
-        guard_power(1, ctx.p, ctx.r)
-        lo = -2 * ctx.q if lo is None else lo
-        hi = 2 * ctx.q if hi is None else hi
-    if lo is not None and hi is not None and lo > hi:
-        raise UsageError("--lo must not exceed --hi")
     if name != "quiver":
+        if lo is None or hi is None:
+            # a defaulted end is -2q or 2q, and every weight suite sweeps more
+            # items than the window holds, so more than q = p**r
+            guard_power(1, ctx.p, ctx.r)
+            lo = -2 * ctx.q if lo is None else lo
+            hi = 2 * ctx.q if hi is None else hi
+        if lo > hi:
+            raise UsageError("--lo must not exceed --hi")
         _guard_weight_suites(name, lo, hi, ctx)
     builds = []
     if name in ("quiver", "all"):
@@ -489,10 +507,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp, *, context: bool = True, fmt: tuple[str, ...] = ("json", "tsv")) -> None:
-    if context:
-        sp.add_argument("--p", type=int, default=None, help=f"odd prime (default {DEFAULT_P})")
-        sp.add_argument("--r", type=int, default=None, help=f"level r >= 1 (default {DEFAULT_R})")
+def _add_common(sp, *, fmt: tuple[str, ...] = ("json", "tsv")) -> None:
+    sp.add_argument("--p", type=int, default=None, help=f"odd prime (default {DEFAULT_P})")
+    sp.add_argument("--r", type=int, default=None, help=f"level r >= 1 (default {DEFAULT_R})")
     sp.add_argument("--format", choices=fmt, default="json")
     sp.add_argument("--output", default="-", help="output path, - for stdout")
 

@@ -106,7 +106,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .cellbasis import SL3_ELEMENTS, SL3_LENGTH, sl3_hom_dim
 from .deltafilt import delta_factors, hom_dim
-from .ratlinalg import ContractedEchelon
+from .ratlinalg import ContractedEchelon, Row
 from .report import Report
 from .weights import Context
 
@@ -605,9 +605,10 @@ def _alive_paths(
     quiver: Quiver, max_len: int, words: set[Path]
 ) -> dict[Pair, list[Path]]:
     """All composable paths of length <= max_len with no subword in `words`,
-    keyed by (source, target), each list in length order.  Every prefix of a
-    generated path was generated, so testing the suffixes ending at each new
-    arrow prunes exactly the paths that contain a word."""
+    keyed by (source, target), each list in (length, lex) order: each length
+    extends the previous one's paths in order, by ascending arrow ids.  Every
+    prefix of a generated path was generated, so testing the suffixes ending
+    at each new arrow prunes exactly the paths that contain a word."""
     lengths = sorted({len(w) for w in words})
 
     def suffix_ok(path: Path) -> bool:
@@ -648,7 +649,7 @@ class _LinearSetup(NamedTuple):
     max_len: int
     zeros: set[Path]  # monomial redexes
     zlens: list[int]  # their lengths, ascending
-    alive: dict[Pair, list[Path]]  # each list in length order
+    alive: dict[Pair, list[Path]]  # each list in (length, lex) order
     # source vertex -> (target, longest term, integer-scaled terms) per
     # non-monomial relation; terms containing a monomial redex are left out
     index: dict[Vertex, list[tuple[Vertex, int, tuple[tuple[Path, int], ...]]]]
@@ -683,11 +684,12 @@ def _linear_setup(quiver: Quiver, rels: RelationSet, max_len: int) -> _LinearSet
     return _LinearSetup(max_len, zeros, zlens, alive, index, reach, shortest)
 
 
-def _relation_rows(setup: _LinearSetup, pair: Pair) -> Iterator[dict[Path, int]]:
+def _relation_rows(setup: _LinearSetup, pair: Pair, col: Mapping[Path, int]) -> Iterator[Row]:
     """Nonzero rows x*rel*y from s to t of length <= max_len, one per non-monomial
-    relation instance, each scaled to integers; composites containing a
-    monomial relation are dropped.  As x, y and the live terms are free of
-    monomial redexes, only windows crossing a junction are scanned."""
+    relation instance, each scaled to integers and keyed by the column `col`
+    gives each path; composites containing a monomial relation are dropped.
+    As x, y and the live terms are free of monomial redexes, only windows
+    crossing a junction are scanned."""
     max_len, zeros, zlens, alive = setup.max_len, setup.zeros, setup.zlens, setup.alive
     s, t = pair
     for u in setup.reach.get(s, ()):
@@ -711,16 +713,17 @@ def _relation_rows(setup: _LinearSetup, pair: Pair) -> Iterator[dict[Path, int]]
                     for term, coeff in terms:
                         key = x + term + y
                         if not _has_word(key, zeros, zlens, a, a + len(term)):
-                            row[key] = coeff
+                            row[col[key]] = coeff
                     if row:
                         yield row
 
 
-def _echelon(setup: _LinearSetup, pair: Pair) -> ContractedEchelon:
-    """The span of the relation rows of `pair`, longer paths pivoted first."""
-    plist = setup.alive.get(pair, [])
-    col_rank = {path: i for i, path in enumerate(sorted(plist, key=lambda q: (-len(q), q)))}
-    return ContractedEchelon(col_rank, _relation_rows(setup, pair))
+def _echelon(setup: _LinearSetup, pair: Pair) -> tuple[ContractedEchelon, dict[Path, int]]:
+    """The span of the relation rows of `pair`, and the column of each alive
+    path, in column order: longer paths first, so that they are pivoted first."""
+    order = sorted(setup.alive.get(pair, []), key=lambda q: (-len(q), q))
+    col = {path: c for c, path in enumerate(order)}
+    return ContractedEchelon(len(col), _relation_rows(setup, pair, col)), col
 
 
 def _canonical(source: Vertex, target: Vertex, terms: Mapping[Path, Fraction]) -> tuple:
@@ -908,12 +911,12 @@ def quotient_dims(
         if not in_core and len(plist[0]) < setup.shortest:
             boundary_nonzero.append(pair)
             continue
-        tops = [path for path in plist if len(path) == max_len]
+        tops = sum(len(path) == max_len for path in plist)  # columns 0..tops-1
         ech = None
         if pair not in verdicts:
-            ech = _echelon(setup, pair)
+            ech, col = _echelon(setup, pair)
             eliminated += 1
-            verdicts[pair] = (ech.rank, ech.pivots_among(len(tops)) == len(tops))
+            verdicts[pair] = (ech.rank, ech.pivots_among(tops) == tops)
             fold.spread(pair, verdicts)
         rank, saturated = verdicts[pair]
         if not in_core:
@@ -924,10 +927,11 @@ def quotient_dims(
         if not saturated:
             if not unsaturated:
                 if ech is None:
-                    ech = _echelon(setup, pair)
+                    ech, col = _echelon(setup, pair)
                     eliminated += 1
-                for path in tops:
-                    top = [k for k in ech.reduce({path: 1}) if len(k) == max_len]
+                heads = list(col)[:tops]  # the top-length paths
+                for c in range(tops):
+                    top = [heads[k] for k in ech.reduce({c: 1}) if k < tops]
                     if top:
                         witness = sorted(map(quiver.format_path, top))
                         break
@@ -959,7 +963,8 @@ def ideal_member(
     }
     if not set(vec) <= set(setup.alive.get(pair, ())):
         return False  # a surviving path beyond the truncation is never eliminated
-    return not _echelon(setup, pair).reduce(vec)
+    ech, col = _echelon(setup, pair)
+    return not ech.reduce({col[path]: c for path, c in vec.items()})
 
 
 def check_against_cellular(
@@ -1103,12 +1108,11 @@ def reduce_path(quiver: Quiver, rels: RelationSet, path: Path) -> PathElement:
 def irreducible_words(
     quiver: Quiver, rels: RelationSet, max_len: int
 ) -> dict[Pair, list[Path]]:
-    """Paths of length <= max_len containing no redex, per vertex pair,
-    pruned as they are generated.  For a complete, confluent orientation
+    """Paths of length <= max_len containing no redex, per vertex pair in
+    (length, lex) order, pruned as they are generated.  For a complete, confluent orientation
     these enumerate a monomial basis of the quotient, so their counts must
     match the linear dimensions."""
-    out = _alive_paths(quiver, max_len, rels.zero_redexes().union(rels.table))
-    return {pair: sorted(plist, key=lambda q: (len(q), q)) for pair, plist in out.items()}
+    return _alive_paths(quiver, max_len, rels.zero_redexes().union(rels.table))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,18 @@
 """Sparse row reduction over exact rationals, eliminated fraction-free.
 
-Rows are dicts mapping hashable column keys to nonzero rationals (`int` or
-`Fraction`).  Each row is scaled to a primitive integer row on entry, and
-elimination cross-multiplies integers and divides out the content gcd after
-every step (Bareiss, Math. Comp. 22, 1968, without the determinant
-bookkeeping), so no `Fraction` arithmetic happens inside the loop.
+The columns are the indices 0..n-1, and an index is its column's elimination
+priority: smaller indices are pivoted first.  Rows are dicts mapping column
+indices to nonzero rationals (`int` or `Fraction`).  Each row is scaled to a
+primitive integer row on entry, and elimination cross-multiplies integers
+and divides out the content gcd after every step (Bareiss, Math. Comp. 22,
+1968, without the determinant bookkeeping), so no `Fraction` arithmetic
+happens inside the loop.
 
-Columns are eliminated in a caller-supplied priority order, so membership
-questions of the form "does this vector lie in the span modulo the
-low-priority columns" reduce to inspecting the residue support.  `reduce`
-returns that residue only up to a nonzero scalar; its support is canonical,
-because the residue modulo an echelon basis under a fixed column priority is
-unique.
+Membership questions of the form "does this vector lie in the span modulo
+the low-priority columns" reduce to inspecting the residue support.
+`reduce` returns that residue only up to a nonzero scalar; its support is
+canonical, because the residue modulo an echelon basis under a fixed column
+priority is unique.
 
 `ContractedEchelon` first contracts one- and two-term rows with a weighted
 union-find (Tarjan, J. ACM 22, 1975): as for a binomial ideal (Eisenbud and
@@ -26,13 +27,13 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Hashable, Iterable, Mapping
+from typing import Iterable, Mapping
 
-Row = dict[Hashable, int]
+Row = dict[int, int]
 Coeff = int | Fraction
 
 
-def _divide_content(row: dict[int, int]) -> None:
+def _divide_content(row: Row) -> None:
     g = gcd(*row.values())  # 0 for an empty row
     if g > 1:
         for k in row:
@@ -40,78 +41,61 @@ def _divide_content(row: dict[int, int]) -> None:
 
 
 class SparseEchelon:
-    """Incrementally maintained echelon basis of sparse rational rows.
+    """Incrementally maintained echelon basis of sparse rational rows."""
 
-    `col_rank` assigns each column key its elimination priority; smaller
-    ranks are pivoted first.  Unknown columns are an error: the caller must
-    register the full column universe up front.
-    """
-
-    def __init__(self, col_rank: Mapping[Hashable, int]):
-        self._rank = col_rank
-        self._col: dict[int, Hashable] = {}  # rank -> column key, filled lazily
-        # pivot rank -> primitive integer row keyed by rank, positive at the
-        # pivot, whose other columns all rank after the pivot
-        self._pivots: dict[int, dict[int, int]] = {}
+    def __init__(self) -> None:
+        # pivot column -> primitive integer row, positive at the pivot, whose
+        # other columns all come after the pivot
+        self._pivots: dict[int, Row] = {}
 
     @property
     def rank(self) -> int:
         return len(self._pivots)
 
     def pivots_among(self, k: int) -> int:
-        """Pivots among the k highest-priority columns: the dimension of the
-        span projected onto those columns, since every other pivot row is
-        zero there."""
-        return sum(r < k for r in self._pivots)
+        """Pivots among the columns 0..k-1: the dimension of the span
+        projected onto them, since every other pivot row is zero there."""
+        return sum(c < k for c in self._pivots)
 
-    def _reduce(self, row: Mapping[Hashable, int | Fraction]) -> dict[int, int]:
-        """The residue of `row` keyed by column rank, as a primitive integer
-        row with no pivot column."""
+    def reduce(self, row: Mapping[int, Coeff]) -> Row:
+        """The residue of `row`, a primitive integer row with no pivot
+        column; unique up to a nonzero scalar factor."""
         scale = lcm(*(v.denominator for v in row.values()))
-        rank = self._rank
-        out = {rank[k]: v.numerator * (scale // v.denominator) for k, v in row.items() if v}
+        out = {c: v.numerator * (scale // v.denominator) for c, v in row.items() if v}
         _divide_content(out)
         pivots = self._pivots
-        # clearing a pivot column only brings in columns ranked after it, so a
-        # min-heap of the pivot columns present yields them in priority order
-        heap = [r for r in out if r in pivots]
+        # clearing a pivot column only brings in later columns, so a min-heap
+        # of the pivot columns present yields them in priority order
+        heap = [c for c in out if c in pivots]
         heapify(heap)
         while heap:
-            r = heappop(heap)
-            c = out.get(r)
-            if c is None:  # cancelled since it was pushed
+            c = heappop(heap)
+            v = out.get(c)
+            if v is None:  # cancelled since it was pushed
                 continue
-            prow = pivots[r]
-            g = gcd(prow[r], c)
-            a, b = prow[r] // g, c // g
+            prow = pivots[c]
+            g = gcd(prow[c], v)
+            a, b = prow[c] // g, v // g
             if a != 1:
                 for k in out:
                     out[k] *= a
-            for k, v in prow.items():
+            for k, w in prow.items():
                 if k in out:
-                    nv = out[k] - b * v
+                    nv = out[k] - b * w
                     if nv:
                         out[k] = nv
                     else:
                         del out[k]
                 else:
-                    out[k] = -b * v
+                    out[k] = -b * w
                     if k in pivots:
                         heappush(heap, k)
             _divide_content(out)
         return out
 
-    def reduce(self, row: Mapping[Hashable, int | Fraction]) -> Row:
-        """Eliminate all pivot columns from `row`; the residue is returned up
-        to a nonzero scalar factor."""
-        red = self._reduce(row)
-        if red and not self._col:
-            self._col = {r: k for k, r in self._rank.items()}
-        return {self._col[r]: v for r, v in red.items()}
-
-    def add(self, row: Mapping[Hashable, int | Fraction]) -> bool:
+    def add(self, row: Mapping[int, Coeff]) -> bool:
         """Insert a row; returns True if it enlarged the span."""
-        red = self._reduce(row)
+        red = self.reduce(row)
         if not red:
             return False
         pivot = min(red)
@@ -122,11 +106,11 @@ class SparseEchelon:
 
 
 class ContractedEchelon:
-    """The span of a row stream (read until every class is dead), with the `rank`,
-    `pivots_among` and `reduce` of a `SparseEchelon` fed all of it; `col_rank` is onto 0..n-1."""
+    """The span of a row stream over the columns 0..n-1 (read until every class
+    is dead), with the `rank`, `pivots_among` and `reduce` of a `SparseEchelon`
+    fed all of it."""
 
-    def __init__(self, col_rank: Mapping[Hashable, int], rows: Iterable[Mapping[Hashable, Coeff]]):
-        n = len(col_rank)
+    def __init__(self, n: int, rows: Iterable[Mapping[int, Coeff]]):
         # column c is num[c]/den[c] times parent[c] modulo the short rows;
         # dead[r]: the class of root r lies in the span
         parent, num, den, dead = list(range(n)), [1] * n, [1] * n, [False] * n
@@ -149,13 +133,13 @@ class ContractedEchelon:
             if len(row) > 2:
                 wide.append(row)
                 continue
-            (k1, v1), *rest = row.items()
-            r1, n1, d1 = find(col_rank[k1])
+            (c1, v1), *rest = row.items()
+            r1, n1, d1 = find(c1)
             doomed = (r1,)
             if rest:
-                ((k2, v2),) = rest
-                r2, n2, d2 = find(col_rank[k2])
-                # root r1 is p/q times root r2, from v1*k1 + v2*k2 = 0
+                ((c2, v2),) = rest
+                r2, n2, d2 = find(c2)
+                # root r1 is p/q times root r2, from v1*c1 + v2*c2 = 0
                 p = -v2.numerator * v1.denominator * d1 * n2
                 q = v1.numerator * v2.denominator * n1 * d2
                 if r1 != r2 and not (dead[r1] or dead[r2]):
@@ -172,23 +156,18 @@ class ContractedEchelon:
                 dead[r] = True
             if not live:
                 break
-        self._n, self._roots = n, [c for c in range(n) if parent[c] == c and not dead[c]]
-        # column -> (its root, as num, den) if it is live, None if it is dead
-        self._to_root: dict = dict.fromkeys(col_rank)
-        cols = {c: k for k, c in col_rank.items()} if live else {}
-        for c, k in cols.items():
-            r, a, b = find(c)
-            self._to_root[k] = None if dead[r] else (cols[r], a, b)
-        self._wide = SparseEchelon(col_rank)
+        self._n, self._find, self._dead = n, find, dead
+        self._roots = [c for c in range(n) if parent[c] == c and not dead[c]]
+        self._wide = SparseEchelon()
         for row in wide:
             self._wide.add(self._project(row))
         self.rank = n - len(self._roots) + self._wide.rank
 
-    def _project(self, row: Mapping[Hashable, Coeff]) -> dict[Hashable, int]:
+    def _project(self, row: Mapping[int, Coeff]) -> Row:
         # `row` moved onto the live roots and scaled to integers, which
         # changes it by a vector of the span
-        to_root, out = self._to_root, {}
-        terms = [(t, v) for k, v in row.items() if (t := to_root[k])]
+        find, dead, out = self._find, self._dead, {}
+        terms = [(t, v) for c, v in row.items() if not dead[(t := find(c))[0]]]
         scale = lcm(*(v.denominator * b for (_, _, b), v in terms))
         for (r, a, b), v in terms:
             out[r] = out.get(r, 0) + v.numerator * a * (scale // (v.denominator * b))
@@ -199,6 +178,6 @@ class ContractedEchelon:
         # the long rows moved onto the roots
         return min(k, self._n) - sum(r < k for r in self._roots) + self._wide.pivots_among(k)
 
-    def reduce(self, row: Mapping[Hashable, Coeff]) -> Row:
+    def reduce(self, row: Mapping[int, Coeff]) -> Row:
         """The residue of `row`, up to a nonzero scalar factor."""
         return self._wide.reduce(self._project(row))

@@ -510,6 +510,67 @@ def test_verify_quiver_bounded_before_build(monkeypatch, suite):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("flags", [["--r", "9"], ["--lo", "7"], ["--lo", "0", "--hi", "1"], ["--r", "0"]])
+def test_verify_quiver_refuses_unread_flags(monkeypatch, capsys, flags):
+    # the quiver suite sweeps no window and reads no level, so these flags
+    # are refused before anything is built rather than ignored
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quiver was built")
+
+    for name in ("build_p1_quiver", "build_p2_quiver", "build_sl3_quiver"):
+        monkeypatch.setattr(qv, name, refuse)
+    code, out = invoke(["verify", "--suite", "quiver", *flags])
+    assert code == 2 and out == ""
+    assert flags[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "suite,r",
+    [("reciprocity", 1), ("bounds", 1), ("linkage", 1), ("multfree", 1), ("steinberg", 2), ("all", 2)],
+)
+def test_window_past_2_to_63_is_usage_error(capsys, suite, r):
+    # a window of 2**67 weights is sized without len(range), which overflows
+    big = str(10**20)
+    code, out = invoke(["verify", "--suite", suite, "--r", str(r), "--lo", "-" + big, "--hi", big])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 120
+
+
+@pytest.mark.parametrize("command", ["quiver-build", "quiver-check"])
+@pytest.mark.parametrize(
+    "value",
+    ["1e5000", "1e-5000", "1e10000000", "1e1_001", "-0.5E+1000", "1" * 1001, "1/" + "3" * 1000],
+    ids=["1e5000", "1e-5000", "1e10000000", "1e1_001", "-0.5E+1000", "1001-digits", "1/1000-digits"],
+)
+def test_scalar_digits_bounded_before_parse(monkeypatch, capsys, command, value):
+    # a value that expands past SCALAR_DIGITS digits could not be printed in
+    # the report (or would take seconds to parse), so it is refused first
+    import fractions
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(fractions, "Fraction", refuse)
+    monkeypatch.setattr(qv, "build_sl3_quiver", refuse)
+    code, out = invoke([command, "--preset", "sl3", "--scalars", f"a={value}"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "digits" in err and len(err) < 120
+
+
+def test_scalars_within_digit_bound_print():
+    # values at the bound are read and printed in full
+    big = "9" * cli.SCALAR_DIGITS
+    scalars = f"m1={big},n1=-1e{cli.SCALAR_DIGITS - 10}"
+    code, out = invoke(["quiver-build", "--preset", "p2", "--scalars", scalars])
+    assert code == 0 and big in out
+    code, out = invoke(["quiver-check", "--preset", "p2", "--scalars", scalars])
+    assert code == 1 and json.loads(out)["context"]["scalars"]["m1"] == big
+    code, out = invoke(["quiver-build", "--preset", "sl3", "--scalars", f"r=1/{big[1:]}"])
+    assert code == 0 and f"1/{big[1:]}" in out
+
+
 @pytest.mark.parametrize(
     "argv,where",
     [

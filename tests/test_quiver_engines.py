@@ -153,15 +153,17 @@ def test_contracted_echelon_matches_sparse_echelon(maker, max_len):
     setup = _linear_setup(quiver, rels, max_len)
     for pair, plist in setup.alive.items():
         order = sorted(plist, key=lambda q: (-len(q), q))
-        plain = SparseEchelon({path: i for i, path in enumerate(order)})
-        for row in _relation_rows(setup, pair):
+        col = {path: i for i, path in enumerate(order)}
+        plain = SparseEchelon()
+        for row in _relation_rows(setup, pair, col):
             plain.add(row)
-        ech = _echelon(setup, pair)
+        ech, ech_col = _echelon(setup, pair)
+        assert ech_col == col and list(ech_col) == order
         tops = [path for path in plist if len(path) == max_len]
         assert ech.rank == plain.rank
         assert ech.pivots_among(len(tops)) == plain.pivots_among(len(tops))
         for path in tops:
-            assert set(ech.reduce({path: 1})) == set(plain.reduce({path: 1}))
+            assert set(ech.reduce({col[path]: 1})) == set(plain.reduce({col[path]: 1}))
 
 
 def test_not_saturated_raises():

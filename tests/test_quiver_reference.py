@@ -80,17 +80,19 @@ def reference_quotient_dims(quiver, rels, max_len):
     core = quiver.core
     for pair in sorted(alive, key=_pair_key):
         plist = alive[pair]
-        ech = SparseEchelon(
-            {path: i for i, path in enumerate(sorted(plist, key=lambda q: (-len(q), q)))}
-        )
+        # columns in priority order: longer paths first
+        order = sorted(plist, key=lambda q: (-len(q), q))
+        col = {path: i for i, path in enumerate(order)}
+        ech = SparseEchelon()
         for row in rows.get(pair, ()):
-            ech.add(row)
+            ech.add({col[path]: c for path, c in row.items()})
         dims[pair] = len(plist) - ech.rank
         if pair[0] in core and pair[1] in core:
             for path in plist:
                 if len(path) != max_len:
                     continue
-                top = [k for k in ech.reduce({path: 1}) if len(k) == max_len]
+                residue = ech.reduce({col[path]: 1})
+                top = [order[k] for k in residue if len(order[k]) == max_len]
                 if top:
                     if not unsaturated:
                         witness = sorted(map(quiver.format_path, top))

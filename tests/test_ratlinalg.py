@@ -1,6 +1,8 @@
 """SparseEchelon and ContractedEchelon against a dense Fraction Gaussian
 elimination: rank, the verdict of each add, the pivot counts and the support
-of each residue must agree."""
+of each residue must agree.  Systems are drawn over labelled columns and a
+drawn priority order, then handed to the echelons by each label's index in
+that order."""
 
 from __future__ import annotations
 
@@ -62,12 +64,19 @@ def systems(draw):
     return order, rows, probes, combos
 
 
+def indexed(order: list, *rowlists: list[dict]) -> list[list[dict]]:
+    """Each row keyed by its labels' indices in the priority `order`."""
+    col = {c: i for i, c in enumerate(order)}
+    return [[{col[c]: v for c, v in row.items()} for row in rows] for rows in rowlists]
+
+
 @settings(deadline=None, max_examples=150)
 @given(systems())
 def test_echelon_matches_dense_reference(system):
     order, rows, probes, combos = system
-    ech = SparseEchelon({c: i for i, c in enumerate(order)})
-    ref = DenseReference(order)
+    rows, probes = indexed(order, rows, probes)
+    ech = SparseEchelon()
+    ref = DenseReference(list(range(len(order))))
     for row in rows:
         assert ech.add(row) == ref.add(row)
         assert ech.rank == len(ref.rows)
@@ -91,9 +100,10 @@ def test_pivot_count_is_projected_rank(system, k):
     # pivots among the k highest-priority columns = rank of the span
     # projected onto them; it is k iff each of them reduces off all of them
     order, rows, _, _ = system
+    (rows,) = indexed(order, rows)
     k = min(k, len(order))
-    head = order[:k]
-    ech = SparseEchelon({c: i for i, c in enumerate(order)})
+    head = list(range(k))
+    ech = SparseEchelon()
     projected = DenseReference(head)  # reads only the head columns of a row
     for row in rows:
         ech.add(row)
@@ -149,8 +159,9 @@ def binomial_systems(draw):
 @given(binomial_systems())
 def test_contracted_echelon_matches_dense_reference(system):
     order, rows, probes = system
-    ech = ContractedEchelon({c: i for i, c in enumerate(order)}, iter(rows))
-    ref = DenseReference(order)
+    rows, probes = indexed(order, rows, probes)
+    ech = ContractedEchelon(len(order), iter(rows))
+    ref = DenseReference(list(range(len(order))))
     for row in rows:
         ref.add(row)
     assert ech.rank == len(ref.rows)
