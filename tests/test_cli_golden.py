@@ -8,11 +8,12 @@ Hom and the generator family stopped rebuilding a dict per step, the six
 quiver checks across translates before the linear engine was folded by
 symmetries of the vertex pairs, the five emitter entries before every
 command wrote through one emitter, the four ladder shapes before p1 and p2
-were built by one ladder builder, and the last two before `verify` counted
-its passing weight checks instead of storing them.  A refactor of `cli.py`,
-`quiver.py`, `deltafilt.py` or `weights.py` must leave every entry
-unchanged; a deliberate change of output format must update the digests in
-the same change.
+were built by one ladder builder, the two `verify` sweeps before `verify`
+counted its passing weight checks instead of storing them, and the last
+before `cell-basis` tallied standard factors in one pass.  A refactor of
+`cli.py`, `quiver.py`, `deltafilt.py` or `weights.py` must leave every
+entry unchanged; a deliberate change of output format must update the
+digests in the same change.
 """
 
 from __future__ import annotations
@@ -107,6 +108,9 @@ GOLDEN = [
     # sweep over about two periods of p^(r-1), and a reciprocity half period
     ("verify --suite steinberg --p 3 --r 5 --lo -244 --hi 244", 0, "8881d22bdc6c0254aaf251c3e0ada56625c5488e16308414bc9c30cd29a8723c"),
     ("verify --suite reciprocity --p 3 --r 5 --lo -897 --hi -655", 0, "fb03e01dac2e782932a7d2310c9c452cb3bb1a8b9039c45585b011a59f48fd5f"),
+    # cell indices of objects with multiplicities, over repeated flags: i
+    # runs to 3 and j to 2
+    ("cell-basis --source 0,4,4 --source 8 --target 4,8,8 --target 4 --p 3 --r 2", 0, "eef2ac6f48f02afb4192ef51d7dfe031853630ce71a59272341a07c2b99df730"),
 ]
 
 

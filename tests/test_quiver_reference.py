@@ -9,6 +9,7 @@ a relation set breaks a symmetry the engine would otherwise use."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -22,6 +23,7 @@ from tiltcell.quiver import (
     _alive_paths,
     _linear_setup,
     _pair_key,
+    _relation_rows,
     _rule_to_relation,
     build_p1_quiver,
     build_p2_quiver,
@@ -235,6 +237,63 @@ def test_quotient_dims_matches_reference(case):
             f"{len(unsaturated)} core pair(s) have irreducible length-{max_len} paths; "
             f"first: {unsaturated[0]}, residue words: {', '.join(witness)}"
         )
+
+
+def plain_relation_rows(rels, max_len, alive):
+    """Pair -> its rows, each a list of (path, integer coefficient), in the
+    order the engine yields them: per vertex u reached from s (in the order
+    of `alive`), per relation of two or more terms from u (in relation
+    order), per prefix x and then suffix y (each in length order), the
+    composite x*rel*y if it fits.  A term is kept unless its full composite
+    contains a monomial redex; coefficients are scaled by the denominators
+    of all the relation's terms."""
+    zeros = rels.zero_redexes()
+    zlens = sorted({len(z) for z in zeros})
+    reach: dict = {}
+    for s, u in alive:
+        reach.setdefault(s, []).append(u)
+    starting: dict = {}
+    for rel in rels.relations:
+        if len(rel.terms) > 1:
+            starting.setdefault(rel.source, []).append(rel)
+    rows: dict = {}
+    for s in reach:
+        for u in reach[s]:
+            for rel in starting.get(u, ()):
+                span = max(len(term) for term in rel.terms)
+                scale = lcm(*(c.denominator for c in rel.terms.values()))
+                terms = [(term, int(c * scale)) for term, c in rel.terms.items()]
+                for x in alive[(s, u)]:
+                    room = max_len - span - len(x)
+                    if room < 0:
+                        break
+                    for t in reach.get(rel.target, ()):
+                        for y in alive[(rel.target, t)]:
+                            if len(y) > room:
+                                break
+                            row = [
+                                (x + term + y, c)
+                                for term, c in terms
+                                if not contains_subword(x + term + y, zeros, zlens)
+                            ]
+                            if row:
+                                rows.setdefault((s, t), []).append(row)
+    return rows
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_relation_rows_match_plain_generator(case):
+    """On every alive pair, the engine's rows are the plain generator's,
+    row by row and term by term."""
+    build, max_len = CASES[case]
+    quiver, rels = build()
+    setup = _linear_setup(quiver, rels, max_len)
+    want = plain_relation_rows(rels, max_len, setup.alive)
+    for pair, plist in setup.alive.items():
+        order = sorted(plist, key=lambda q: (-len(q), q))
+        col = {path: c for c, path in enumerate(order)}
+        got = [[(order[c], k) for c, k in row.items()] for row in _relation_rows(setup, pair, col)]
+        assert got == want.get(pair, []), pair
 
 
 def test_symmetry_certificates():
