@@ -50,8 +50,11 @@ Two independent engines are provided and cross-checked:
   irreducible-word counts with the linear dimensions is an empirical check.
 
 A `RelationSet` builds its rewrite index (rule table, redex lengths) once,
-at construction, and rules are fixed after that.  The rewriting engine reads
-the index; both engines scan for subwords with `_has_word`.
+at construction, and rules are fixed after that.  The rewriting engine finds
+redexes in that index (`_Reducer._rewrite`).  The linear engine tests a path
+for a monomial relation once, while it enumerates the alive paths
+(`_alive_paths`); after that a path of at most max_len arrows holds one
+exactly when it is not alive.
 
 One reducer (`_Reducer`) does all rewriting.  It rewrites each reducible
 path once, at its leftmost position and there by the shortest redex, and
@@ -584,23 +587,6 @@ PRESETS: dict[str, Preset] = {
 # ---------------------------------------------------------------------------
 
 
-def _has_word(
-    path: Path, words: set[Path], lengths: list[int], a: int = 0, b: int | None = None
-) -> bool:
-    """Whether some word of `words` occurs in `path` other than inside
-    path[:a] or path[b:], i.e. at some [i, i + L) with i < b and i + L > a.
-    `lengths` are the word lengths, ascending; by default the whole path is
-    scanned."""
-    n = len(path)
-    if b is None:
-        b = n
-    for L in lengths:
-        for i in range(max(0, a - L + 1), min(b, n - L + 1)):
-            if path[i : i + L] in words:
-                return True
-    return False
-
-
 def _alive_paths(
     quiver: Quiver, max_len: int, words: set[Path]
 ) -> dict[Pair, list[Path]]:
@@ -647,11 +633,9 @@ class _LinearSetup(NamedTuple):
     """What one call of the linear engine shares between vertex pairs."""
 
     max_len: int
-    zeros: set[Path]  # monomial redexes
-    zlens: list[int]  # their lengths, ascending
     alive: dict[Pair, list[Path]]  # each list in (length, lex) order
-    # source vertex -> (target, longest term, integer-scaled terms) per
-    # non-monomial relation; terms containing a monomial redex are left out
+    # source vertex -> (target, longest term, integer-scaled alive terms) per
+    # non-monomial relation with a live term and no term longer than max_len
     index: dict[Vertex, list[tuple[Vertex, int, tuple[tuple[Path, int], ...]]]]
     reach: dict[Vertex, list[Vertex]]  # source -> targets of its alive paths
     shortest: int  # no relation row has a path shorter than this
@@ -660,37 +644,32 @@ class _LinearSetup(NamedTuple):
 def _linear_setup(quiver: Quiver, rels: RelationSet, max_len: int) -> _LinearSetup:
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    zeros = rels.zero_redexes()
-    zlens = sorted({len(z) for z in zeros})
-    alive = _alive_paths(quiver, max_len, zeros)
+    alive = _alive_paths(quiver, max_len, rels.zero_redexes())
     index: dict = {}
     shortest = max_len + 1
     for rel in rels.relations:
-        if len(rel.terms) > 1:
+        span = max(len(term) for term in rel.terms)
+        if len(rel.terms) > 1 and span <= max_len:  # a longer relation has no instance
             # rows matter only up to a scalar, so clear the denominators
             scale = lcm(*(c.denominator for c in rel.terms.values()))
-            terms = tuple(
-                (term, int(c * scale))
-                for term, c in rel.terms.items()
-                if not _has_word(term, zeros, zlens)
-            )
+            live = alive.get((rel.source, rel.target), ())
+            terms = tuple((term, int(c * scale)) for term, c in rel.terms.items() if term in live)
             if terms:
-                span = max(len(term) for term in rel.terms)
                 index.setdefault(rel.source, []).append((rel.target, span, terms))
                 shortest = min(shortest, *(len(term) for term, _ in terms))
     reach: dict = {}
     for s, u in alive:
         reach.setdefault(s, []).append(u)
-    return _LinearSetup(max_len, zeros, zlens, alive, index, reach, shortest)
+    return _LinearSetup(max_len, alive, index, reach, shortest)
 
 
 def _relation_rows(setup: _LinearSetup, pair: Pair, col: Mapping[Path, int]) -> Iterator[Row]:
     """Nonzero rows x*rel*y from s to t of length <= max_len, one per non-monomial
     relation instance, each scaled to integers and keyed by the column `col`
-    gives each path; composites containing a monomial relation are dropped.
-    As x, y and the live terms are free of monomial redexes, only windows
-    crossing a junction are scanned."""
-    max_len, zeros, zlens, alive = setup.max_len, setup.zeros, setup.zlens, setup.alive
+    gives each path.  `col` holds exactly the alive paths of the pair, so the
+    term of a composite that contains a monomial relation has no column and
+    is dropped."""
+    max_len, alive = setup.max_len, setup.alive
     s, t = pair
     for u in setup.reach.get(s, ()):
         instances = setup.index.get(u)
@@ -702,18 +681,13 @@ def _relation_rows(setup: _LinearSetup, pair: Pair, col: Mapping[Path, int]) -> 
             if not suffixes:
                 continue
             for x in prefixes:
-                a = len(x)
-                room = max_len - span - a
+                room = max_len - span - len(x)
                 if room < 0:
                     break
                 for y in suffixes:
                     if len(y) > room:
                         break
-                    row = {}
-                    for term, coeff in terms:
-                        key = x + term + y
-                        if not _has_word(key, zeros, zlens, a, a + len(term)):
-                            row[col[key]] = coeff
+                    row = {c: k for term, k in terms if (c := col.get(x + term + y)) is not None}
                     if row:
                         yield row
 
@@ -951,20 +925,17 @@ def ideal_member(
     quiver: Quiver, rels: RelationSet, elem: PathElement, max_len: int | None = None
 ) -> bool:
     """Exact membership of elem in the relation ideal, truncated at max_len.
-    Used by the tests to certify derived rewrite rules."""
+    A term longer than max_len is not decided within the truncation, so the
+    answer is then False, also for a term that holds a monomial relation.  A
+    shorter term that is not alive holds one and is dropped.  Used by the
+    tests to certify derived rewrite rules."""
     if max_len is None:
         max_len = max(PRESETS[quiver.preset].max_len, max((len(t) for t in elem.terms), default=0))
     setup = _linear_setup(quiver, rels, max_len)
-    pair = (elem.source, elem.target)
-    vec = {
-        path: c
-        for path, c in elem.terms.items()
-        if not _has_word(path, setup.zeros, setup.zlens)
-    }
-    if not set(vec) <= set(setup.alive.get(pair, ())):
-        return False  # a surviving path beyond the truncation is never eliminated
-    ech, col = _echelon(setup, pair)
-    return not ech.reduce({col[path]: c for path, c in vec.items()})
+    if any(len(path) > max_len for path in elem.terms):
+        return False
+    ech, col = _echelon(setup, (elem.source, elem.target))
+    return not ech.reduce({col[path]: c for path, c in elem.terms.items() if path in col})
 
 
 def check_against_cellular(

@@ -95,6 +95,19 @@ def test_derived_rules_are_consequences():
         assert not ideal_member(q, rels, elem, len(redex) - 1)
 
 
+def test_ideal_member_decides_only_within_the_truncation():
+    # u1*u0 = 0, so d1*u1*u0 lies in the ideal: within the truncation its
+    # term is not alive and is dropped, beyond it the answer is False
+    q, rels = build_p2_quiver(3, window=1)
+    path = tuple(map(q.arrow_id, ["u0", "u1", "d1"]))
+    assert path[:2] in rels.zero_redexes()
+    assert ideal_member(q, rels, PathElement(0, 1, {path: 2}), 3)
+    assert not ideal_member(q, rels, PathElement(0, 1, {path: 2}), 2)
+    # dropping it leaves the arrow u0 beside it, and every relation lies in
+    # the square of the arrow ideal
+    assert not ideal_member(q, rels, PathElement(0, 1, {path: 2, (q.arrow_id("u0"),): 1}), 3)
+
+
 def _balanced(p, magnitude, m_sign, n_sign, **thetas):
     """One magnitude for every square scalar, one sign per family."""
     sign = {"m": m_sign, "n": n_sign}
