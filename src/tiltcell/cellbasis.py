@@ -57,28 +57,31 @@ def object_label(M: dict[int, int]) -> ObjectLabel:
     return tuple(sorted((w, m) for w, m in M.items() if m))
 
 
-def _filtration_count(M: dict[int, int], nu: int, ctx: Context) -> int:
-    return sum(m * delta_factors(lam, ctx).get(nu, 0) for lam, m in M.items())
+def standard_counts(M: dict[int, int], ctx: Context) -> dict[int, int]:
+    """{nu: (M : Delta(nu))} for a direct sum M = {highest weight:
+    multiplicity}, tallied in one pass over its factor tables."""
+    out: dict[int, int] = {}
+    for lam, m in M.items():
+        for nu, k in delta_factors(lam, ctx).items():
+            out[nu] = out.get(nu, 0) + m * k
+    return out
 
 
 def cell_indices(P: dict[int, int], Q: dict[int, int], ctx: Context) -> list[CellIndex]:
     """All cellular index triples for Hom(P, Q), where P and Q are direct
     sums of indecomposable tiltings given as {highest weight: multiplicity}.
 
-    Grouped by cell weight in decreasing order; the total count equals the
-    Hom dimension.
+    Grouped by cell weight in decreasing order; there are
+    sum over nu of (P : Delta(nu)) * (Q : Delta(nu)), and that count must
+    equal the Hom dimension, which is checked from |P| * |Q| Hom pairs.
     """
     src, tgt = object_label(P), object_label(Q)
-    cells: set[int] = set()
-    for lam, m in P.items():
-        if m:
-            cells.update(delta_factors(lam, ctx))
-    out: list[CellIndex] = []
-    for nu in sorted(cells, reverse=True):
-        kp = _filtration_count(P, nu, ctx)
-        kq = _filtration_count(Q, nu, ctx)
-        for i, j in product(range(1, kp + 1), range(1, kq + 1)):
-            out.append(CellIndex(nu, i, j, src, tgt))
+    kp, kq = standard_counts(P, ctx), standard_counts(Q, ctx)
+    out = [
+        CellIndex(nu, i, j, src, tgt)
+        for nu in sorted(kp, reverse=True)
+        for i, j in product(range(1, kp[nu] + 1), range(1, kq.get(nu, 0) + 1))
+    ]
     dim = hom_dim_sum(P, Q, ctx)
     if len(out) != dim:
         raise InvariantViolation(

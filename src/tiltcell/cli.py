@@ -7,9 +7,12 @@ found a failure, 2 on usage errors, an unwritable --output among them.
 TILTCELL_MAX_WORK caps sweep sizes, the entries of the factor tables a
 command reads, the support of a `char` character, and the vertex count and
 (where a quotient is computed) the rough path count of a preset quiver,
-each checked before it is built.  It also bounds --p by the sqrt(p)/2 trial
-divisions of its primality test, and --r, the length of every factor-table
-walk.
+each checked before it is built, and the cell indices that `cell-basis`
+lists (the sum over nu of (P : Delta(nu)) * (Q : Delta(nu))) and the
+|P| * |Q| Hom pairs of their cross-check, both before any is listed.  It also
+bounds --p by the sqrt(p)/2 trial divisions of its primality test, and --r,
+the length of every factor-table walk.  A refusal that quotes its input
+quotes at most a short prefix, so that it stays one short line.
 
 `verify` output carries per-check item/failure counts plus the failing items
 themselves; passing items of large sweeps are not echoed.  The reciprocity
@@ -52,10 +55,17 @@ DEFAULT_P, DEFAULT_R = 3, 1
 # the digits a --scalars value may expand to, well below the 4300 that
 # Python converts an int to text with, so that every scalar prints
 SCALAR_DIGITS = 1000
+QUOTED_CHARS = 20  # the most of an input that an error message quotes
 
 
 class UsageError(Exception):
     pass
+
+
+def _quoted(text: str) -> str:
+    """text as an ASCII literal, cut to QUOTED_CHARS characters."""
+    shown = ascii(text)
+    return shown if len(shown) <= QUOTED_CHARS else shown[:QUOTED_CHARS] + "..."
 
 
 def max_work() -> int:
@@ -63,7 +73,7 @@ def max_work() -> int:
     try:
         return int(raw) if raw else DEFAULT_MAX_WORK
     except ValueError:
-        raise UsageError(f"TILTCELL_MAX_WORK must be an integer, got {raw!r}")
+        raise UsageError(f"TILTCELL_MAX_WORK must be an integer, got {_quoted(raw)}")
 
 
 def _magnitude(n: int) -> str:
@@ -119,7 +129,7 @@ def _emit(args, text: str) -> None:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise UsageError(f"cannot write --output: {exc}")
+            raise UsageError(f"cannot write --output {_quoted(args.output)}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -164,16 +174,16 @@ def _parse_scalars(raw: str | None) -> dict[str, Fraction]:
         if not piece:
             continue
         if "=" not in piece:
-            raise UsageError(f"scalar assignment {piece!r} is not of the form key=value")
+            raise UsageError(f"scalar assignment {_quoted(piece)} is not of the form key=value")
         key, val = (s.strip() for s in piece.split("=", 1))
         if key in out:
-            raise UsageError(f"scalar {key!r} is assigned twice")
+            raise UsageError(f"scalar {_quoted(key)} is assigned twice")
         if _scalar_digits(val) > SCALAR_DIGITS:
-            raise UsageError(f"scalar {key!r} expands to more than {SCALAR_DIGITS} digits")
+            raise UsageError(f"scalar {_quoted(key)} expands to more than {SCALAR_DIGITS} digits")
         try:
             out[key] = Fraction(val)
         except (ValueError, ZeroDivisionError):
-            raise UsageError(f"bad scalar value {val!r}")
+            raise UsageError(f"bad scalar value {_quoted(val)}")
     return out
 
 
@@ -186,7 +196,7 @@ def _weights_list(raw: list[str]) -> dict[int, int]:
                 try:
                     w = int(piece)
                 except ValueError:
-                    raise UsageError(f"bad weight {piece!r}")
+                    raise UsageError(f"bad weight {_quoted(piece)}")
                 out[w] = out.get(w, 0) + 1
     return out
 
@@ -218,7 +228,7 @@ def _preset_build(
     names = preset.scalar_names(p)
     for key in scalars:
         if key not in names:
-            raise UsageError(f"unknown scalar {key!r}; valid: {', '.join(names) or 'none'}")
+            raise UsageError(f"unknown scalar {_quoted(key)}; valid: {', '.join(names) or 'none'}")
 
     def build() -> tuple[qv.Quiver, qv.RelationSet]:
         try:
@@ -285,6 +295,9 @@ def cmd_cell_basis(args) -> int:
     if not P or not Q:
         raise UsageError("cell-basis needs --source and --target weight lists")
     guard_tables([*P, *Q], ctx)
+    kp, kq = cellbasis.standard_counts(P, ctx), cellbasis.standard_counts(Q, ctx)
+    guard_work(sum(k * kq.get(nu, 0) for nu, k in kp.items()))  # the indices listed
+    guard_work(len(P) * len(Q))  # the Hom pairs of their cross-check
     indices = [c.to_dict() for c in cellbasis.cell_indices(P, Q, ctx)]
     _emit_doc(args, {"p": ctx.p, "r": ctx.r, "count": len(indices), "indices": indices})
     return 0
@@ -481,7 +494,7 @@ def _run_suite(name: str, args) -> list[Report]:
 
 def cmd_verify(args) -> int:
     if args.suite not in _SUITES:
-        raise UsageError(f"unknown suite {args.suite!r}; valid: {', '.join(_SUITES)}")
+        raise UsageError(f"unknown suite {_quoted(args.suite)}; valid: {', '.join(_SUITES)}")
     reports = _run_suite(args.suite, args)
     failed = [Report(rep.check, rep.context, rep.failures) for rep in reports]
     ok = not any(rep.items for rep in failed)

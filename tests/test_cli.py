@@ -584,3 +584,66 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, argv, where):
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+LONG = "x" * 20_000
+
+
+@pytest.mark.parametrize(
+    "argv,env",
+    [
+        (["quiver-check", "--preset", "sl3", "--scalars", f"a={LONG}"], None),
+        (["quiver-check", "--preset", "sl3", "--scalars", f"{LONG}=1"], None),
+        (["quiver-check", "--preset", "p2", "--scalars", f"{LONG}=1"], None),
+        (["quiver-check", "--preset", "sl3", "--scalars", LONG], None),
+        (["quiver-check", "--preset", "sl3", "--scalars", f"{LONG}=1,{LONG}=2"], None),
+        (["cell-basis", "--source", LONG, "--target", "0"], None),
+        (["verify", "--suite", LONG], None),
+        (["delta-factors", "--weight", "0"], f"junk{LONG}"),
+    ],
+    ids=[
+        "scalar-value", "scalar-key", "p2-scalar-key", "scalar-assignment", "scalar-twice",
+        "weight", "suite", "max-work",
+    ],
+)
+def test_refusal_quotes_a_short_prefix(monkeypatch, capsys, argv, env):
+    # a refusal that quotes its input stays one short line however long the
+    # input is
+    if env is not None:
+        monkeypatch.setenv("TILTCELL_MAX_WORK", env)
+    code, out = invoke(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 120
+    assert "xxxxxxxxxxxxxx..." in err
+
+
+def test_unwritable_output_quotes_a_short_prefix(tmp_path, capsys):
+    code, out = invoke(["delta-factors", "--weight", "0", "--output", str(tmp_path / LONG)])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write --output ") and err.count("\n") == 1
+    assert len(err.encode()) < 120
+
+
+@pytest.mark.parametrize(
+    "listed",
+    [["0"] * 300, [str(w) for w in range(300)], [str(w) for w in range(40)]],
+    ids=["300-zeros", "300-weights", "40-weights"],
+)
+def test_cell_basis_bounded_before_listing(monkeypatch, listed):
+    # the cell indices, the sum over nu of k_P(nu) * k_Q(nu), and the
+    # |P| * |Q| Hom pairs of their cross-check are both bounded before any
+    # index is listed: 300 zeros make 180 000 indices from one pair, forty
+    # weights fewer than 1000 indices from 1600 pairs
+    def refuse(*args, **kwargs):
+        raise AssertionError("cell indices were listed")
+
+    monkeypatch.setattr(cellbasis, "cell_indices", refuse)
+    monkeypatch.setenv("TILTCELL_MAX_WORK", "1000")
+    source = ",".join(listed)
+    code, out = invoke(["cell-basis", "--source", source, "--target", source])
+    assert code == 2 and out == ""
+    if len(listed) == 40:
+        counts = cellbasis.standard_counts(dict.fromkeys(map(int, listed), 1), weights.Context(3, 1))
+        assert sum(k * k for k in counts.values()) < 1000
