@@ -9,8 +9,10 @@ quiver checks across translates before the linear engine was folded by
 symmetries of the vertex pairs, the five emitter entries before every
 command wrote through one emitter, the four ladder shapes before p1 and p2
 were built by one ladder builder, the two `verify` sweeps before `verify`
-counted its passing weight checks instead of storing them, and the last
-before `cell-basis` tallied standard factors in one pass.  A refactor of
+counted its passing weight checks instead of storing them, the
+`cell-basis` entry with multiplicities before `cell-basis` tallied standard
+factors in one pass, and the last three before the bounds, linkage and
+multfree sweeps counted their passing checks too.  A refactor of
 `cli.py`, `quiver.py`, `deltafilt.py` or `weights.py` must leave every
 entry unchanged; a deliberate change of output format must update the
 digests in the same change.
@@ -111,6 +113,12 @@ GOLDEN = [
     # cell indices of objects with multiplicities, over repeated flags: i
     # runs to 3 and j to 2
     ("cell-basis --source 0,4,4 --source 8 --target 4,8,8 --target 4 --p 3 --r 2", 0, "eef2ac6f48f02afb4192ef51d7dfe031853630ce71a59272341a07c2b99df730"),
+    # the other weight-sweeps shapes, two full periods 2p^r each: bounds at
+    # (3, 5), whose child sets the benchmark's peak RSS, linkage at (3, 4)
+    # and multfree at (3, 5)
+    ("verify --suite bounds --p 3 --r 5 --lo 378 --hi 1349", 0, "f779b5580c089a31456485dbc9b3838ec6c4c61a5a894807afe8f929eac62ac1"),
+    ("verify --suite linkage --p 3 --r 4 --lo 40 --hi 363", 0, "ae73125818fb3a54c2cd4bc87284439db0f7bd4ab7acb48e7cb5cf5f7276e4ed"),
+    ("verify --suite multfree --p 3 --r 5 --lo -731 --hi 240", 0, "a28928abddb7e2ce23e2998932c10b9560cdb094cbaaf468bc6f0878a2acd03c"),
 ]
 
 
