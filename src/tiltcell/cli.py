@@ -15,10 +15,10 @@ the length of every factor-table walk.  A refusal that quotes its input
 quotes at most a short prefix, so that it stays one short line.
 
 `verify` output carries per-check item/failure counts plus the failing items
-themselves; passing items of large sweeps are not echoed.  The reciprocity
-and Steinberg sweeps do not even build them: they add their failures to the
-suite's report and count the rest (`Report.unlisted`), and the Steinberg
-sweep computes the Hom pairs of each residue of m mod p^(r-1) once.  Its
+themselves; passing items are not echoed.  No weight sweep even builds
+them: each adds its failures to the suite's report and counts the rest
+(`Report.unlisted`), and the Steinberg sweep computes the Hom pairs of each
+residue of m mod p^(r-1) once.  Its
 guard bounds all (2*span+1)*(4p^(r-1)+2) items it checks, not just the
 window.  `quiver-check` emits the full per-pair comparison.
 """
@@ -228,7 +228,7 @@ def _preset_build(
     names = preset.scalar_names(p)
     for key in scalars:
         if key not in names:
-            raise UsageError(f"unknown scalar {_quoted(key)}; valid: {', '.join(names) or 'none'}")
+            raise UsageError(qv.unknown_scalar(args.preset, p, _quoted(key)))
 
     def build() -> tuple[qv.Quiver, qv.RelationSet]:
         try:
@@ -469,16 +469,18 @@ def _run_suite(name: str, args) -> list[Report]:
     if name in ("bounds", "all"):
         rep = Report("bounds", {"p": ctx.p, "r": ctx.r, "lo": lo, "hi": hi})
         for lam in range(lo, hi + 1):
-            rep.extend(deltafilt.verify_bounds(lam, ctx))
+            deltafilt.verify_bounds(lam, ctx, rep)
         reports.append(rep)
     if name in ("linkage", "all"):
         rep = Report("strong-linkage", {"p": ctx.p, "r": ctx.r, "lo": lo, "hi": hi})
         for lam in range(lo, hi + 1):
-            rep.extend(deltafilt.verify_strong_linkage(lam, ctx))
-        rep.extend(deltafilt.verify_linkage_necessity(lo, hi, ctx))
+            deltafilt.verify_strong_linkage(lam, ctx, rep)
+        deltafilt.verify_linkage_necessity(lo, hi, ctx, rep)
         reports.append(rep)
     if name in ("multfree", "all"):
-        reports.append(deltafilt.verify_mult_free(lo, hi, ctx))
+        # the one weight report without its window in the context
+        rep = Report("mult-free", {"p": ctx.p, "r": ctx.r})
+        reports.append(deltafilt.verify_mult_free(lo, hi, ctx, rep))
     if name in ("steinberg", "all") and ctx.r >= 2:
         rep = Report("steinberg-equivalence", {"p": ctx.p, "r": ctx.r, "lo": lo, "hi": hi})
         span = _steinberg_span(lo, hi, ctx)

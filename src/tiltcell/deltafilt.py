@@ -37,9 +37,9 @@ p^(r-1) once: moving m and its partner by p^(r-1) moves their images
 p-1+p*m by p^r, so by the shift equivariance of `hom_dim` at both levels the
 pairs depend only on that residue and on the distance of the partner.
 
-Both sweeps take an optional target report.  Without one they return a
-report of every item; with one they add only the failing items to it and
-count the rest in `Report.unlisted`, so a sweep whose passing items nobody
+Every sweep takes an optional target report.  Without one it returns a
+report of every item; with one it adds only the failing items to it and
+counts the rest in `Report.unlisted`, so a sweep whose passing items nobody
 reads never builds them.
 
 `hom_dim` never builds a shifted table: it compares the cached folded tables
@@ -203,31 +203,46 @@ def verify_reciprocity(lam: int, ctx: Context, target: Report | None = None) -> 
     return rep
 
 
-def verify_bounds(lam: int, ctx: Context) -> Report:
+def verify_bounds(lam: int, ctx: Context, target: Report | None = None) -> Report:
     """Every factor nu of the projective cover at lam satisfies
-    lam <= nu <= tilde(lam), and both endpoints occur exactly once."""
+    lam <= nu <= tilde(lam), and both endpoints occur exactly once.
+
+    With a target, the failures are added to it and the other items
+    counted; the target is returned."""
     lt = tilde(lam, ctx)
     fac = delta_factors(lt, ctx)
-    rep = Report("bounds", _ctx_dict(ctx))
-    for nu in sorted(fac):
+    rep = Report("bounds", _ctx_dict(ctx)) if target is None else target
+    factors = sorted(fac if target is None else (nu for nu in fac if not lam <= nu <= lt))
+    for nu in factors:
         rep.add(
             {"lam": lam, "nu": nu},
             {"lo": lam <= nu, "hi": nu <= lt},
             {"lo": True, "hi": True},
         )
-    rep.add({"lam": lam, "endpoint": lam}, fac.get(lam, 0), 1)
-    rep.add({"lam": lam, "endpoint": lt}, fac.get(lt, 0), 1)
+    endpoints = [e for e in (lam, lt) if target is None or fac.get(e, 0) != 1]
+    for e in endpoints:
+        rep.add({"lam": lam, "endpoint": e}, fac.get(e, 0), 1)
+    rep.unlisted += len(fac) + 2 - len(factors) - len(endpoints)
     return rep
 
 
-def verify_strong_linkage(lam: int, ctx: Context) -> Report:
+def verify_strong_linkage(lam: int, ctx: Context, target: Report | None = None) -> Report:
     """Every factor of the projective cover at lam is strongly linked above
-    lam and below tilde(lam)."""
+    lam and below tilde(lam).
+
+    With a target, the failures are added to it and the other items
+    counted; the target is returned."""
     lt = tilde(lam, ctx)
-    rep = Report("strong-linkage", _ctx_dict(ctx))
+    rep = Report("strong-linkage", _ctx_dict(ctx)) if target is None else target
     for nu in sorted(delta_factors(lt, ctx)):
-        rep.add({"lam": lam, "nu": nu, "dir": "up"}, strongly_linked(lam, nu, ctx), True)
-        rep.add({"lam": lam, "nu": nu, "dir": "to-tilde"}, strongly_linked(nu, lt, ctx), True)
+        for direction, linked in (
+            ("up", strongly_linked(lam, nu, ctx)),
+            ("to-tilde", strongly_linked(nu, lt, ctx)),
+        ):
+            if target is None or not linked:
+                rep.add({"lam": lam, "nu": nu, "dir": direction}, linked, True)
+            else:
+                rep.unlisted += 1
     return rep
 
 
@@ -273,28 +288,39 @@ def verify_steinberg_equivalence(m: int, ctx: Context, target: Report | None = N
     return rep
 
 
-def verify_mult_free(lo: int, hi: int, ctx: Context) -> Report:
+def verify_mult_free(lo: int, hi: int, ctx: Context, target: Report | None = None) -> Report:
     """All multiplicities are one and factor counts are powers of two over
-    the weight window [lo, hi]."""
-    rep = Report("mult-free", _ctx_dict(ctx))
+    the weight window [lo, hi].
+
+    With a target, the failures are added to it and the other items
+    counted; the target is returned."""
+    rep = Report("mult-free", _ctx_dict(ctx)) if target is None else target
     for lam in range(lo, hi + 1):
         fac = delta_factors(lam, ctx)
-        rep.add({"lam": lam, "check": "multiplicity"}, max(fac.values()), 1)
+        top = max(fac.values())
+        if target is None or top != 1:
+            rep.add({"lam": lam, "check": "multiplicity"}, top, 1)
+        else:
+            rep.unlisted += 1
         n = len(fac)
-        rep.add(
-            {"lam": lam, "check": "factor-count"},
-            n,
-            "a power of two",
-            passed=n >= 1 and (n & (n - 1)) == 0,
-        )
+        power = n >= 1 and (n & (n - 1)) == 0
+        if target is None or not power:
+            rep.add({"lam": lam, "check": "factor-count"}, n, "a power of two", passed=power)
+        else:
+            rep.unlisted += 1
     return rep
 
 
-def verify_linkage_necessity(lo: int, hi: int, ctx: Context) -> Report:
+def verify_linkage_necessity(
+    lo: int, hi: int, ctx: Context, target: Report | None = None
+) -> Report:
     """Nonzero Hom between tiltings forces the highest weights into one dot
     orbit: the lower is strongly linked to the higher.  Only pairs with
-    nonzero Hom produce items."""
-    rep = Report("linkage-necessity", _ctx_dict(ctx))
+    nonzero Hom produce items.
+
+    With a target, the failures are added to it and the other items
+    counted; the target is returned."""
+    rep = Report("linkage-necessity", _ctx_dict(ctx)) if target is None else target
     tables = {mu: delta_factors(mu, ctx) for mu in range(lo, hi + 1)}
     # Hom is nonzero exactly when two tables share a factor
     holders: dict[int, list[int]] = {}
@@ -304,5 +330,8 @@ def verify_linkage_necessity(lo: int, hi: int, ctx: Context) -> Report:
     for lam, fac in tables.items():
         for mu in sorted({mu for nu in fac for mu in holders[nu]}):
             linked = strongly_linked(min(lam, mu), max(lam, mu), ctx)
-            rep.add({"lam": lam, "mu": mu}, linked, True)
+            if target is None or not linked:
+                rep.add({"lam": lam, "mu": mu}, linked, True)
+            else:
+                rep.unlisted += 1
     return rep

@@ -342,13 +342,25 @@ def p2_scalar_names(p: int) -> list[str]:
     return [f"m{x}" for x in res] + [f"n{x}" for x in res] + ["theta0", f"theta{p}"]
 
 
+def p2_scalar_families(p: int) -> str:
+    """p2_scalar_names(p) by family, in a line whose length hardly grows
+    with p: there are 4p - 2 names."""
+    return f"m<x>, n<x> (x mod {2 * p}, not 0 or {p - 1} mod {p}), theta0, theta{p}"
+
+
+def unknown_scalar(preset: str, p: int, key: str) -> str:
+    """The refusal of a scalar, quoted as key, that the preset does not read
+    at p."""
+    return f"unknown scalar {key}; valid: {PRESETS[preset].valid_scalars(p)}"
+
+
 def _resolve_scalars(
-    names: list[str], overrides: Mapping[str, object] | None
+    preset: str, p: int, overrides: Mapping[str, object] | None
 ) -> dict[str, Fraction]:
-    out = {name: Fraction(1) for name in names}
+    out = {name: Fraction(1) for name in PRESETS[preset].scalar_names(p)}
     for key, val in (overrides or {}).items():
         if key not in out:
-            raise QuiverConfigError(f"unknown scalar {key!r}; valid: {', '.join(names)}")
+            raise QuiverConfigError(unknown_scalar(preset, p, repr(key)))
         out[key] = Fraction(val)
         if out[key] == 0:
             raise QuiverConfigError(f"scalar {key!r} must be nonzero")
@@ -366,7 +378,7 @@ def _build_ladder(
     period, half = _ladder_extent(p, r, window)
     vertices = list(range(-half, half + 1))
     weights = {j: ladder_weight(j, p) for j in vertices}
-    config = _resolve_scalars(p2_scalar_names(p) if r == 2 else [], scalars)
+    config = _resolve_scalars(f"p{r}", p, scalars)
     # each level adds one kind of up arrow: its target from a column, or None
     steps = {"u": lambda j: j + 1 if r == 1 or j % p != p - 1 else None}
     if r == 2:
@@ -541,6 +553,7 @@ class Preset(NamedTuple):
     vertex_count: Callable[[int, int | None], int]  # from p and window, before building
     # the ladders' choices: no scalars, common-factor Hom counts, cells ranked by weight
     scalar_names: Callable[[int], list[str]] = lambda p: []
+    valid_scalars: Callable[[int], str] = lambda p: "none"  # the names as one short line
     boundary_loops: bool = False  # whether build reads boundary_loops
     reads_p: bool = True  # whether build reads p
     oracle: Callable[..., int] = lambda lam, mu, ctx: hom_dim(lam, mu, ctx)
@@ -565,6 +578,7 @@ PRESETS: dict[str, Preset] = {
         max_len=5,
         vertex_count=lambda p, window: 2 * _ladder_extent(p, 2, window)[1] + 1,
         scalar_names=p2_scalar_names,
+        valid_scalars=p2_scalar_families,
         boundary_loops=True,
     ),
     "sl3": Preset(
@@ -573,6 +587,7 @@ PRESETS: dict[str, Preset] = {
         max_len=7,
         vertex_count=lambda p, window: len(SL3_ELEMENTS),
         scalar_names=lambda p: ["a", "b", "r"],
+        valid_scalars=lambda p: "a, b, r",
         reads_p=False,
         oracle=lambda lam, mu, ctx: sl3_hom_dim(lam, mu),
         cell_rank=lambda quiver: {v: -SL3_LENGTH[v] for v in quiver.vertices},

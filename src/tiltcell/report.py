@@ -65,6 +65,8 @@ class Report:
         self.items.append(ReportItem(input, lhs, rhs, passed))
 
     def extend(self, other: "Report") -> None:
+        """Append the items of other and add its unlisted count.  No sweep
+        calls it any more; perfbench/child.py wraps it by name."""
         self.items.extend(other.items)
         self.unlisted += other.unlisted
 

@@ -70,8 +70,8 @@ def test_verify_prints_only_failures(monkeypatch):
     """A failing sweep prints its failing items and both counts, and exits 1."""
     real = deltafilt.verify_bounds
 
-    def one_wrong(lam, ctx):
-        rep = real(lam, ctx)
+    def one_wrong(lam, ctx, target=None):
+        rep = real(lam, ctx, target)
         if lam == 0:
             rep.add({"lam": lam, "planted": True}, 1, 2)
         return rep
@@ -395,14 +395,20 @@ def fresh_caches():
         cache.cache_clear()
 
 
-def _counted_against_full(argv, sweep, points, ctx, fresh_caches):
-    """Run `verify` under an injected fault, then the per-weight full reports
-    of `sweep` from cold caches, and check that the suite lists exactly their
-    failures, in order, with their item and failure counts."""
+def _per_weight(sweep, points):
+    """The calls of a per-weight sweep over points, for _counted_against_full."""
+    return [(sweep, (w,)) for w in points]
+
+
+def _counted_against_full(argv, calls, ctx, fresh_caches):
+    """Run `verify` under an injected fault, then the full reports of
+    `calls`, pairs of a sweep and its arguments before ctx (one weight, or
+    the ends of a window), from cold caches, and check that the suite lists
+    exactly their failures, in order, with their item and failure counts."""
     code, out = invoke(argv)
     for cache in fresh_caches:
         cache.cache_clear()
-    full = [sweep(w, ctx) for w in points]
+    full = [sweep(*args, ctx) for sweep, args in calls]
     failures = [item.to_dict() for rep in full for item in rep.failures]
     doc = json.loads(out)
     assert code == 1 and not doc["pass"]
@@ -425,7 +431,7 @@ def test_counted_reciprocity_lists_the_full_failures(monkeypatch, fresh_caches):
     monkeypatch.setattr(deltafilt, "_simples_index", lambda p, r: faulty)
     argv = ["verify", "--suite", "reciprocity", "--p", "3", "--r", "3", "--lo", "-27", "--hi", "26"]
     failures = _counted_against_full(
-        argv, deltafilt.verify_reciprocity, range(-27, 27), ctx, fresh_caches
+        argv, _per_weight(deltafilt.verify_reciprocity, range(-27, 27)), ctx, fresh_caches
     )
     assert len(failures) == 4  # two weights of the residue, two faults each
 
@@ -448,10 +454,82 @@ def test_counted_steinberg_lists_the_full_failures(monkeypatch, fresh_caches):
     monkeypatch.setattr(deltafilt, "delta_factors", faulty_factors)
     argv = ["verify", "--suite", "steinberg", "--p", "3", "--r", "3", "--lo", "-30", "--hi", "30"]
     failures = _counted_against_full(
-        argv, deltafilt.verify_steinberg_equivalence, range(-11, 12), ctx, fresh_caches
+        argv, _per_weight(deltafilt.verify_steinberg_equivalence, range(-11, 12)), ctx, fresh_caches
     )
     checks = {item["input"]["check"] for item in failures}
     assert checks == {"hom", "factor-table"}
+
+
+def test_counted_bounds_lists_the_full_failures(monkeypatch, fresh_caches):
+    # every bounds item passes on real data: give the tables of one residue
+    # of tilde(lam) a factor above it, and those of another the top endpoint
+    # twice
+    ctx = weights.Context(3, 3)
+    delta_factors = deltafilt.delta_factors
+
+    def faulty_factors(lam, c):
+        fac = delta_factors(lam, c)
+        if lam % 27 == 8:
+            fac[lam + 1] = 1
+        if lam % 27 == 17:
+            fac[lam] = 2
+        return fac
+
+    monkeypatch.setattr(deltafilt, "delta_factors", faulty_factors)
+    argv = ["verify", "--suite", "bounds", "--p", "3", "--r", "3", "--lo", "-54", "--hi", "53"]
+    failures = _counted_against_full(
+        argv, _per_weight(deltafilt.verify_bounds, range(-54, 54)), ctx, fresh_caches
+    )
+    kinds = {next(k for k in ("nu", "endpoint") if k in item["input"]) for item in failures}
+    assert kinds == {"nu", "endpoint"}
+
+
+def test_counted_linkage_lists_the_full_failures(monkeypatch, fresh_caches):
+    # every linkage item passes on real data: unlink one pair that the
+    # strong-linkage sweep tests and one that only the necessity sweep tests
+    ctx = weights.Context(3, 3)
+    lo, hi = -54, 53
+    lam, nu = 5, 11  # 11 is a factor of tilde(5) = 47
+    assert nu in deltafilt.delta_factors(weights.tilde(lam, ctx), ctx)
+    necessity = (-42, -8)  # no factor of tilde(-42) is -8, and tilde(-8) is not -42
+    assert deltafilt.hom_dim(*necessity, ctx) > 0
+    strongly_linked = deltafilt.strongly_linked
+
+    def faulty_linked(a, b, c):
+        return (a, b) not in ((lam, nu), necessity) and strongly_linked(a, b, c)
+
+    monkeypatch.setattr(deltafilt, "strongly_linked", faulty_linked)
+    argv = ["verify", "--suite", "linkage", "--p", "3", "--r", "3", "--lo", str(lo), "--hi", str(hi)]
+    calls = _per_weight(deltafilt.verify_strong_linkage, range(lo, hi + 1))
+    calls.append((deltafilt.verify_linkage_necessity, (lo, hi)))
+    failures = _counted_against_full(argv, calls, ctx, fresh_caches)
+    assert {"lam": lam, "nu": nu, "dir": "up"} in [item["input"] for item in failures]
+    assert {"lam": -42, "mu": -8} in [item["input"] for item in failures]
+    assert {"lam": -8, "mu": -42} in [item["input"] for item in failures]
+
+
+def test_counted_multfree_lists_the_full_failures(monkeypatch, fresh_caches):
+    # every multfree item passes on real data: double the multiplicities of
+    # one residue's tables and give another residue's tables three entries
+    ctx = weights.Context(3, 3)
+    delta_factors = deltafilt.delta_factors
+
+    def faulty_factors(lam, c):
+        fac = delta_factors(lam, c)
+        if lam % 27 == 4:
+            return {nu: 2 for nu in fac}
+        if lam % 27 == 11:
+            return {lam: 1, lam - 2: 1, lam - 4: 1}
+        return fac
+
+    monkeypatch.setattr(deltafilt, "delta_factors", faulty_factors)
+    argv = ["verify", "--suite", "multfree", "--p", "3", "--r", "3", "--lo", "-54", "--hi", "53"]
+    failures = _counted_against_full(
+        argv, [(deltafilt.verify_mult_free, (-54, 53))], ctx, fresh_caches
+    )
+    assert [item["input"]["check"] for item in failures] == [
+        "multiplicity", "factor-count", "multiplicity", "factor-count",
+    ] * 2
 
 
 @pytest.mark.parametrize(
@@ -617,6 +695,16 @@ def test_refusal_quotes_a_short_prefix(monkeypatch, capsys, argv, env):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 120
     assert "xxxxxxxxxxxxxx..." in err
+
+
+@pytest.mark.parametrize("p", ["5", "101"])
+def test_unknown_p2_scalar_refused_in_one_short_line(capsys, p):
+    # p2 reads 4p - 2 scalars, so the refusal names their families
+    code, out = invoke(["quiver-check", "--preset", "p2", "--p", p, "--scalars", "zz=1"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 120
+    assert "m<x>, n<x>" in err and f"theta{p}" in err
 
 
 @pytest.mark.parametrize(

@@ -81,7 +81,7 @@ def reference_p2(
     lo, hi = -half, half
     vertices = list(range(lo, hi + 1))
     weights = {j: ladder_weight(j, p) for j in vertices}
-    config = _resolve_scalars(p2_scalar_names(p), scalars)
+    config = _resolve_scalars("p2", p, scalars)
 
     arrows: list[Arrow] = []
     for j in range(lo, hi):
