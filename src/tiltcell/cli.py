@@ -18,9 +18,9 @@ quotes at most a short prefix, so that it stays one short line.
 themselves; passing items are not echoed.  No weight sweep even builds
 them: each adds its failures to the suite's report and counts the rest
 (`Report.unlisted`), and the Steinberg sweep computes the Hom pairs of each
-residue of m mod p^(r-1) once.  Its
-guard bounds all (2*span+1)*(4p^(r-1)+2) items it checks, not just the
-window.  `quiver-check` emits the full per-pair comparison.
+residue of m mod p^(r-1) once.  Its guard bounds all (2*span+1)*(4p^(r-1)+2)
+items it checks, not just the window.  `quiver-check` emits the full
+per-pair comparison.
 """
 
 from __future__ import annotations
