@@ -127,3 +127,51 @@ def test_sl3_generators():
     assert pairs[0] == ("w0", "st") and pairs[1] == ("w0", "ts")
     for hi, lo in pairs:
         assert hi in table[lo] and SL3_LENGTH[hi] - SL3_LENGTH[lo] == 1
+
+
+def test_sl3_block_literals():
+    # the S3 block as written out element by element: the upper sets, the
+    # lengths, the generators B' and every arrow of the sl3 quiver
+    from tiltcell.quiver import build_sl3_quiver
+
+    assert SL3_ELEMENTS == ("1", "s", "t", "st", "ts", "w0")
+    assert SL3_LENGTH == {"1": 0, "s": 1, "t": 1, "st": 2, "ts": 2, "w0": 3}
+    table = sl3_delta_table()
+    assert list(table) == ["1", "s", "t", "st", "ts", "w0"]
+    assert table == {
+        "1": {"1", "s", "t", "st", "ts", "w0"},
+        "s": {"s", "st", "ts", "w0"},
+        "t": {"t", "st", "ts", "w0"},
+        "st": {"st", "w0"},
+        "ts": {"ts", "w0"},
+        "w0": {"w0"},
+    }
+    assert sl3_generator_set_bprime() == [
+        ("w0", "st"),
+        ("w0", "ts"),
+        ("st", "s"),
+        ("st", "t"),
+        ("ts", "s"),
+        ("ts", "t"),
+        ("s", "1"),
+        ("t", "1"),
+    ]
+    quiver = build_sl3_quiver()[0]
+    assert [tuple(a) for a in quiver.arrows] == [
+        ("u1", "w0", "st", "u", "d1"),
+        ("d1", "st", "w0", "d", "u1"),
+        ("u2", "w0", "ts", "u", "d2"),
+        ("d2", "ts", "w0", "d", "u2"),
+        ("u3", "st", "s", "u", "d3"),
+        ("d3", "s", "st", "d", "u3"),
+        ("u4", "st", "t", "u", "d4"),
+        ("d4", "t", "st", "d", "u4"),
+        ("u5", "ts", "s", "u", "d5"),
+        ("d5", "s", "ts", "d", "u5"),
+        ("u6", "ts", "t", "u", "d6"),
+        ("d6", "t", "ts", "d", "u6"),
+        ("u7", "s", "1", "u", "d7"),
+        ("d7", "1", "s", "d", "u7"),
+        ("u8", "t", "1", "u", "d8"),
+        ("d8", "1", "t", "d", "u8"),
+    ]
