@@ -7,8 +7,10 @@ object at nu in P, j the occurrences in Q.  Nothing here realises morphisms
 as linear maps; the quiver module checks the composition axiom on actual
 path algebras.
 
-The rank-two block of category O for sl3 is carried as a hard-coded
-six-element Weyl group with its Bruhat order; no general Coxeter machinery.
+The rank-two block of category O for sl3 is stated by the element names of
+S3 and their lengths.  S3 is dihedral, so its Bruhat order is the length
+order, and the upper sets and covers are derived by that rule; it holds only
+in rank two, so there is no general Coxeter machinery.
 """
 
 from __future__ import annotations
@@ -125,22 +127,27 @@ def generator_set_br0(ctx: Context) -> list[GeneratorSymbol]:
 
 
 # ---------------------------------------------------------------------------
-# the sl3 principal block of category O: the symmetric group S3 with its
-# Bruhat order, hard-coded.
+# the sl3 principal block of category O: the symmetric group S3, stated by
+# its element names and lengths.
 # ---------------------------------------------------------------------------
 
 SL3_ELEMENTS = ("1", "s", "t", "st", "ts", "w0")
 
 SL3_LENGTH = {"1": 0, "s": 1, "t": 1, "st": 2, "ts": 2, "w0": 3}
 
+# the dihedral rule: the upper set of y is y and everything longer
 _UPPER = {
-    "1": frozenset(SL3_ELEMENTS),
-    "s": frozenset({"s", "st", "ts", "w0"}),
-    "t": frozenset({"t", "st", "ts", "w0"}),
-    "st": frozenset({"st", "w0"}),
-    "ts": frozenset({"ts", "w0"}),
-    "w0": frozenset({"w0"}),
+    y: frozenset(x for x in SL3_ELEMENTS if x == y or SL3_LENGTH[x] > SL3_LENGTH[y])
+    for y in SL3_ELEMENTS
 }
+
+# the (higher, lower) covers, longest first, then by name
+SL3_COVERS = tuple(
+    sorted(
+        ((x, y) for x in SL3_ELEMENTS for y in SL3_ELEMENTS if SL3_LENGTH[x] == SL3_LENGTH[y] + 1),
+        key=lambda c: (-SL3_LENGTH[c[0]], c),
+    )
+)
 
 
 def sl3_delta_table() -> dict[str, frozenset[str]]:
@@ -155,15 +162,6 @@ def sl3_hom_dim(x: str, y: str) -> int:
 
 
 def sl3_generator_set_bprime() -> list[tuple[str, str]]:
-    """The eight distinguished generators, as (higher, lower) Bruhat
-    neighbours, in the conventional order."""
-    return [
-        ("w0", "st"),
-        ("w0", "ts"),
-        ("st", "s"),
-        ("st", "t"),
-        ("ts", "s"),
-        ("ts", "t"),
-        ("s", "1"),
-        ("t", "1"),
-    ]
+    """The eight distinguished generators: the Bruhat covers, as (higher,
+    lower) pairs in the order of `SL3_COVERS`."""
+    return list(SL3_COVERS)

@@ -423,10 +423,9 @@ def _guard_weight_suites(name: str, lo: int, hi: int, ctx: Context) -> None:
         span = _steinberg_span(lo, hi, ctx)
         guard_power(4 * (2 * span + 1), ctx.p, ctx.r - 1)
         guard_work((2 * span + 1) * (4 * ctx.q // ctx.p + 2))
-        # p-1+p*m over the m-span, widened by the partners of its hom sweep;
-        # each has a table entry, so their count is bounded before listing
+        # p-1+p*m over the m-span, widened by the partners of its hom sweep:
+        # 2*reach + 1 tables, fewer than the items bounded just above
         reach = span + 2 * ctx.q // ctx.p
-        guard_work(2 * reach + 1)
         tables += range(-reach * ctx.p + ctx.p - 1, reach * ctx.p + ctx.p, ctx.p)
     guard_tables(tables, ctx)
 

@@ -17,9 +17,10 @@ Presentations
   identifies the length-four loop through the adjacent row with the
   length-two vertical loop there; pass boundary_loops=False to reproduce
   the bare families.
-* `build_sl3_quiver`: six vertices on the Bruhat graph of S3 with eight up
-  arrows, their duals, and the block's relations with scalar parameters
-  (a, b, r).
+* `build_sl3_quiver`: six vertices on the Bruhat graph of S3, one up arrow
+  for each of its eight covers (`cellbasis.SL3_COVERS`, which are also the
+  generators B'), their duals, and the block's relations with scalar
+  parameters (a, b, r).
 
 `PRESETS` is the one place a preset is defined; the CLI and the engines read
 every preset-specific choice (window, truncation, oracle, ...) from it.
@@ -107,7 +108,7 @@ from math import lcm
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .cellbasis import SL3_ELEMENTS, SL3_LENGTH, sl3_hom_dim
+from .cellbasis import SL3_COVERS, SL3_ELEMENTS, SL3_LENGTH, sl3_hom_dim
 from .deltafilt import delta_factors, hom_dim
 from .ratlinalg import ContractedEchelon, Row
 from .report import Report
@@ -479,26 +480,18 @@ def build_p2_quiver(
 
 
 def build_sl3_quiver(a=1, b=1, r=0) -> tuple[Quiver, RelationSet]:
-    """Six vertices on the Bruhat graph of S3, eight up arrows and duals,
-    with the block relations.  a and b must be nonzero; r is free."""
+    """Six vertices on the Bruhat graph of S3, one up arrow per cover in
+    `SL3_COVERS` with its dual, and the block relations.  a and b must be
+    nonzero; r is free."""
     a, b, r = Fraction(a), Fraction(b), Fraction(r)
     if a == 0 or b == 0:
         raise QuiverConfigError("scalars a and b must be nonzero")
-    ups = [
-        ("u1", "w0", "st"),
-        ("u2", "w0", "ts"),
-        ("u3", "st", "s"),
-        ("u4", "st", "t"),
-        ("u5", "ts", "s"),
-        ("u6", "ts", "t"),
-        ("u7", "s", "1"),
-        ("u8", "t", "1"),
-    ]
+    # the i-th cover is ui (higher to lower) with its dual di:
+    # u1 w0>st, u2 w0>ts, u3 st>s, u4 st>t, u5 ts>s, u6 ts>t, u7 s>1, u8 t>1
     arrows: list[Arrow] = []
-    for name, src, tgt in ups:
-        dname = "d" + name[1:]
-        arrows.append(Arrow(name, src, tgt, "u", dname))
-        arrows.append(Arrow(dname, tgt, src, "d", name))
+    for i, (hi, lo) in enumerate(SL3_COVERS, 1):
+        arrows.append(Arrow(f"u{i}", hi, lo, "u", f"d{i}"))
+        arrows.append(Arrow(f"d{i}", lo, hi, "d", f"u{i}"))
     vertices = list(SL3_ELEMENTS)
     weights = {v: v for v in vertices}
     quiver = Quiver("sl3", vertices, arrows, weights, frozenset(vertices), None)
