@@ -11,8 +11,8 @@ each checked before it is built, and the cell indices that `cell-basis`
 lists (the sum over nu of (P : Delta(nu)) * (Q : Delta(nu))) and the
 |P| * |Q| Hom pairs of their cross-check, both before any is listed.  It also
 bounds --p by the sqrt(p)/2 trial divisions of its primality test, and --r,
-the length of every factor-table walk.  A refusal that quotes its input
-quotes at most a short prefix, so that it stays one short line.
+the steps of every factor-table walk (each on the residue mod p^r nearest
+zero).  A refusal quotes at most a short prefix of the input it names.
 
 `verify` output carries per-check item/failure counts plus the failing items
 themselves; passing items are not echoed.  No weight sweep even builds

@@ -24,11 +24,12 @@ If two images ever coincided, the multiplicity-one property would be false:
 such a state aborts loudly with `InvariantViolation` rather than being
 patched over.
 
-Results are memoised per (p, r, lam mod p^r); general weights are folded in
-by shift equivariance with period p^r.  The walk shows why: lam + p^r reads
-the same r digits and reaches the level-0 weight one higher, and replaying
-the digits turns that shift of 1 into a shift of p^r.  The cache is the
-standard library LRU cache, so concurrent readers are safe.
+Results are memoised per (p, r) and residue of lam mod p^r nearest zero, so
+a weight near zero walks short numbers at any level; general weights are
+folded in by shift equivariance with period p^r.  The walk shows why: lam +
+p^r reads the same r digits and reaches the level-0 weight one higher, and
+replaying the digits turns that shift of 1 into a shift of p^r.  The cache
+is the standard library LRU cache, so concurrent readers are safe.
 
 The reciprocity sweep reads the composition factors of standard objects
 from one index per (p, r), built from the peels of a single period.  The
@@ -72,9 +73,14 @@ class InvariantViolation(RuntimeError):
 def delta_factors(lam: int, ctx: Context) -> DeltaFactors:
     """Multiset {nu: multiplicity} of standard factors of the indecomposable
     tilting object with highest weight lam."""
-    lam0 = lam % ctx.q
+    lam0 = _fold(lam, ctx.q)
     shift = lam - lam0
     return {nu + shift: 1 for nu in _folded_factors(ctx.p, ctx.r, lam0)[0]}
+
+
+def _fold(lam: int, q: int) -> int:
+    """The residue of lam mod q nearest zero, in [-(q // 2), q - q // 2)."""
+    return (lam + q // 2) % q - q // 2
 
 
 def _digit_walk(p: int, r: int, lam: int) -> tuple[int, list[int]]:
@@ -90,8 +96,8 @@ def _digit_walk(p: int, r: int, lam: int) -> tuple[int, list[int]]:
 
 def table_size(lam: int, ctx: Context) -> int:
     """len(delta_factors(lam, ctx)), without building the table: two to the
-    number of regular digits."""
-    _, digits = _digit_walk(ctx.p, ctx.r, lam)
+    number of regular digits, which lam and its residues share."""
+    _, digits = _digit_walk(ctx.p, ctx.r, _fold(lam, ctx.q))
     return 2 ** sum(a != ctx.p - 1 for a in digits)
 
 
@@ -123,7 +129,7 @@ def hom_dim(lam: int, mu: int, ctx: Context) -> int:
     iff nu lies in the folded table at lam0 and nu + s - t in the one at mu0.
     """
     q = ctx.q
-    lam0, mu0 = lam % q, mu % q
+    lam0, mu0 = _fold(lam, q), _fold(mu, q)
     a, _ = _folded_factors(ctx.p, ctx.r, lam0)
     b, b_set = _folded_factors(ctx.p, ctx.r, mu0)
     d = (lam - lam0) - (mu - mu0)

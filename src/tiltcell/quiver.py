@@ -232,12 +232,14 @@ class RelationSet:
     do not enlarge the ideal.
 
     The rewrite index is built once, at construction: `table` holds the
-    rules, then the derived rules (which win on a shared redex), and
-    `lengths` the distinct redex lengths in ascending order.  Rules are fixed
-    after construction; to change them, build a new RelationSet.
+    rules, then the derived rules (which win on a shared redex), `lengths`
+    the distinct redex lengths in ascending order, and `zero_redexes` the
+    paths of the monomial relations, whose multiples lie in the ideal.
+    Rules are fixed; to change them, build a new RelationSet.
     """
 
-    __slots__ = ("relations", "rules", "derived_rules", "scalars", "table", "lengths")
+    __slots__ = ("relations", "rules", "derived_rules", "scalars", "table", "lengths",
+                 "zero_redexes")
 
     def __init__(
         self,
@@ -250,6 +252,7 @@ class RelationSet:
         self.scalars = scalars
         self.table = {**self.rules, **self.derived_rules}
         self.lengths = sorted({len(k) for k in self.table})
+        self.zero_redexes = frozenset().union(*(r.terms for r in relations if len(r.terms) == 1))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not RelationSet:
@@ -257,15 +260,6 @@ class RelationSet:
         return (self.relations, self.rules, self.derived_rules, self.scalars) == (
             other.relations, other.rules, other.derived_rules, other.scalars
         )
-
-    def zero_redexes(self) -> set[Path]:
-        """Redexes of single-term (monomial) relations; any path containing
-        one as a contiguous subword lies in the ideal."""
-        out: set[Path] = set()
-        for rel in self.relations:
-            if len(rel.terms) == 1:
-                out.update(rel.terms)
-        return out
 
 
 def _rule_to_relation(quiver: Quiver, redex: Path, repl: Replacement) -> PathElement:
@@ -634,7 +628,7 @@ def surviving_paths(quiver: Quiver, rels: RelationSet, max_len: int) -> dict[Pai
     monomial relation; the column space of the linear engine.  Such paths
     are ideal members and contribute nothing to the quotient, so pruning
     them at generation time is exact."""
-    return _alive_paths(quiver, max_len, rels.zero_redexes())
+    return _alive_paths(quiver, max_len, rels.zero_redexes)
 
 
 class _LinearSetup(NamedTuple):
@@ -652,7 +646,7 @@ class _LinearSetup(NamedTuple):
 def _linear_setup(quiver: Quiver, rels: RelationSet, max_len: int) -> _LinearSetup:
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    alive = _alive_paths(quiver, max_len, rels.zero_redexes())
+    alive = _alive_paths(quiver, max_len, rels.zero_redexes)
     index: dict = {}
     shortest = max_len + 1
     for rel in rels.relations:
@@ -929,16 +923,12 @@ def quotient_dims(
     return result
 
 
-def ideal_member(
-    quiver: Quiver, rels: RelationSet, elem: PathElement, max_len: int | None = None
-) -> bool:
+def ideal_member(quiver: Quiver, rels: RelationSet, elem: PathElement, max_len: int) -> bool:
     """Exact membership of elem in the relation ideal, truncated at max_len.
     A term longer than max_len is not decided within the truncation, so the
     answer is then False, also for a term that holds a monomial relation.  A
     shorter term that is not alive holds one and is dropped.  Used by the
     tests to certify derived rewrite rules."""
-    if max_len is None:
-        max_len = max(PRESETS[quiver.preset].max_len, max((len(t) for t in elem.terms), default=0))
     setup = _linear_setup(quiver, rels, max_len)
     if any(len(path) > max_len for path in elem.terms):
         return False
@@ -1091,7 +1081,7 @@ def irreducible_words(
     (length, lex) order, pruned as they are generated.  For a complete, confluent orientation
     these enumerate a monomial basis of the quotient, so their counts must
     match the linear dimensions."""
-    return _alive_paths(quiver, max_len, rels.zero_redexes().union(rels.table))
+    return _alive_paths(quiver, max_len, rels.zero_redexes.union(rels.table))
 
 
 # ---------------------------------------------------------------------------
@@ -1106,14 +1096,11 @@ def word_cell_rank(quiver: Quiver, source: Vertex, path: Path):
     factorisation vertex lies off the path; it gets the second-highest
     common factor instead."""
     rank = quiver.cell_rank
-    if not path:
-        return rank[source]
-    visited = [source]
-    at = source
+    at, low = source, rank[source]
     for aid in path:
         at = quiver.arrows[aid].target
-        visited.append(at)
-    low = min(rank[v] for v in visited)
+        if rank[at] < low:
+            low = rank[at]
     if len(path) == 2 and at == source and low == rank[source]:
         if quiver.context is None:
             raise RuntimeError("ascending loop outside a ladder preset")

@@ -728,3 +728,33 @@ def test_cell_basis_bounded_before_listing(monkeypatch, listed):
     if len(listed) == 40:
         counts = cellbasis.standard_counts(dict.fromkeys(map(int, listed), 1), weights.Context(3, 1))
         assert sum(k * k for k in counts.values()) < 1000
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["verify", "--suite", "steinberg", "--r", "1", "--lo", "0", "--hi", "0"], 2),
+        (["verify", "--suite", "bounds", "--lo", "1", "--hi", "0"], 2),
+        (["quiver-build", "--preset", "p2", "--scalars", "m1=0"], 2),
+        (["quiver-build", "--preset", "p1", "--window", "1"], 2),
+        (["quiver-build", "--preset", "sl3", "--scalars", "b=0"], 2),
+        (["char", "--kind", "simple", "--weight", "-1"], 2),
+        (["cell-basis", "--source", ",", "--target", "0"], 2),
+        (["quiver-build", "--preset", "sl3", "--scalars", "a=2,"], 0),
+    ],
+    ids=[
+        "steinberg-r1", "lo-above-hi", "p2-zero-scalar", "p1-window-1", "sl3-zero-scalar",
+        "simple-negative", "cell-basis-empty", "scalars-empty-piece",
+    ],
+)
+def test_refusals_in_one_short_line(capsys, argv, code):
+    # each bad input exits 2 with one short line and no output; an empty
+    # piece of --scalars is skipped, not refused
+    status, out = invoke(argv)
+    err = capsys.readouterr().err
+    assert status == code
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+        assert err.count("\n") == 1 and len(err.encode()) < 120
+    else:
+        assert err == "" and json.loads(out)["scalars"]["a"] == "2"

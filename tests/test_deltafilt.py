@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from tiltcell import deltafilt
 from tiltcell.charring import baby_verma_char, decompose_into_simples
 from tiltcell.deltafilt import (
     _folded_factors,
@@ -161,6 +162,25 @@ def test_level_drop_at_deep_level():
     for m in (0, 1, 4, 10):
         lhs = delta_factors(p - 1 + p * m, ctx)
         assert lhs == {p - 1 + p * nu: k for nu, k in delta_factors(m, sub).items()}
+
+
+def test_large_level_walks_the_residue_nearest_zero(monkeypatch):
+    # a weight near zero folds to itself, not to its r-digit residue in
+    # [0, p^r), so no walk divides a long number at a large level
+    walk, walked = deltafilt._digit_walk, []
+
+    def spy(p, r, lam):
+        walked.append(lam)
+        return walk(p, r, lam)
+
+    monkeypatch.setattr(deltafilt, "_digit_walk", spy)
+    _folded_factors.cache_clear()
+    ctx = Context(3, 5000)
+    assert delta_factors(-1, ctx) == {-1: 1}
+    assert hom_dim(-1, -1, ctx) == 1
+    assert table_size(tilde(0, ctx), ctx) == 2**5000
+    _folded_factors.cache_clear()
+    assert walked and all(abs(lam) <= 2 for lam in walked), [lam.bit_length() for lam in walked]
 
 
 def test_verify_mult_free_and_linkage_reports():

@@ -49,7 +49,7 @@ def contains_subword(path, words, lengths):
 
 def reference_quotient_dims(quiver, rels, max_len):
     """(dims of every alive pair, boundary_nonzero, unsaturated, witness)."""
-    zeros = rels.zero_redexes()
+    zeros = rels.zero_redexes
     zlens = sorted({len(z) for z in zeros})
     alive = _alive_paths(quiver, max_len, zeros)
     into: dict = {}  # vertex -> alive pairs ending there
@@ -247,7 +247,7 @@ def plain_relation_rows(rels, max_len, alive):
     composite x*rel*y if it fits.  A term is kept unless its full composite
     contains a monomial redex; coefficients are scaled by the denominators
     of all the relation's terms."""
-    zeros = rels.zero_redexes()
+    zeros = rels.zero_redexes
     zlens = sorted({len(z) for z in zeros})
     reach: dict = {}
     for s, u in alive:
