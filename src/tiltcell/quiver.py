@@ -180,9 +180,6 @@ class Quiver:
     def arrow_id(self, name: str) -> int:
         return self.by_name[name]
 
-    def path_target(self, source: Vertex, path: Path) -> Vertex:
-        return self.arrows[path[-1]].target if path else source
-
     def format_path(self, path: Path) -> str:
         if not path:
             return "e"
@@ -923,19 +920,6 @@ def quotient_dims(
     return result
 
 
-def ideal_member(quiver: Quiver, rels: RelationSet, elem: PathElement, max_len: int) -> bool:
-    """Exact membership of elem in the relation ideal, truncated at max_len.
-    A term longer than max_len is not decided within the truncation, so the
-    answer is then False, also for a term that holds a monomial relation.  A
-    shorter term that is not alive holds one and is dropped.  Used by the
-    tests to certify derived rewrite rules."""
-    setup = _linear_setup(quiver, rels, max_len)
-    if any(len(path) > max_len for path in elem.terms):
-        return False
-    ech, col = _echelon(setup, (elem.source, elem.target))
-    return not ech.reduce({col[path]: c for path, c in elem.terms.items() if path in col})
-
-
 def check_against_cellular(
     quiver: Quiver,
     result: QuotientDims,
@@ -1063,15 +1047,6 @@ def normal_form(x: PathElement, rels: RelationSet, max_steps: int = _MAX_STEPS) 
     for path, coeff in x.terms.items():
         _add_form(out, coeff, reducer.reduce(path))
     return PathElement(x.source, x.target, out)
-
-
-def reduce_path(quiver: Quiver, rels: RelationSet, path: Path) -> PathElement:
-    if not path:
-        raise ValueError("reduce_path needs a nonempty path")
-    src = quiver.arrows[path[0]].source
-    return normal_form(
-        PathElement(src, quiver.path_target(src, path), {path: Fraction(1)}), rels
-    )
 
 
 def irreducible_words(

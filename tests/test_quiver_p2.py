@@ -8,17 +8,17 @@ from tiltcell.deltafilt import delta_factors, hom_dim
 from tiltcell.quiver import (
     PathElement,
     QuiverConfigError,
+    _echelon,
+    _linear_setup,
     _rule_to_relation,
     build_p2_quiver,
     cell_filtration_check,
     check_against_cellular,
     export_dot,
-    ideal_member,
     irreducible_words,
     normal_form,
     p2_scalar_names,
     quotient_dims,
-    reduce_path,
     right_neighbor,
 )
 from tiltcell.weights import Context
@@ -86,26 +86,26 @@ def test_printed_families_leave_top_columns_too_big():
 
 
 def test_derived_rules_are_consequences():
-    # every rewriting-only rule lies in the ideal of the printed families
+    # every rewriting-only rule lies in the ideal of the printed families:
+    # its relation reduces to zero against the relation rows of its pair,
+    # once the terms that hold a monomial relation (no column) are dropped
     q, rels = build_p2_quiver(3, window=1, boundary_loops=False)
+    setup = _linear_setup(q, rels, 6)
+
+    def in_ideal(elem):
+        assert max(map(len, elem.terms)) <= setup.max_len
+        ech, col = _echelon(setup, (elem.source, elem.target))
+        return not ech.reduce({col[path]: c for path, c in elem.terms.items() if path in col})
+
+    doubled = 0
     for redex, repl in rels.derived_rules.items():
-        elem = _rule_to_relation(q, redex, repl)
-        assert ideal_member(q, rels, elem, 6), q.format_path(redex)
-        # a truncation shorter than the redex cannot certify it
-        assert not ideal_member(q, rels, elem, len(redex) - 1)
-
-
-def test_ideal_member_decides_only_within_the_truncation():
-    # u1*u0 = 0, so d1*u1*u0 lies in the ideal: within the truncation its
-    # term is not alive and is dropped, beyond it the answer is False
-    q, rels = build_p2_quiver(3, window=1)
-    path = tuple(map(q.arrow_id, ["u0", "u1", "d1"]))
-    assert path[:2] in rels.zero_redexes
-    assert ideal_member(q, rels, PathElement(0, 1, {path: 2}), 3)
-    assert not ideal_member(q, rels, PathElement(0, 1, {path: 2}), 2)
-    # dropping it leaves the arrow u0 beside it, and every relation lies in
-    # the square of the arrow ideal
-    assert not ideal_member(q, rels, PathElement(0, 1, {path: 2, (q.arrow_id("u0"),): 1}), 3)
+        assert in_ideal(_rule_to_relation(q, redex, repl)), q.format_path(redex)
+        if repl:
+            # control: doubling the replacement leaves the ideal
+            wrong = tuple((path, 2 * c) for path, c in repl)
+            assert not in_ideal(_rule_to_relation(q, redex, wrong)), q.format_path(redex)
+            doubled += 1
+    assert (len(rels.derived_rules), doubled) == (68, 22)
 
 
 def _balanced(p, magnitude, m_sign, n_sign, **thetas):
@@ -160,13 +160,15 @@ def test_normal_form_examples():
     q, rels = build_p2_quiver(3, window=1)
     aid = q.arrow_id
     # vertical loop migrates towards the chain top
-    got = reduce_path(q, rels, (aid("u1"), aid("d1")))
+    got = normal_form(PathElement(1, 1, {(aid("u1"), aid("d1")): 1}), rels)
     assert got == PathElement(1, 1, {(aid("d0"), aid("u0")): Fraction(1)})
     # chain-top loop through the adjacent row collapses onto the short loop
-    got = reduce_path(q, rels, (aid("u0"), aid("d'-1"), aid("u'-1"), aid("d0")))
+    got = normal_form(
+        PathElement(0, 0, {(aid("u0"), aid("d'-1"), aid("u'-1"), aid("d0")): 1}), rels
+    )
     assert got == PathElement(0, 0, {(aid("u0"), aid("d0")): Fraction(1)})
     # squares commute
-    got = reduce_path(q, rels, (aid("u'1"), aid("d4")))
+    got = normal_form(PathElement(1, 4, {(aid("u'1"), aid("d4")): 1}), rels)
     assert got == PathElement(1, 4, {(aid("u1"), aid("u'2")): Fraction(1)})
 
 

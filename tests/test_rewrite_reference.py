@@ -88,7 +88,7 @@ def reference_filtration(quiver, rels, max_len):
                 if quiver.arrows[aid].source in core:
                     extensions.append((quiver.arrows[aid].source, (aid,) + path))
             for esrc, epath in extensions:
-                etgt = quiver.path_target(esrc, epath)
+                etgt = quiver.arrows[epath[-1]].target
                 nf = reference_normal_form(PathElement(esrc, etgt, {epath: Fraction(1)}), rels)
                 checked += 1
                 for comp in nf.terms:
