@@ -477,8 +477,7 @@ def _run_suite(name: str, args) -> list[Report]:
         deltafilt.verify_linkage_necessity(lo, hi, ctx, rep)
         reports.append(rep)
     if name in ("multfree", "all"):
-        # the one weight report without its window in the context
-        rep = Report("mult-free", {"p": ctx.p, "r": ctx.r})
+        rep = Report("mult-free", {"p": ctx.p, "r": ctx.r, "lo": lo, "hi": hi})
         reports.append(deltafilt.verify_mult_free(lo, hi, ctx, rep))
     if name in ("steinberg", "all") and ctx.r >= 2:
         rep = Report("steinberg-equivalence", {"p": ctx.p, "r": ctx.r, "lo": lo, "hi": hi})

@@ -64,6 +64,11 @@ def test_verify_all_small():
     checks = {c["check"] for c in doc["counts"]}
     assert {"reciprocity", "bounds", "strong-linkage", "mult-free", "quiver-vs-cellular"} <= checks
     assert doc["pass"] is True
+    # every weight report names its window
+    window = {"p": 3, "r": 2, "lo": -6, "hi": 6}
+    for rep in doc["reports"]:
+        if rep["check"] != "quiver-vs-cellular":
+            assert rep["context"] == window, rep["check"]
 
 
 def test_verify_prints_only_failures(monkeypatch):
