@@ -6,7 +6,9 @@ shortest redex, and pushes the reducts back, so a path shared by two
 rewrite trees is rewritten once per tree.  `reference_filtration` is the
 per-composition loop of the cell-filtration check on top of it, one
 `PathElement` and one normal form per one-arrow extension.  The engine
-must agree with both exactly: same normal forms, same reports.
+must agree with both exactly: same normal forms, same reports.  Both loops
+rank words by `word_cell_rank`, so that is checked on its own too, its
+ascending-loop exception against the reference factor tables.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from test_deltafilt_reference import reference_factors
 from test_quiver_engines import _random_elements, core_elements
 from test_rewrite_golden import CASES
 from tiltcell.quiver import (
@@ -31,6 +34,7 @@ from tiltcell.quiver import (
     _rule_to_relation,
     build_p1_quiver,
     build_p2_quiver,
+    build_sl3_quiver,
     cell_filtration_check,
     irreducible_words,
     normal_form,
@@ -118,6 +122,38 @@ def test_p2_filtration_matches_reference(p, window):
     got = cell_filtration_check(quiver, rels, _shell(5))
     assert got.all_pass
     assert got.to_dict() == reference_filtration(quiver, rels, 5).to_dict()
+
+
+@pytest.mark.parametrize(
+    "maker,max_len,ascending",
+    [
+        (lambda: build_p2_quiver(3, window=1), 5, 5),
+        (lambda: build_p2_quiver(7, window=1), 5, 5),
+        (lambda: build_p2_quiver(3, window=1, boundary_loops=False), 5, 5),
+        (lambda: build_p1_quiver(3, window=2), 4, 0),
+        (build_sl3_quiver, 7, 0),
+    ],
+    ids=["p2-p3", "p2-p7", "p2-p3-bare", "p1-p3", "sl3"],
+)
+def test_word_cell_rank_matches_reference(maker, max_len, ascending):
+    # the lowest rank the word visits, except a length-two loop that visits
+    # no lower rank (the chain-top loop of a ladder column): that one takes
+    # the second-highest factor of its source's table, here read from the
+    # reference recursion rather than the engine's walk
+    quiver, rels = maker()
+    rank, core, ctx = quiver.cell_rank, quiver.core, quiver.context
+    loops = 0
+    for (src, tgt), plist in irreducible_words(quiver, rels, max_len).items():
+        if src not in core or tgt not in core:
+            continue
+        for path in plist:
+            want = min([rank[src]] + [rank[quiver.arrows[aid].target] for aid in path])
+            if len(path) == 2 and src == tgt and want == rank[src]:
+                table = reference_factors(quiver.weights[src], ctx.p, ctx.r)
+                want = sorted(table, reverse=True)[1]
+                loops += 1
+            assert word_cell_rank(quiver, src, path) == want, quiver.format_path(path)
+    assert loops == ascending
 
 
 @settings(deadline=None, max_examples=80)
