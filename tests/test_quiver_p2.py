@@ -93,6 +93,7 @@ def test_derived_rules_are_consequences():
     setup = _linear_setup(q, rels, 6)
 
     def in_ideal(elem):
+        # a longer term has no column, yet need not lie in the ideal
         assert max(map(len, elem.terms)) <= setup.max_len
         ech, col = _echelon(setup, (elem.source, elem.target))
         return not ech.reduce({col[path]: c for path, c in elem.terms.items() if path in col})
