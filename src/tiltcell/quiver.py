@@ -22,6 +22,9 @@ Presentations
   generators B'), their duals, and the block's relations with scalar
   parameters (a, b, r).
 
+Each builder states a relation once, and `_Builder.state` adds its image
+under duality, the cellular anti-involution (see "Folding" below).
+
 `PRESETS` is the one place a preset is defined; the CLI and the engines read
 every preset-specific choice (window, truncation, oracle, ...) from it.
 
@@ -83,8 +86,8 @@ not depend on the column order within one length).  `quotient_dims` uses
 three such maps, each only once an exact certificate passes:
 
 * duality: each arrow to its `dual`, paths reversed, (s, t) to (t, s).  The
-  cellular anti-involution of the tilting categories makes every preset
-  self-dual.  Certified once per call, relation by relation.
+  builders close every preset under it by construction; it is still
+  certified once per call, relation by relation, for sets built by hand.
 * the preset's `mirror`, a vertex involution (sl3: s <-> t, st <-> ts) that
   sends each arrow to the arrow of its kind between the images of its ends,
   certified the same way.
@@ -273,31 +276,47 @@ class _Builder:
         self.quiver = quiver
         self.rules: dict[Path, Replacement] = {}
         self.derived: dict[Path, Replacement] = {}
+        self.dual = [quiver.by_name[a.dual] for a in quiver.arrows]
 
     def _key(self, names: Iterable[str]) -> Path:
-        aid = self.quiver.arrow_id
-        return tuple(aid(n) for n in names)
+        return tuple(map(self.quiver.by_name.__getitem__, names))
 
-    def rule(self, redex: Iterable[str], repl: Iterable[tuple[Iterable[str], Fraction]]) -> None:
-        key = self._key(redex)
-        if key in self.rules:
-            raise QuiverConfigError(f"duplicate rule for redex {key}")
-        self.rules[key] = tuple((self._key(names), Fraction(c)) for names, c in repl)
+    def _ids(self, redex: Iterable[str], repl: Iterable[tuple]) -> tuple[Path, Replacement]:
+        return self._key(redex), tuple((self._key(names), Fraction(c)) for names, c in repl)
 
-    def zero(self, redex: Iterable[str]) -> None:
-        self.rule(redex, [])
+    def _add(self, table: dict[Path, Replacement], redex: Path, repl: Replacement) -> None:
+        if redex in table:
+            raise QuiverConfigError(f"duplicate rule for redex {self.quiver.format_path(redex)}")
+        table[redex] = repl
 
-    def derived_rule(
-        self, redex: Iterable[str], repl: Iterable[tuple[Iterable[str], Fraction]]
-    ) -> None:
-        self.derived[self._key(redex)] = tuple(
-            (self._key(names), Fraction(c)) for names, c in repl
-        )
+    def rule(self, redex: Iterable[str], repl: Iterable[tuple]) -> None:
+        self._add(self.rules, *self._ids(redex, repl))
+
+    def derived_rule(self, redex: Iterable[str], repl: Iterable[tuple]) -> None:
+        self._add(self.derived, *self._ids(redex, repl))
+
+    def state(self, block: Iterable[tuple], derived: bool = False) -> None:
+        """Add the (redex, replacement) rules of `block` to the rules, or the
+        derived rules, then the dual (arrows to their `dual`, paths reversed)
+        of each rule that is not its own dual.  A dual also stated by hand is
+        a duplicate redex; a self-dual redex needs a self-dual replacement."""
+        table, dual = (self.derived if derived else self.rules), self.dual.__getitem__
+        images = []
+        for redex, repl in (self._ids(*rule) for rule in block):
+            self._add(table, redex, repl)
+            image = tuple(map(dual, reversed(redex)))
+            twin = tuple((tuple(map(dual, reversed(path))), c) for path, c in repl)
+            if image != redex:
+                images.append((image, twin))
+            elif dict(twin) != dict(repl):
+                raise QuiverConfigError(
+                    f"self-dual redex {self.quiver.format_path(redex)}: replacement is not"
+                )
+        for image, twin in images:
+            self._add(table, image, twin)
 
     def finish(self, scalars: dict[str, Fraction]) -> RelationSet:
-        relations = [
-            _rule_to_relation(self.quiver, redex, repl) for redex, repl in self.rules.items()
-        ]
+        relations = [_rule_to_relation(self.quiver, *rule) for rule in self.rules.items()]
         return RelationSet(relations, self.rules, self.derived, scalars)
 
 
@@ -400,14 +419,13 @@ def _build_ladder(
         # consecutive like arrows vanish
         c = out_of.get((a.target, a.kind))
         if c:
-            b.zero([a.name, c.name])
-            b.zero([c.dual, a.dual])
+            b.state([([a.name, c.name], [])])
     for x in vertices:
         for kind in steps:
             # the loop at x through the next column equals the loop through the previous
             a, c = out_of.get((x, kind)), into.get((x, kind))
             if a and c:
-                b.rule([a.name, a.dual], [([c.dual, c.name], Fraction(1))])
+                b.state([([a.name, a.dual], [([c.dual, c.name], 1)])])
         if r == 1 or x % p in (0, p - 1):
             continue
         rn1 = right_neighbor(x, p) - 1  # equals right_neighbor(x + 1, p)
@@ -416,11 +434,9 @@ def _build_ladder(
         m = config[f"m{x % period}"]
         n = config[f"n{x % period}"]
         # commuting squares: right-then-down equals down-then-right ...
-        b.rule([f"u'{x}", f"d{rn1}"], [([f"u{x}", f"u'{x+1}"], m)])
-        b.rule([f"u{rn1}", f"d'{x}"], [([f"d'{x+1}", f"d{x}"], m)])
+        b.state([([f"u'{x}", f"d{rn1}"], [([f"u{x}", f"u'{x+1}"], m)])])
         # ... and the transposed squares
-        b.rule([f"u'{x+1}", f"u{rn1}"], [([f"d{x}", f"u'{x}"], n)])
-        b.rule([f"d{rn1}", f"d'{x+1}"], [([f"d'{x}", f"u{x}"], n)])
+        b.state([([f"u'{x+1}", f"u{rn1}"], [([f"d{x}", f"u'{x}"], n)])])
 
     for c in vertices:
         if r == 1 or c % p != 0 or not has(f"u{c}"):
@@ -428,25 +444,14 @@ def _build_ladder(
         if boundary_loops and has(f"u'{c-1}"):
             # chain-top loop identification (see module docstring)
             theta = config[f"theta{c % period}"]
-            b.rule(
-                [f"u{c}", f"d'{c-1}", f"u'{c-1}", f"d{c}"],
-                [([f"u{c}", f"d{c}"], theta)],
-            )
+            b.state([([f"u{c}", f"d'{c-1}", f"u'{c-1}", f"d{c}"], [([f"u{c}", f"d{c}"], theta)])])
         # consequences of the families above; rewriting only
-        b.derived_rule([f"u{c}", f"d{c}", f"u{c}"], [])
-        b.derived_rule([f"d{c}", f"u{c}", f"d{c}"], [])
+        b.state([([f"u{c}", f"d{c}", f"u{c}"], [])], derived=True)
         if has(f"u'{c-1}") and has(f"u{c-2}"):
             mn = config[f"m{(c - 2) % period}"] * config[f"n{(c - 2) % period}"]
-            b.derived_rule(
-                [f"u'{c-1}", f"d{c}", f"u{c}"],
-                [([f"d{c-2}", f"u{c-2}", f"u'{c-1}"], mn)],
-            )
-            b.derived_rule(
-                [f"d{c}", f"u{c}", f"d'{c-1}"],
-                [([f"d'{c-1}", f"d{c-2}", f"u{c-2}"], mn)],
-            )
-            b.derived_rule([f"u{c-2}", f"u'{c-1}", f"d{c}"], [])
-            b.derived_rule([f"u{c}", f"d'{c-1}", f"d{c-2}"], [])
+            tail = [f"d{c-2}", f"u{c-2}", f"u'{c-1}"]
+            b.state([([f"u'{c-1}", f"d{c}", f"u{c}"], [(tail, mn)])], derived=True)
+            b.state([([f"u{c-2}", f"u'{c-1}", f"d{c}"], [])], derived=True)
 
     return quiver, b.finish(config)
 
@@ -487,41 +492,28 @@ def build_sl3_quiver(a=1, b=1, r=0) -> tuple[Quiver, RelationSet]:
     weights = {v: v for v in vertices}
     quiver = Quiver("sl3", vertices, arrows, weights, frozenset(vertices), None)
     bld = _Builder(quiver)
-    one = Fraction(1)
-
-    # parallel up paths through the two sides of each Bruhat square agree
-    bld.rule(["u2", "u5"], [(["u1", "u3"], one)])
-    bld.rule(["u2", "u6"], [(["u1", "u4"], one)])
-    bld.rule(["u4", "u8"], [(["u3", "u7"], one)])
-    bld.rule(["u5", "u7"], [(["u6", "u8"], one)])
+    # parallel up paths through the two sides of each Bruhat square agree,
     # and dually for down paths
-    bld.rule(["d5", "d2"], [(["d3", "d1"], one)])
-    bld.rule(["d6", "d2"], [(["d4", "d1"], one)])
-    bld.rule(["d8", "d4"], [(["d7", "d3"], one)])
-    bld.rule(["d7", "d5"], [(["d8", "d6"], one)])
-    # vanishing loops
-    bld.zero(["u1", "d1"])
-    bld.zero(["u2", "d2"])
-    bld.zero(["u4", "d4"])
-    bld.zero(["u5", "d5"])
-    # loops at the length-one and length-two layers
-    bld.rule(["u3", "d3"], [(["d1", "u1"], a)])
-    bld.rule(["u6", "d6"], [(["d2", "u2"], a)])
-    bld.rule(["u4", "d6"], [(["d1", "u2"], -a)])
-    bld.rule(["u5", "d3"], [(["d2", "u1"], -a)])
-    bld.rule(["u6", "d4"], [(["d2", "u1"], -a)])
-    bld.rule(["u3", "d5"], [(["d1", "u2"], -a)])
+    bld.state([
+        (["u2", "u5"], [(["u1", "u3"], 1)]),
+        (["u2", "u6"], [(["u1", "u4"], 1)]),
+        (["u4", "u8"], [(["u3", "u7"], 1)]),
+        (["u5", "u7"], [(["u6", "u8"], 1)]),
+    ])
+    # vanishing loops, and loops at the length-one and length-two layers
+    bld.state([
+        *(([f"u{i}", f"d{i}"], []) for i in (1, 2, 4, 5)),
+        (["u3", "d3"], [(["d1", "u1"], a)]),
+        (["u6", "d6"], [(["d2", "u2"], a)]),
+        (["u4", "d6"], [(["d1", "u2"], -a)]),
+        (["u5", "d3"], [(["d2", "u1"], -a)]),
+    ])
     # loops at the top layer
-    bld.rule(["u7", "d7"], [(["d5", "u5"], b)])
-    bld.rule(["u8", "d8"], [(["d4", "u4"], b)])
-    bld.rule(
-        ["u7", "d8"],
-        [(["d3", "u4"], b), (["d5", "u6"], b), (["d3", "d1", "u2", "u6"], r)],
-    )
-    bld.rule(
-        ["u8", "d7"],
-        [(["d4", "u3"], b), (["d6", "u5"], b), (["d6", "d2", "u1", "u3"], r)],
-    )
+    bld.state([
+        (["u7", "d7"], [(["d5", "u5"], b)]),
+        (["u8", "d8"], [(["d4", "u4"], b)]),
+        (["u7", "d8"], [(["d3", "u4"], b), (["d5", "u6"], b), (["d3", "d1", "u2", "u6"], r)]),
+    ])
     return quiver, bld.finish({"a": a, "b": b, "r": r})
 
 

@@ -53,8 +53,8 @@ def reference_p1(p: int, window: int = 2) -> tuple[Quiver, RelationSet]:
     quiver = Quiver("p1", vertices, arrows, weights, core, 2, ctx)
     b = _Builder(quiver)
     for n in range(-half, half - 1):
-        b.zero([f"u{n}", f"u{n+1}"])
-        b.zero([f"d{n+1}", f"d{n}"])
+        b.rule([f"u{n}", f"u{n+1}"], [])
+        b.rule([f"d{n+1}", f"d{n}"], [])
     for x in range(-half + 1, half):
         # the loop at x through x+1 becomes the loop through x-1
         b.rule([f"u{x}", f"d{x}"], [([f"d{x-1}", f"u{x-1}"], Fraction(1))])
@@ -108,14 +108,14 @@ def reference_p2(
 
     for j in range(lo, hi):
         if has(f"u{j}") and has(f"u{j+1}"):
-            b.zero([f"u{j}", f"u{j+1}"])
-            b.zero([f"d{j+1}", f"d{j}"])
+            b.rule([f"u{j}", f"u{j+1}"], [])
+            b.rule([f"d{j+1}", f"d{j}"], [])
     for j in range(lo, hi + 1):
         if has(f"u'{j}"):
             t = right_neighbor(j, p)
             if has(f"u'{t}"):
-                b.zero([f"u'{j}", f"u'{t}"])
-                b.zero([f"d'{t}", f"d'{j}"])
+                b.rule([f"u'{j}", f"u'{t}"], [])
+                b.rule([f"d'{t}", f"d'{j}"], [])
     for x in range(lo, hi + 1):
         # vertical loops: through above equals through below
         if has(f"u{x}") and has(f"u{x-1}"):

@@ -9,11 +9,19 @@ replacement is the dual of the first replacement, term for term.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
 
-from tiltcell.quiver import build_p1_quiver, build_p2_quiver, build_sl3_quiver, p2_scalar_names
+from tiltcell.quiver import (
+    QuiverConfigError,
+    _Builder,
+    build_p1_quiver,
+    build_p2_quiver,
+    build_sl3_quiver,
+    p2_scalar_names,
+)
 
 
 def _balanced(p):
@@ -59,3 +67,33 @@ def test_rules_are_closed_under_duality(name):
             assert table.get(image(redex)) == tuple((image(path), c) for path, c in repl), (
                 quiver.format_path(redex)
             )
+
+
+GUARDS = {
+    # the image of the square u2 then u5 -> u1 then u3 is stated again by hand
+    "dual-stated-by-hand": (
+        lambda b: b.state(
+            [(["u2", "u5"], [(["u1", "u3"], 1)]), (["d5", "d2"], [(["d3", "d1"], 1)])]
+        ),
+        "duplicate rule for redex d2*d5",
+    ),
+    # u3 then d3 is its own image, while d1 then u2 maps to d2 then u1
+    "self-dual-redex": (
+        lambda b: b.state([(["u3", "d3"], [(["d1", "u2"], 1)])]),
+        "self-dual redex d3*u3: replacement is not",
+    ),
+    "derived-rule-twice": (
+        lambda b: [b.derived_rule(["u1", "d1", "u1"], []) for _ in range(2)],
+        "duplicate rule for redex u1*d1*u1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GUARDS))
+def test_builder_guards(name):
+    """The builder refuses a redex it already holds, and a self-dual redex
+    whose replacement is not self-dual."""
+    act, message = GUARDS[name]
+    quiver, _ = build_sl3_quiver()
+    with pytest.raises(QuiverConfigError, match=f"^{re.escape(message)}$"):
+        act(_Builder(quiver))
