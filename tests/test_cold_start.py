@@ -7,6 +7,7 @@ No module of the package loads `dataclasses` (and `inspect` under it).
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -19,7 +20,8 @@ from tiltcell import charring, cellbasis, cli, deltafilt, quiver, report, weight
 
 SRC = str(Path(tiltcell.__file__).resolve().parents[1])
 
-# every name the package exported when it imported the quiver module eagerly
+# the package's export list: every name its __init__ imports from a submodule,
+# and the quiver names it loads on first use
 EXPORTS = {
     charring: (
         "Character",
@@ -130,6 +132,17 @@ def test_import_skips_dataclasses(module):
 def test_package_exports_resolve(module):
     for name in EXPORTS[module]:
         assert getattr(tiltcell, name) is getattr(module, name), name
+
+
+def test_export_table_is_the_package_export_list():
+    tree = ast.parse(Path(tiltcell.__file__).read_text())
+    exported = {
+        f"tiltcell.{node.module}": tuple(alias.name for alias in node.names)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+    exported["tiltcell.quiver"] = tiltcell._QUIVER_NAMES
+    assert exported == {module.__name__: names for module, names in EXPORTS.items()}
 
 
 def test_unknown_package_attribute():
