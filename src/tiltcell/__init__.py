@@ -40,10 +40,8 @@ from .cellbasis import (
 )
 from .report import Report, ReportItem
 from .weights import (
-    AlcoveClass,
     Context,
     PadicSplit,
-    classify,
     dot_orbit,
     dot_reflect,
     padic_split,

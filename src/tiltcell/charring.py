@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .weights import Context, padic_split
 
@@ -59,13 +59,6 @@ class Character:
     def zero(cls) -> "Character":
         return cls()
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Character":
-        c: dict[int, int] = {}
-        for w, k in pairs:
-            c[w] = c.get(w, 0) + k
-        return cls(c)
-
     def coeff(self, n: int) -> int:
         return self._c.get(n, 0)
 
@@ -74,11 +67,6 @@ class Character:
 
     def support(self) -> list[int]:
         return sorted(self._c)
-
-    def max_weight(self) -> int:
-        if not self._c:
-            raise ValueError("the zero character has no maximal weight")
-        return max(self._c)
 
     def mass(self) -> int:
         """Sum of all coefficients (the dimension, for a module character)."""

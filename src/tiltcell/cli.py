@@ -209,7 +209,7 @@ def _preset_build(
     from . import quiver as qv
 
     preset = qv.PRESETS[args.preset]
-    if not preset.reads_p and args.p is not None:
+    if preset.window is None and args.p is not None:
         raise UsageError(f"--preset {args.preset} reads no --p")
     p = DEFAULT_P if args.p is None else args.p
     guard_level(p)
@@ -454,7 +454,7 @@ def _run_suite(name: str, args) -> list[Report]:
         defaults = {"window": None, "scalars": None, "no_boundary_loops": False}
         builds = [
             _preset_build(
-                argparse.Namespace(preset=key, p=ctx.p if preset.reads_p else None, **defaults),
+                argparse.Namespace(preset=key, p=None if preset.window is None else ctx.p, **defaults),
                 preset.max_len,
             )
             for key, preset in qv.PRESETS.items()

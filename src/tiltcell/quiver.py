@@ -206,9 +206,6 @@ class PathElement(_PathElementFields):
         terms = {p: c if c.__class__ is Fraction else Fraction(c) for p, c in terms.items() if c}
         return super().__new__(cls, source, target, terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def pretty(self, quiver: Quiver) -> str:
         if not self.terms:
             return "0"
@@ -288,12 +285,6 @@ class _Builder:
         if redex in table:
             raise QuiverConfigError(f"duplicate rule for redex {self.quiver.format_path(redex)}")
         table[redex] = repl
-
-    def rule(self, redex: Iterable[str], repl: Iterable[tuple]) -> None:
-        self._add(self.rules, *self._ids(redex, repl))
-
-    def derived_rule(self, redex: Iterable[str], repl: Iterable[tuple]) -> None:
-        self._add(self.derived, *self._ids(redex, repl))
 
     def state(self, block: Iterable[tuple], derived: bool = False) -> None:
         """Add the (redex, replacement) rules of `block` to the rules, or the
@@ -518,20 +509,19 @@ def build_sl3_quiver(a=1, b=1, r=0) -> tuple[Quiver, RelationSet]:
 
 
 class Preset(NamedTuple):
-    """Everything that differs between the presentations.  The callables look
-    builders and oracles up on this module when they run, so replacing
-    `build_*`, `hom_dim` or `sl3_hom_dim` here reaches every caller."""
+    """What differs between the presentations; a preset with no window reads no p.
+    The callables look builders and oracles up on this module when they run, so
+    replacing `build_*`, `hom_dim` or `sl3_hom_dim` here reaches every caller."""
 
     # build(p, window, scalars, boundary_loops); scalars holds validated overrides
     build: Callable[[int, int | None, dict, bool], tuple[Quiver, RelationSet]]
-    window: int | None  # None: the preset has no window
+    window: int | None  # None: the preset has no window and reads no p
     max_len: int  # default truncation of the linear engine
     vertex_count: Callable[[int, int | None], int]  # from p and window, before building
     # the ladders' choices: no scalars, common-factor Hom counts, cells ranked by weight
     scalar_names: Callable[[int], list[str]] = lambda p: []
     valid_scalars: Callable[[int], str] = lambda p: "none"  # the names as one short line
     boundary_loops: bool = False  # whether build reads boundary_loops
-    reads_p: bool = True  # whether build reads p
     oracle: Callable[..., int] = lambda lam, mu, ctx: hom_dim(lam, mu, ctx)
     cell_rank: Callable[[Quiver], dict] = lambda quiver: dict(quiver.weights)
     # vertices swapped by an automorphism of the presentation (unlisted
@@ -564,7 +554,6 @@ PRESETS: dict[str, Preset] = {
         vertex_count=lambda p, window: len(SL3_ELEMENTS),
         scalar_names=lambda p: ["a", "b", "r"],
         valid_scalars=lambda p: "a, b, r",
-        reads_p=False,
         oracle=lambda lam, mu, ctx: sl3_hom_dim(lam, mu),
         cell_rank=lambda quiver: {v: -SL3_LENGTH[v] for v in quiver.vertices},
         # the Dynkin diagram automorphism, for every (a, b, r)

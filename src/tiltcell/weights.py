@@ -63,25 +63,6 @@ class PadicSplit(NamedTuple):
     tail: int  # head + p**r * tail reconstructs the weight
 
 
-SPECIAL = "special"
-WALL = "wall"
-REGULAR = "regular"
-
-
-class AlcoveClass(NamedTuple):
-    """Position of a weight in the level-r alcove pattern.
-
-    kind is one of "special" (congruent to -1 mod p**r), "wall" (congruent
-    to -1 mod p but not special; the weight is alcove_index*p - 1), or
-    "regular" (the weight is alcove_index*p + offset with offset in
-    [0, p-2]).
-    """
-
-    kind: str
-    alcove_index: int | None = None
-    offset: int | None = None
-
-
 def padic_split(lam: int, ctx: Context) -> PadicSplit:
     """Write lam = head + p**r * tail with head in [0, p**r).
 
@@ -104,16 +85,6 @@ def tilde(lam: int, ctx: Context) -> int:
     """
     head, tail = padic_split(lam, ctx)
     return 2 * (ctx.q - 1) - head + ctx.q * tail
-
-
-def classify(lam: int, ctx: Context) -> AlcoveClass:
-    """Classify lam as special, wall, or regular for the level-r pattern."""
-    if (lam + 1) % ctx.q == 0:
-        return AlcoveClass(SPECIAL)
-    a = lam % ctx.p
-    if a == ctx.p - 1:
-        return AlcoveClass(WALL, alcove_index=(lam + 1) // ctx.p)
-    return AlcoveClass(REGULAR, alcove_index=(lam - a) // ctx.p, offset=a)
 
 
 def dot_reflect(lam: int, wall_index: int, ctx: Context) -> int:

@@ -21,7 +21,6 @@ def test_character_canonical_form():
     assert not Character({0: 1}) - Character({0: 1})
     ch = Character({2: 1, -2: 3})
     assert ch.to_pairs() == [[-2, 3], [2, 1]]
-    assert Character.from_pairs([(1, 1), (1, -1)]) == Character.zero()
 
 
 def test_character_arithmetic():
@@ -56,7 +55,7 @@ def test_simple_char_top_and_symmetry():
     for p in (3, 5):
         for lam in range(0, 3 * p * p):
             ch = simple_char(lam, p)
-            assert ch.max_weight() == lam and ch.coeff(lam) == 1
+            assert max(ch.support()) == lam and ch.coeff(lam) == 1
             assert ch == Character({-w: c for w, c in ch.items()})
 
 

@@ -73,10 +73,8 @@ EXPORTS = {
     ),
     report: ("Report", "ReportItem"),
     weights: (
-        "AlcoveClass",
         "Context",
         "PadicSplit",
-        "classify",
         "dot_orbit",
         "dot_reflect",
         "padic_split",

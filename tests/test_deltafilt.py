@@ -112,7 +112,7 @@ def test_tilting_char():
         assert tilting_char(c.q - 1, c) == baby_verma_char(c.q - 1, c)
         for lam in range(-20, 21):
             ch = tilting_char(lam, c)
-            assert ch.max_weight() == lam and ch.coeff(lam) == 1
+            assert max(ch.support()) == lam and ch.coeff(lam) == 1
 
 
 def test_verify_reciprocity_spot():

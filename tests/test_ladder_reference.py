@@ -1,5 +1,6 @@
 """The two ladder builders as they were before p1 and p2 became instances of
-one builder, kept verbatim as references.
+one builder, kept verbatim as references, except that each single rule goes
+through the test-local `_rule` or `_derived`.
 
 Every build on the grid below must equal its reference: the quiver (arrow
 order included), and the relations, rules and derived rules of the relation
@@ -31,6 +32,14 @@ from tiltcell.quiver import (
 from tiltcell.weights import Context
 
 
+def _rule(b: _Builder, redex, repl) -> None:
+    b._add(b.rules, *b._ids(redex, repl))
+
+
+def _derived(b: _Builder, redex, repl) -> None:
+    b._add(b.derived, *b._ids(redex, repl))
+
+
 def left_neighbor(j: int, p: int) -> int:
     """Reflect j in the nearest multiple of p strictly below it."""
     return 2 * p * (j // p) - j
@@ -53,11 +62,11 @@ def reference_p1(p: int, window: int = 2) -> tuple[Quiver, RelationSet]:
     quiver = Quiver("p1", vertices, arrows, weights, core, 2, ctx)
     b = _Builder(quiver)
     for n in range(-half, half - 1):
-        b.rule([f"u{n}", f"u{n+1}"], [])
-        b.rule([f"d{n+1}", f"d{n}"], [])
+        _rule(b, [f"u{n}", f"u{n+1}"], [])
+        _rule(b, [f"d{n+1}", f"d{n}"], [])
     for x in range(-half + 1, half):
         # the loop at x through x+1 becomes the loop through x-1
-        b.rule([f"u{x}", f"d{x}"], [([f"d{x-1}", f"u{x-1}"], Fraction(1))])
+        _rule(b, [f"u{x}", f"d{x}"], [([f"d{x-1}", f"u{x-1}"], Fraction(1))])
     return quiver, b.finish({})
 
 
@@ -108,23 +117,23 @@ def reference_p2(
 
     for j in range(lo, hi):
         if has(f"u{j}") and has(f"u{j+1}"):
-            b.rule([f"u{j}", f"u{j+1}"], [])
-            b.rule([f"d{j+1}", f"d{j}"], [])
+            _rule(b, [f"u{j}", f"u{j+1}"], [])
+            _rule(b, [f"d{j+1}", f"d{j}"], [])
     for j in range(lo, hi + 1):
         if has(f"u'{j}"):
             t = right_neighbor(j, p)
             if has(f"u'{t}"):
-                b.rule([f"u'{j}", f"u'{t}"], [])
-                b.rule([f"d'{t}", f"d'{j}"], [])
+                _rule(b, [f"u'{j}", f"u'{t}"], [])
+                _rule(b, [f"d'{t}", f"d'{j}"], [])
     for x in range(lo, hi + 1):
         # vertical loops: through above equals through below
         if has(f"u{x}") and has(f"u{x-1}"):
-            b.rule([f"u{x}", f"d{x}"], [([f"d{x-1}", f"u{x-1}"], Fraction(1))])
+            _rule(b, [f"u{x}", f"d{x}"], [([f"d{x-1}", f"u{x-1}"], Fraction(1))])
         # horizontal loops: through the right neighbour equals through the left
         if has(f"u'{x}"):
             l = left_neighbor(x, p)
             if has(f"u'{l}"):
-                b.rule([f"u'{x}", f"d'{x}"], [([f"d'{l}", f"u'{l}"], Fraction(1))])
+                _rule(b, [f"u'{x}", f"d'{x}"], [([f"d'{l}", f"u'{l}"], Fraction(1))])
         if x % p in (0, p - 1):
             continue
         rn1 = right_neighbor(x, p) - 1  # equals right_neighbor(x + 1, p)
@@ -133,11 +142,11 @@ def reference_p2(
         m = config[f"m{x % period}"]
         n = config[f"n{x % period}"]
         # commuting squares: right-then-down equals down-then-right ...
-        b.rule([f"u'{x}", f"d{rn1}"], [([f"u{x}", f"u'{x+1}"], m)])
-        b.rule([f"u{rn1}", f"d'{x}"], [([f"d'{x+1}", f"d{x}"], m)])
+        _rule(b, [f"u'{x}", f"d{rn1}"], [([f"u{x}", f"u'{x+1}"], m)])
+        _rule(b, [f"u{rn1}", f"d'{x}"], [([f"d'{x+1}", f"d{x}"], m)])
         # ... and the transposed squares
-        b.rule([f"u'{x+1}", f"u{rn1}"], [([f"d{x}", f"u'{x}"], n)])
-        b.rule([f"d{rn1}", f"d'{x+1}"], [([f"d'{x}", f"u{x}"], n)])
+        _rule(b, [f"u'{x+1}", f"u{rn1}"], [([f"d{x}", f"u'{x}"], n)])
+        _rule(b, [f"d{rn1}", f"d'{x+1}"], [([f"d'{x}", f"u{x}"], n)])
 
     for c in range(lo, hi + 1):
         if c % p != 0 or not has(f"u{c}"):
@@ -145,25 +154,28 @@ def reference_p2(
         if boundary_loops and has(f"u'{c-1}"):
             # chain-top loop identification (see module docstring)
             theta = config[f"theta{c % period}"]
-            b.rule(
+            _rule(
+                b,
                 [f"u{c}", f"d'{c-1}", f"u'{c-1}", f"d{c}"],
                 [([f"u{c}", f"d{c}"], theta)],
             )
         # consequences of the families above; rewriting only
-        b.derived_rule([f"u{c}", f"d{c}", f"u{c}"], [])
-        b.derived_rule([f"d{c}", f"u{c}", f"d{c}"], [])
+        _derived(b, [f"u{c}", f"d{c}", f"u{c}"], [])
+        _derived(b, [f"d{c}", f"u{c}", f"d{c}"], [])
         if has(f"u'{c-1}") and has(f"u{c-2}"):
             mn = config[f"m{(c - 2) % period}"] * config[f"n{(c - 2) % period}"]
-            b.derived_rule(
+            _derived(
+                b,
                 [f"u'{c-1}", f"d{c}", f"u{c}"],
                 [([f"d{c-2}", f"u{c-2}", f"u'{c-1}"], mn)],
             )
-            b.derived_rule(
+            _derived(
+                b,
                 [f"d{c}", f"u{c}", f"d'{c-1}"],
                 [([f"d'{c-1}", f"d{c-2}", f"u{c-2}"], mn)],
             )
-            b.derived_rule([f"u{c-2}", f"u'{c-1}", f"d{c}"], [])
-            b.derived_rule([f"u{c}", f"d'{c-1}", f"d{c-2}"], [])
+            _derived(b, [f"u{c-2}", f"u'{c-1}", f"d{c}"], [])
+            _derived(b, [f"u{c}", f"d'{c-1}", f"d{c-2}"], [])
 
     return quiver, b.finish(config)
 

@@ -83,7 +83,7 @@ GUARDS = {
         "self-dual redex d3*u3: replacement is not",
     ),
     "derived-rule-twice": (
-        lambda b: [b.derived_rule(["u1", "d1", "u1"], []) for _ in range(2)],
+        lambda b: [b.state([(["u1", "d1", "u1"], [])], derived=True) for _ in range(2)],
         "duplicate rule for redex u1*d1*u1",
     ),
 }

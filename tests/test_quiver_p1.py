@@ -54,8 +54,8 @@ def test_normal_form_examples():
     e = PathElement(0, 0, {(): Fraction(1)})
     assert normal_form(e, rels) == e
     # long paths vanish: any length-3 walk in the core
-    assert normal_form(PathElement(0, 1, {(aid("u0"), aid("d0"), aid("u0")): 1}), rels).is_zero()
-    assert normal_form(PathElement(0, 2, {(aid("u0"), aid("u1")): 1}), rels).is_zero()
+    assert not normal_form(PathElement(0, 1, {(aid("u0"), aid("d0"), aid("u0")): 1}), rels).terms
+    assert not normal_form(PathElement(0, 2, {(aid("u0"), aid("u1")): 1}), rels).terms
 
 
 def test_normal_form_idempotent_on_all_core_words():

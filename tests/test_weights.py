@@ -3,11 +3,7 @@ from __future__ import annotations
 import pytest
 
 from tiltcell.weights import (
-    REGULAR,
-    SPECIAL,
-    WALL,
     Context,
-    classify,
     dot_orbit,
     dot_reflect,
     padic_split,
@@ -85,28 +81,6 @@ def test_tilde_box_mapping(p, r):
     for m in range(-3, 4):
         image = {tilde(q * m + x, ctx) for x in range(q)}
         assert image == {q * (m + 1) - 1 + x for x in range(q)}
-
-
-def test_classify_examples():
-    assert classify(4, Context(5, 1)).kind == SPECIAL
-    got = classify(9, Context(5, 2))
-    assert (got.kind, got.alcove_index) == (WALL, 2)
-    got = classify(10, Context(5, 2))
-    assert (got.kind, got.alcove_index, got.offset) == (REGULAR, 2, 0)
-
-
-def test_classify_partition_sweep():
-    ctx = Context(5, 2)
-    for lam in range(-100, 101):
-        got = classify(lam, ctx)
-        if got.kind == SPECIAL:
-            assert (lam + 1) % ctx.q == 0
-        elif got.kind == WALL:
-            assert (lam + 1) % ctx.p == 0 and (lam + 1) % ctx.q != 0
-            assert got.alcove_index * ctx.p - 1 == lam
-        else:
-            assert got.alcove_index * ctx.p + got.offset == lam
-            assert 0 <= got.offset <= ctx.p - 2
 
 
 def test_dot_reflect():
