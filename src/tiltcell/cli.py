@@ -5,9 +5,9 @@ DOT where it makes sense) to stdout or --output and is byte-deterministic
 for fixed inputs.  Exit status: 0 on success, 1 when a verification ran and
 found a failure, 2 on usage errors, an unwritable --output among them.
 TILTCELL_MAX_WORK caps sweep sizes, the entries of the factor tables a
-command reads, the support of a `char` character, and the vertex count and
-(where a quotient is computed) the rough path count of a preset quiver,
-each checked before it is built, and the cell indices that `cell-basis`
+command reads, the support of a `char` character, the vertex count of a
+preset quiver and, for a quotient, its rough path count and listed core
+pairs, each checked before it is built, and the cell indices `cell-basis`
 lists (the sum over nu of (P : Delta(nu)) * (Q : Delta(nu))) and the
 |P| * |Q| Hom pairs of their cross-check, both before any is listed.  It also
 bounds --p by the sqrt(p)/2 trial divisions of its primality test, and --r,
@@ -205,7 +205,7 @@ def _preset_build(
     args, max_len: int | None = None
 ) -> Callable[[], tuple[qv.Quiver, qv.RelationSet]]:
     """Validate the preset flags and bound the build (with max_len, also the
-    path count of a quiver-check); return the build, which has not run."""
+    path and core-pair counts of a quiver-check); return the build, unrun."""
     from . import quiver as qv
 
     preset = qv.PRESETS[args.preset]
@@ -218,11 +218,13 @@ def _preset_build(
     if args.no_boundary_loops and not preset.boundary_loops:
         raise UsageError(f"--preset {args.preset} has no boundary loops")
     window = preset.window if args.window is None else args.window
-    vertices = preset.vertex_count(p, window)
+    vertices, core = preset.vertex_count(p, window)
     guard_work(vertices)
     if max_len is not None:
         # rough path-object count; monomial pruning keeps the real work below this
         guard_power(vertices, 4, max_len)
+        # the comparison lists every ordered pair of core vertices
+        guard_work(core * core)
     # after the vertex guard, which bounds p for p2, whose scalar names count to 2p
     scalars = _parse_scalars(args.scalars)
     names = preset.scalar_names(p)

@@ -65,8 +65,8 @@ path once, at its leftmost position and there by the shortest redex, and
 keeps the normal form of every reducible path it has met; irreducible paths
 are not stored.  `normal_form` builds a fresh reducer per call, while
 `cell_filtration_check` shares one across all its compositions and drops it
-when it returns.  The step budget `max_steps` bounds the paths rewritten in
-one normal form.  A path met again while it is still being reduced is a
+when it returns.  The step budget `_MAX_STEPS` bounds the paths rewritten
+in one normal form.  A path met again while it is still being reduced is a
 rewrite cycle: NonTerminating is raised at once, as it is when the budget
 runs out.
 
@@ -336,6 +336,12 @@ def _ladder_extent(p: int, r: int, window: int) -> tuple[int, int]:
     return period, period * (window + _MARGIN)
 
 
+def _ladder_counts(p: int, r: int, window: int) -> tuple[int, int]:
+    """The vertex and core-vertex counts of the level-r ladder."""
+    period, half = _ladder_extent(p, r, window)
+    return 2 * half + 1, 2 * period * window + 1
+
+
 def p2_scalar_names(p: int) -> list[str]:
     """Configurable scalars of the ladder: one per commuting-square family
     ("m<x>"/"n<x>", indexed by the residue of the square's base column mod
@@ -517,7 +523,8 @@ class Preset(NamedTuple):
     build: Callable[[int, int | None, dict, bool], tuple[Quiver, RelationSet]]
     window: int | None  # None: the preset has no window and reads no p
     max_len: int  # default truncation of the linear engine
-    vertex_count: Callable[[int, int | None], int]  # from p and window, before building
+    # (vertices, core vertices) from p and window, before building
+    vertex_count: Callable[[int, int | None], tuple[int, int]]
     # the ladders' choices: no scalars, common-factor Hom counts, cells ranked by weight
     scalar_names: Callable[[int], list[str]] = lambda p: []
     valid_scalars: Callable[[int], str] = lambda p: "none"  # the names as one short line
@@ -536,13 +543,13 @@ PRESETS: dict[str, Preset] = {
         build=lambda p, window, scalars, loops: build_p1_quiver(p, window),
         window=2,
         max_len=4,
-        vertex_count=lambda p, window: 2 * _ladder_extent(p, 1, window)[1] + 1,
+        vertex_count=lambda p, window: _ladder_counts(p, 1, window),
     ),
     "p2": Preset(
         build=lambda p, window, scalars, loops: build_p2_quiver(p, window, scalars, loops),
         window=1,
         max_len=5,
-        vertex_count=lambda p, window: 2 * _ladder_extent(p, 2, window)[1] + 1,
+        vertex_count=lambda p, window: _ladder_counts(p, 2, window),
         scalar_names=p2_scalar_names,
         valid_scalars=p2_scalar_families,
         boundary_loops=True,
@@ -551,7 +558,7 @@ PRESETS: dict[str, Preset] = {
         build=lambda p, window, scalars, loops: build_sl3_quiver(**scalars),
         window=None,
         max_len=7,
-        vertex_count=lambda p, window: len(SL3_ELEMENTS),
+        vertex_count=lambda p, window: (len(SL3_ELEMENTS),) * 2,
         scalar_names=lambda p: ["a", "b", "r"],
         valid_scalars=lambda p: "a, b, r",
         oracle=lambda lam, mu, ctx: sl3_hom_dim(lam, mu),
@@ -934,7 +941,7 @@ def check_against_cellular(
 
 
 _ONE = Fraction(1)
-_MAX_STEPS = 200_000  # default rewrite budget of one normal form
+_MAX_STEPS = 200_000  # rewrite budget of one normal form
 
 
 def _add_form(acc: dict[Path, Fraction], coeff: Fraction, form: Replacement) -> None:
@@ -953,14 +960,13 @@ class _Reducer:
     `memo` maps each reducible path met so far to its normal form, a tuple
     of (irreducible path, nonzero coefficient).  The rewrite tree is walked
     with an explicit stack, so a long chain cannot hit the recursion limit.
-    `steps` counts the paths rewritten against `max_steps`; the caller
+    `steps` counts the paths rewritten against `_MAX_STEPS`; the caller
     zeroes it at the start of each normal form."""
 
-    __slots__ = ("rules", "lengths", "max_steps", "steps", "memo")
+    __slots__ = ("rules", "lengths", "steps", "memo")
 
-    def __init__(self, rels: RelationSet, max_steps: int) -> None:
+    def __init__(self, rels: RelationSet) -> None:
         self.rules, self.lengths = rels.table, rels.lengths
-        self.max_steps = max_steps
         self.steps = 0
         self.memo: dict[Path, Replacement] = {}
 
@@ -975,8 +981,8 @@ class _Reducer:
                 repl = rules.get(path[i : i + L])
                 if repl is not None:
                     self.steps += 1
-                    if self.steps > self.max_steps:
-                        raise NonTerminating(f"rewrite budget {self.max_steps} exhausted")
+                    if self.steps > _MAX_STEPS:
+                        raise NonTerminating(f"rewrite budget {_MAX_STEPS} exhausted")
                     return path[:i], repl, path[i + L :]
         return None
 
@@ -1019,11 +1025,11 @@ class _Reducer:
             _add_form(stack[-1][5], coeff, form)
 
 
-def normal_form(x: PathElement, rels: RelationSet, max_steps: int = _MAX_STEPS) -> PathElement:
+def normal_form(x: PathElement, rels: RelationSet) -> PathElement:
     """Rewrite to a fixed point: leftmost position first, shortest redex
     first, each reducible path once.  Raises NonTerminating when rewriting
-    cycles or rewrites more than max_steps paths."""
-    reducer = _Reducer(rels, max_steps)
+    cycles or rewrites more than _MAX_STEPS paths."""
+    reducer = _Reducer(rels)
     out: dict[Path, Fraction] = {}
     for path, coeff in x.terms.items():
         _add_form(out, coeff, reducer.reduce(path))
@@ -1078,7 +1084,7 @@ def cell_filtration_check(quiver: Quiver, rels: RelationSet, result: QuotientDim
     per composition)."""
     words = irreducible_words(quiver, rels, result.max_len)
     core = quiver.core
-    reducer = _Reducer(rels, _MAX_STEPS)
+    reducer = _Reducer(rels)
     rep = Report("cell-filtration", {"preset": quiver.preset, "max_len": result.max_len})
     for (src, tgt), plist in sorted(words.items(), key=_pair_key):
         if src not in core or tgt not in core:

@@ -1,12 +1,12 @@
-"""Sparse row reduction over exact rationals, eliminated fraction-free.
+"""Sparse row reduction of integer rows, eliminated fraction-free.
 
 The columns are the indices 0..n-1, and an index is its column's elimination
 priority: smaller indices are pivoted first.  Rows are dicts mapping column
-indices to nonzero rationals (`int` or `Fraction`).  Each row is scaled to a
-primitive integer row on entry, and elimination cross-multiplies integers
-and divides out the content gcd after every step (Bareiss, Math. Comp. 22,
-1968, without the determinant bookkeeping), so no `Fraction` arithmetic
-happens inside the loop.
+indices to nonzero `int`s (`quiver._linear_setup` clears the denominators of
+each relation once).  Each row is divided by its content on entry, and
+elimination cross-multiplies integers and divides out the content gcd after
+every step (Bareiss, Math. Comp. 22, 1968, without the determinant
+bookkeeping), so the whole module does integer arithmetic only.
 
 Membership questions of the form "does this vector lie in the span modulo
 the low-priority columns" reduce to inspecting the residue support.
@@ -24,13 +24,11 @@ the live roots, the candidate non-pivot columns: the supports stay canonical.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
 Row = dict[int, int]
-Coeff = int | Fraction
 
 
 def _divide_content(row: Row) -> None:
@@ -41,7 +39,7 @@ def _divide_content(row: Row) -> None:
 
 
 class SparseEchelon:
-    """Incrementally maintained echelon basis of sparse rational rows."""
+    """Incrementally maintained echelon basis of sparse integer rows."""
 
     def __init__(self) -> None:
         # pivot column -> primitive integer row, positive at the pivot, whose
@@ -57,11 +55,10 @@ class SparseEchelon:
         projected onto them, since every other pivot row is zero there."""
         return sum(c < k for c in self._pivots)
 
-    def reduce(self, row: Mapping[int, Coeff]) -> Row:
+    def reduce(self, row: Mapping[int, int]) -> Row:
         """The residue of `row`, a primitive integer row with no pivot
         column; unique up to a nonzero scalar factor."""
-        scale = lcm(*(v.denominator for v in row.values()))
-        out = {c: v.numerator * (scale // v.denominator) for c, v in row.items() if v}
+        out = dict(row)
         _divide_content(out)
         pivots = self._pivots
         # clearing a pivot column only brings in later columns, so a min-heap
@@ -93,7 +90,7 @@ class SparseEchelon:
             _divide_content(out)
         return out
 
-    def add(self, row: Mapping[int, Coeff]) -> bool:
+    def add(self, row: Mapping[int, int]) -> bool:
         """Insert a row; returns True if it enlarged the span."""
         red = self.reduce(row)
         if not red:
@@ -108,9 +105,11 @@ class SparseEchelon:
 class ContractedEchelon:
     """The span of a row stream over the columns 0..n-1 (read until every class
     is dead), with the `rank`, `pivots_among` and `reduce` of a `SparseEchelon`
-    fed all of it."""
+    fed all of it, provided each row is non-empty with nonzero `int` entries,
+    as every row of `quiver._relation_rows` is.  Nothing checks it: {c: 0}
+    kills c, a two-term row with a zero stores a zero ratio, {} raises."""
 
-    def __init__(self, n: int, rows: Iterable[Mapping[int, Coeff]]):
+    def __init__(self, n: int, rows: Iterable[Mapping[int, int]]):
         # column c is num[c]/den[c] times parent[c] modulo the short rows;
         # dead[r]: the class of root r lies in the span
         parent, num, den, dead = list(range(n)), [1] * n, [1] * n, [False] * n
@@ -140,8 +139,7 @@ class ContractedEchelon:
                 ((c2, v2),) = rest
                 r2, n2, d2 = find(c2)
                 # root r1 is p/q times root r2, from v1*c1 + v2*c2 = 0
-                p = -v2.numerator * v1.denominator * d1 * n2
-                q = v1.numerator * v2.denominator * n1 * d2
+                p, q = -v2 * d1 * n2, v1 * n1 * d2
                 if r1 != r2 and not (dead[r1] or dead[r2]):
                     if r1 > r2:  # the root stays the member of lowest priority
                         r1, r2, p, q = r2, r1, q, p
@@ -163,14 +161,14 @@ class ContractedEchelon:
             self._wide.add(self._project(row))
         self.rank = n - len(self._roots) + self._wide.rank
 
-    def _project(self, row: Mapping[int, Coeff]) -> Row:
+    def _project(self, row: Mapping[int, int]) -> Row:
         # `row` moved onto the live roots and scaled to integers, which
         # changes it by a vector of the span
         find, dead, out = self._find, self._dead, {}
         terms = [(t, v) for c, v in row.items() if not dead[(t := find(c))[0]]]
-        scale = lcm(*(v.denominator * b for (_, _, b), v in terms))
+        scale = lcm(*(b for (_, _, b), _ in terms))
         for (r, a, b), v in terms:
-            out[r] = out.get(r, 0) + v.numerator * a * (scale // (v.denominator * b))
+            out[r] = out.get(r, 0) + v * a * (scale // b)
         return {r: v for r, v in out.items() if v}
 
     def pivots_among(self, k: int) -> int:
@@ -178,6 +176,6 @@ class ContractedEchelon:
         # the long rows moved onto the roots
         return min(k, self._n) - sum(r < k for r in self._roots) + self._wide.pivots_among(k)
 
-    def reduce(self, row: Mapping[int, Coeff]) -> Row:
+    def reduce(self, row: Mapping[int, int]) -> Row:
         """The residue of `row`, up to a nonzero scalar factor."""
         return self._wide.reduce(self._project(row))

@@ -35,22 +35,6 @@ class Report:
         self.items = [] if items is None else items
         self.unlisted = 0
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Report:
-            return NotImplemented
-        return (self.check, self.context, self.items, self.unlisted) == (
-            other.check,
-            other.context,
-            other.items,
-            other.unlisted,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"Report(check={self.check!r}, context={self.context!r}, items={self.items!r}, "
-            f"unlisted={self.unlisted!r})"
-        )
-
     @property
     def all_pass(self) -> bool:
         return all(item.passed for item in self.items)

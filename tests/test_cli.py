@@ -186,6 +186,33 @@ def test_preset_size_bounded_before_build(monkeypatch, command, cap, window):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,cap,pairs",
+    [
+        (["quiver-check", "--preset", "p1", "--p", "3", "--window", "100"], "150000", 401**2),
+        (["verify", "--suite", "quiver", "--p", "769"], "9460000", 3077**2),
+    ],
+    ids=["p1-window-100", "verify-p2-at-769"],
+)
+def test_listed_core_pairs_bounded_before_build(monkeypatch, capsys, argv, cap, pairs):
+    # the comparison lists every ordered pair of core vertices; here the
+    # vertices (p1: 409) and the paths (409 * 4**4 = 104 704; p2 at p=769:
+    # 9229 * 4**5 = 9 450 496) are within the cap, but the pairs are not
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quiver was built")
+
+    for name in ("build_p1_quiver", "build_p2_quiver", "build_sl3_quiver"):
+        monkeypatch.setattr(qv, name, refuse)
+    monkeypatch.setenv("TILTCELL_MAX_WORK", cap)
+    code, out = invoke(argv)
+    assert code == 2 and out == ""
+    assert f"sweep of {pairs} items" in capsys.readouterr().err
+    if argv[0] == "quiver-check":
+        # quiver-build lists no pairs, so the same flags reach the builder
+        with pytest.raises(AssertionError, match="a quiver was built"):
+            invoke(["quiver-build", *argv[1:]])
+
+
 @pytest.mark.parametrize("command", ["quiver-build", "quiver-check"])
 def test_sl3_window_rejected_before_build(monkeypatch, capsys, command):
     # sl3 has no window, so a --window there must not be silently ignored

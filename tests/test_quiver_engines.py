@@ -178,15 +178,17 @@ def test_not_saturated_raises():
     assert not result.saturated and result.unsaturated
 
 
-def test_non_terminating_budget():
+def test_one_arrow_rewrite_cycle_is_non_terminating():
+    # the rule u0 -> u0 rewrites a path to itself: cycle detection raises at
+    # the first repeat, long before the step budget could run out
     quiver, rels = build_p1_quiver(3, window=2)
     aid = quiver.arrow_id
     spin = dict(rels.rules)
     spin[(aid("u0"),)] = (((aid("u0"),), Fraction(1)),)  # deliberate loop
     bad = RelationSet(rels.relations, spin, {}, {})
     elem = PathElement(0, 1, {(aid("u0"),): Fraction(1)})
-    with pytest.raises(NonTerminating):
-        normal_form(elem, bad, max_steps=50)
+    with pytest.raises(NonTerminating, match="rewriting returns to the path"):
+        normal_form(elem, bad)
 
 
 def test_export_dot_empty_quiver():

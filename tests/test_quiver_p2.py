@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -96,7 +97,10 @@ def test_derived_rules_are_consequences():
         # a longer term has no column, yet need not lie in the ideal
         assert max(map(len, elem.terms)) <= setup.max_len
         ech, col = _echelon(setup, (elem.source, elem.target))
-        return not ech.reduce({col[path]: c for path, c in elem.terms.items() if path in col})
+        row = {col[path]: c for path, c in elem.terms.items() if path in col}
+        # the echelon takes integer rows: clear the row's denominators
+        scale = lcm(*(c.denominator for c in row.values()))
+        return not ech.reduce({k: int(c * scale) for k, c in row.items()})
 
     doubled = 0
     for redex, repl in rels.derived_rules.items():

@@ -14,6 +14,7 @@ from math import lcm
 import pytest
 
 from tiltcell.quiver import (
+    PRESETS,
     Arrow,
     NotSaturated,
     PathElement,
@@ -87,7 +88,9 @@ def reference_quotient_dims(quiver, rels, max_len):
         col = {path: i for i, path in enumerate(order)}
         ech = SparseEchelon()
         for row in rows.get(pair, ()):
-            ech.add({col[path]: c for path, c in row.items()})
+            # the echelon takes integer rows: clear the row's denominators
+            scale = lcm(*(c.denominator for c in row.values()))
+            ech.add({col[path]: int(c * scale) for path, c in row.items()})
         dims[pair] = len(plist) - ech.rank
         if pair[0] in core and pair[1] in core:
             for path in plist:
@@ -294,6 +297,32 @@ def test_relation_rows_match_plain_generator(case):
         col = {path: c for c, path in enumerate(order)}
         got = [[(order[c], k) for c, k in row.items()] for row in _relation_rows(setup, pair, col)]
         assert got == want.get(pair, []), pair
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_p1_quiver(3),
+        lambda: build_p2_quiver(3),
+        lambda: build_p2_quiver(7),
+        lambda: build_sl3_quiver(1, 1, 0),
+        lambda: build_sl3_quiver(Fraction(2, 3), 3, 0),
+    ],
+    ids=["p1-p3", "p2-p3", "p2-p7", "sl3", "sl3-fractional"],
+)
+def test_relation_rows_meet_the_echelon_precondition(build):
+    """Every row the engine hands to `ContractedEchelon` is non-empty, with
+    nonzero `int` entries: the echelon does not check its rows, and a zero
+    entry or an empty row would change its answers or raise."""
+    quiver, rels = build()
+    setup = _linear_setup(quiver, rels, PRESETS[quiver.preset].max_len)
+    rows = 0
+    for pair, plist in setup.alive.items():
+        col = {path: c for c, path in enumerate(plist)}
+        for row in _relation_rows(setup, pair, col):
+            assert row and all(k.__class__ is int and k for k in row.values()), (pair, row)
+            rows += 1
+    assert rows
 
 
 def test_symmetry_certificates():

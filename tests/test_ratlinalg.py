@@ -1,12 +1,15 @@
 """SparseEchelon and ContractedEchelon against a dense Fraction Gaussian
 elimination: rank, the verdict of each add, the pivot counts and the support
 of each residue must agree.  Systems are drawn over labelled columns and a
-drawn priority order, then handed to the echelons by each label's index in
-that order."""
+drawn priority order, with rational coefficients, then handed to the echelons
+by each label's index in that order, each row scaled by the lcm of its
+denominators: the echelons take integer rows only, and scaling a row changes
+neither the span nor a residue's support."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -64,10 +67,17 @@ def systems(draw):
     return order, rows, probes, combos
 
 
+def integral(row: dict) -> dict:
+    """row scaled by the lcm of its denominators, so every entry is an int."""
+    scale = lcm(*(v.denominator for v in row.values()))
+    return {k: int(v * scale) for k, v in row.items()}
+
+
 def indexed(order: list, *rowlists: list[dict]) -> list[list[dict]]:
-    """Each row keyed by its labels' indices in the priority `order`."""
+    """Each row keyed by its labels' indices in the priority `order`, and
+    made integral."""
     col = {c: i for i, c in enumerate(order)}
-    return [[{col[c]: v for c, v in row.items()} for row in rows] for rows in rowlists]
+    return [[integral({col[c]: v for c, v in row.items()}) for row in rows] for rows in rowlists]
 
 
 @settings(deadline=None, max_examples=150)
@@ -88,7 +98,7 @@ def test_echelon_matches_dense_reference(system):
         for c, row in zip(combo, rows):
             for k, v in row.items():
                 vec[k] = vec.get(k, 0) + c * v
-        vec = {k: v for k, v in vec.items() if v}
+        vec = integral({k: v for k, v in vec.items() if v})
         assert ech.reduce(vec) == {}
         assert not ech.add(vec)
     assert ech.rank == len(ref.rows)

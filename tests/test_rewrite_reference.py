@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from test_deltafilt_reference import reference_factors
 from test_quiver_engines import _random_elements, core_elements
 from test_rewrite_golden import CASES
+from tiltcell import quiver as qv
 from tiltcell.quiver import (
     Arrow,
     NonTerminating,
@@ -177,12 +178,12 @@ def test_rewrite_cycle_raises_through_the_filtration_check():
         cell_filtration_check(quiver, bad, _shell(4))
 
 
-def test_max_steps_is_counted_per_normal_form_call():
+def test_max_steps_is_counted_per_normal_form_call(monkeypatch):
     quiver, rels = build_p2_quiver(3, window=1)
     # the element of the golden p2 sample that rewrites the most paths
     best = None
     for x in _random_elements(quiver, rels, random.Random(2024), 200):
-        reducer = _Reducer(rels, 10**6)
+        reducer = _Reducer(rels)
         for path in x.terms:
             reducer.reduce(path)
         if best is None or reducer.steps > best[0]:
@@ -191,10 +192,12 @@ def test_max_steps_is_counted_per_normal_form_call():
     assert steps >= 3
     want = reference_normal_form(x, rels)
     # a fresh budget on every call: the same budget suffices twice
-    assert normal_form(x, rels, max_steps=steps) == want
-    assert normal_form(x, rels, max_steps=steps) == want
-    with pytest.raises(NonTerminating):
-        normal_form(x, rels, max_steps=steps - 1)
+    monkeypatch.setattr(qv, "_MAX_STEPS", steps)
+    assert normal_form(x, rels) == want
+    assert normal_form(x, rels) == want
+    monkeypatch.setattr(qv, "_MAX_STEPS", steps - 1)
+    with pytest.raises(NonTerminating, match=f"rewrite budget {steps - 1} exhausted"):
+        normal_form(x, rels)
     # the reference rewrites shared paths once per tree, so it needs at least
     # as many steps: a budget it meets is never too small here
     with pytest.raises(NonTerminating):
