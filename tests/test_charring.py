@@ -59,6 +59,25 @@ def test_simple_char_top_and_symmetry():
             assert ch == Character({-w: c for w, c in ch.items()})
 
 
+def product_simple_char(lam: int, p: int) -> Character:
+    """The tensor product formula as a product of Characters: the Weyl
+    character of each base-p digit, dilated by its power of p."""
+    out = Character.basis(0)
+    rest, power = lam, 1
+    while True:
+        rest, d = divmod(rest, p)
+        out = out * weyl_char(d).dilate(power)
+        if rest == 0:
+            return out
+        power *= p
+
+
+@pytest.mark.parametrize("p,r", [(3, 5), (5, 3), (7, 2)])
+def test_simple_char_matches_the_digit_product_over_a_period(p, r):
+    for head in range(p**r):
+        assert simple_char(head, p).to_pairs() == product_simple_char(head, p).to_pairs(), head
+
+
 def test_simple_char_r_examples():
     assert simple_char_r(-2, Context(3, 1)) == Character({-2: 1, -4: 1})
     for p, r in ((3, 1), (3, 2), (5, 2)):

@@ -5,6 +5,10 @@ folded weight.  The reference below is the older recursion written out on
 its own: level one by hand, a wall weight through the level below, a regular
 weight through the table of its lower wall.  It keeps every multiplicity it
 meets, so a walk that merged two images would disagree with it.
+
+The Hom pairs of the level-drop sweep are checked against the per-pair loop
+they replace: one `hom_dim` call at each level for every partner of a
+residue.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiltcell.deltafilt import delta_factors, hom_dim
+from tiltcell.deltafilt import delta_factors, hom_dim, verify_steinberg_equivalence
 from tiltcell.weights import Context
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -95,3 +99,23 @@ def weight_pairs(draw):
 def test_hom_dim_symmetric(case):
     ctx, lam, mu = case
     assert hom_dim(lam, mu, ctx) == hom_dim(mu, lam, ctx)
+
+
+def per_pair_homs(p: int, r: int, m0: int) -> tuple[tuple[int, int], ...]:
+    """The level-drop Hom pairs at m0, one `hom_dim` call per level and
+    partner m0 + d, d in [-2p^(r-1), 2p^(r-1)]."""
+    ctx, sub_ctx = Context(p, r), Context(p, r - 1)
+    span = 2 * sub_ctx.q
+    return tuple(
+        (hom_dim(p - 1 + p * m0, p - 1 + p * m2, ctx), hom_dim(m0, m2, sub_ctx))
+        for m2 in range(m0 - span, m0 + span + 1)
+    )
+
+
+@pytest.mark.parametrize("p,r", [(3, 2), (3, 3), (3, 5), (5, 2), (5, 3), (7, 2), (11, 2)])
+def test_level_drop_homs_match_the_per_pair_loop(p, r):
+    ctx = Context(p, r)
+    for m in range(p ** (r - 1)):
+        rep = verify_steinberg_equivalence(m, ctx)
+        homs = tuple((it.lhs, it.rhs) for it in rep.items if it.input["check"] == "hom")
+        assert homs == per_pair_homs(p, r, m), m
