@@ -11,6 +11,9 @@ The module provides the classical character formulas needed downstream:
   the integers by the reflection rule chi(-m-2) = -chi(m), chi(-1) = 0.
 * `simple_char(lam, p)`: characters of simple modules via the tensor
   factorization over base-p digits, each digit twisted by e -> e^(p^i).
+  The support is built one digit at a time and cached (`_simple_support`):
+  the lowest digit's Weyl character times the support of lam // p dilated
+  by p.  Peeling reads the same supports, so the formula is written once.
 * `simple_char_r(lam, ctx)`: level-r simples, a head character shifted by
   p^r times the tail.
 * `baby_verma_char(lam, ctx)`: chi(p^r - 1) shifted by lam - (p^r - 1);
@@ -49,7 +52,8 @@ class Character:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        self._c: dict[int, int] = {w: c for w, c in (coeffs or {}).items() if c}
+        c = dict(coeffs or {})
+        self._c: dict[int, int] = c if all(c.values()) else {w: k for w, k in c.items() if k}
 
     @classmethod
     def basis(cls, n: int) -> "Character":
@@ -136,22 +140,11 @@ def weyl_char(m: int) -> Character:
 
 
 def simple_char(lam: int, p: int) -> Character:
-    """Character of the simple module with dominant highest weight lam.
-
-    Factor lam into base-p digits; each digit d contributes weyl_char(d) with
-    weights dilated by the matching power of p.  Digits lie in [0, p-1],
-    where the Weyl and simple characters agree.
-    """
+    """Character of the simple module with dominant highest weight lam: the
+    tensor product over its base-p digits, read from `_simple_support`."""
     if lam < 0:
         raise ValueError(f"simple characters require a dominant weight, got {lam}")
-    out = Character.basis(0)
-    rest, power = lam, 1
-    while True:
-        rest, d = divmod(rest, p)
-        out = out * weyl_char(d).dilate(power)
-        if rest == 0:
-            return out
-        power *= p
+    return Character(dict(_simple_support(lam, p)))
 
 
 def simple_char_r(lam: int, ctx: Context) -> Character:
@@ -163,13 +156,23 @@ def simple_char_r(lam: int, ctx: Context) -> Character:
 
 def baby_verma_char(lam: int, ctx: Context) -> Character:
     """Character of the level-r standard (and costandard) object at lam."""
-    return weyl_char(ctx.q - 1).shift(lam - (ctx.q - 1))
+    return Character(dict.fromkeys(range(lam, lam - 2 * ctx.q, -2), 1))
 
 
 @lru_cache(maxsize=None)
 def _simple_support(head: int, p: int) -> tuple[tuple[int, int], ...]:
-    """The (weight, coefficient) pairs of simple_char(head, p)."""
-    return tuple(simple_char(head, p).items())
+    """The (weight, coefficient) pairs of the simple character at head >= 0,
+    by the tensor product formula: the Weyl character of the lowest base-p
+    digit d, times the support of head // p with its weights dilated by p.
+    Digits lie in [0, p-1], where the Weyl and simple characters agree."""
+    rest, d = divmod(head, p)
+    inner = _simple_support(rest, p) if rest else ((0, 1),)
+    out: dict[int, int] = {}
+    for w, k in inner:
+        for j in range(d + 1):
+            v = p * w + d - 2 * j
+            out[v] = out.get(v, 0) + k
+    return tuple(out.items())
 
 
 def decompose_into_simples(f: Character, ctx: Context) -> dict[int, int]:
@@ -185,6 +188,7 @@ def decompose_into_simples(f: Character, ctx: Context) -> dict[int, int]:
     out: dict[int, int] = {}
     rem = dict(f.items())
     budget = f.mass()
+    p, q = ctx.p, ctx.q
     while rem:
         top = max(rem)
         c = rem[top]
@@ -196,9 +200,9 @@ def decompose_into_simples(f: Character, ctx: Context) -> dict[int, int]:
         budget -= c
         if budget < 0:
             raise NotAModuleCharacter("peeling exceeded the coefficient mass")
-        head, tail = padic_split(top, ctx)
-        shift = ctx.q * tail
-        for w, k in _simple_support(head, ctx.p):
+        tail, head = divmod(top, q)  # padic_split(top, ctx), inlined
+        shift = q * tail
+        for w, k in _simple_support(head, p):
             w += shift
             left = rem.get(w, 0) - c * k
             if left:

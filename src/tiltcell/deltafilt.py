@@ -36,7 +36,13 @@ from one index per (p, r), built from the peels of a single period.  The
 level-drop (Steinberg) sweep computes the Hom pairs of each residue of m mod
 p^(r-1) once: moving m and its partner by p^(r-1) moves their images
 p-1+p*m by p^r, so by the shift equivariance of `hom_dim` at both levels the
-pairs depend only on that residue and on the distance of the partner.
+pairs depend only on that residue and on the distance of the partner.  It
+counts them from inverted tables, as the linkage sweep inverts its window:
+one index per (p, r) and level maps each factor of the folded tables of one
+period (at level r, those of the images, the weights -1 mod p) to the folded
+weights whose tables hold it.  A partner's table is its residue's folded
+table shifted by a multiple of p^r, so one pass over the factors of m, or of
+its image, meets every partner that shares each of them.
 
 Every sweep takes an optional target report.  Without one it returns a
 report of every item; with one it adds only the failing items to it and
@@ -151,10 +157,11 @@ def hom_dim_sum(P: dict[int, int], Q: dict[int, int], ctx: Context) -> int:
 def tilting_char(lam: int, ctx: Context) -> Character:
     """Character of the indecomposable tilting at lam: the sum of the
     standard characters over its factor table."""
-    out = Character.zero()
+    out: dict[int, int] = {}
     for nu, mult in delta_factors(lam, ctx).items():
-        out = out + baby_verma_char(nu, ctx).scale(mult)
-    return out
+        for w, k in baby_verma_char(nu, ctx).items():
+            out[w] = out.get(w, 0) + mult * k
+    return Character(out)
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +260,53 @@ def verify_strong_linkage(lam: int, ctx: Context, target: Report | None = None) 
 
 
 @lru_cache(maxsize=None)
-def _steinberg_homs(p: int, r: int, m0: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """The Hom pairs of the level-drop sweep at m0 (level r of the images,
-    level r - 1), one per partner m0 + d for d in [-2p^(r-1), 2p^(r-1)], and
-    the positions where the two differ.  They are also the pairs at any m
-    congruent to m0 mod p^(r-1): see the module docstring."""
-    ctx, sub_ctx = Context(p, r), Context(p, r - 1)
-    span = 2 * sub_ctx.q
-    homs = tuple(
-        (hom_dim(p - 1 + p * m0, p - 1 + p * m2, ctx), hom_dim(m0, m2, sub_ctx))
-        for m2 in range(m0 - span, m0 + span + 1)
-    )
-    return homs, tuple(i for i, (a, b) in enumerate(homs) if a != b)
+def _folded_holders(p: int, r: int, step: int) -> dict[int, tuple[int, ...]]:
+    """The folded tables of one period at the weights w = -1 mod step,
+    inverted: residue c mod p^r maps to the offsets w - nu over the factors
+    nu = c mod p^r of those tables.  A weight mu = w + k*p^r holds the
+    factor x iff x - k*p^r lies in the folded table at w, so each offset d
+    in the entry of x mod p^r names one such mu, x + d, and no other."""
+    q = p**r
+    holders: dict[int, list[int]] = {}
+    for head in range(step - 1, q, step):
+        w = _fold(head, q)
+        for nu in _folded_factors(p, r, w)[0]:
+            holders.setdefault(nu % q, []).append(w - nu)
+    return {c: tuple(offsets) for c, offsets in holders.items()}
+
+
+def _hom_row(lam: int, p: int, r: int, step: int) -> dict[int, int]:
+    """hom_dim(lam, mu) at level r for every mu = -1 mod step with nonzero
+    Hom, counted over the factors of lam from `_folded_holders`."""
+    q = p**r
+    lam0 = _fold(lam, q)
+    shift = lam - lam0
+    holders = _folded_holders(p, r, step)
+    row: dict[int, int] = {}
+    for nu in _folded_factors(p, r, lam0)[0]:
+        x = nu + shift
+        for d in holders.get(x % q, ()):
+            row[x + d] = row.get(x + d, 0) + 1
+    return row
+
+
+@lru_cache(maxsize=None)
+def _steinberg_homs(p: int, r: int, m0: int) -> tuple[dict[int, tuple[int, int]], tuple[int, ...]]:
+    """The nonzero Hom pairs of the level-drop sweep at m0 (level r of the
+    images, level r - 1), keyed by the distance d of the partner m0 + d for
+    |d| <= 2p^(r-1), and the distances where the two differ, ascending.
+    They are also the pairs at any m congruent to m0 mod p^(r-1): see the
+    module docstring."""
+    span = 2 * p ** (r - 1)
+    image = p - 1 + p * m0
+    homs: dict[int, tuple[int, int]] = {}
+    for mu, k in _hom_row(image, p, r, p).items():
+        if abs(d := (mu - image) // p) <= span:
+            homs[d] = (k, 0)
+    for m2, k in _hom_row(m0, p, r - 1, 1).items():
+        if abs(d := m2 - m0) <= span:
+            homs[d] = (homs.get(d, (0, 0))[0], k)
+    return homs, tuple(sorted(d for d, (a, b) in homs.items() if a != b))
 
 
 def verify_steinberg_equivalence(m: int, ctx: Context, target: Report | None = None) -> Report:
@@ -286,11 +328,11 @@ def verify_steinberg_equivalence(m: int, ctx: Context, target: Report | None = N
     else:
         rep.unlisted += 1
     homs, fails = _steinberg_homs(p, ctx.r, m % sub_ctx.q)
-    listed = range(len(homs)) if target is None else fails
-    low = m - 2 * sub_ctx.q
-    for i in listed:
-        rep.add({"m": m, "m2": low + i, "check": "hom"}, *homs[i])
-    rep.unlisted += len(homs) - len(listed)
+    span = 2 * sub_ctx.q
+    listed = range(-span, span + 1) if target is None else fails
+    for d in listed:
+        rep.add({"m": m, "m2": m + d, "check": "hom"}, *homs.get(d, (0, 0)))
+    rep.unlisted += 2 * span + 1 - len(listed)
     return rep
 
 

@@ -419,7 +419,12 @@ def test_steinberg_items_bounded_before_build(monkeypatch, suite):
 
 @pytest.fixture
 def fresh_caches():
-    caches = (deltafilt._folded_factors, deltafilt._simples_index, deltafilt._steinberg_homs)
+    caches = (
+        deltafilt._folded_factors,
+        deltafilt._folded_holders,
+        deltafilt._simples_index,
+        deltafilt._steinberg_homs,
+    )
     for cache in caches:
         cache.cache_clear()
     yield caches
@@ -470,19 +475,24 @@ def test_counted_reciprocity_lists_the_full_failures(monkeypatch, fresh_caches):
 
 def test_counted_steinberg_lists_the_full_failures(monkeypatch, fresh_caches):
     # every level-drop item passes on real data: break the level-(r-1) side
-    # at one residue of m mod p^(r-1), Hom to the partners of one residue and
-    # the factor table at another; the span covers each residue twice or more
+    # at two residues of m mod p^(r-1), giving the folded table at 4 the
+    # factor 1, which the Hom index and the factor tables of 4 + 9k both
+    # read, and doubling the factor tables at 2 + 9k; the span covers each
+    # residue twice or more
     ctx = weights.Context(3, 3)
-    hom_dim, delta_factors = deltafilt.hom_dim, deltafilt.delta_factors
+    folded_factors, delta_factors = deltafilt._folded_factors, deltafilt.delta_factors
 
-    def faulty_hom(lam, mu, c):
-        return hom_dim(lam, mu, c) + (c.r == 2 and lam % 9 == 4 and mu % 9 == 1)
+    def faulty_folded(p, r, lam):
+        table, held = folded_factors(p, r, lam)
+        if (p, r, lam) == (3, 2, 4):
+            return tuple(sorted(table + (1,))), held | {1}
+        return table, held
 
     def faulty_factors(lam, c):
         fac = delta_factors(lam, c)
         return {nu: 2 for nu in fac} if c.r == 2 and lam % 9 == 2 else fac
 
-    monkeypatch.setattr(deltafilt, "hom_dim", faulty_hom)
+    monkeypatch.setattr(deltafilt, "_folded_factors", faulty_folded)
     monkeypatch.setattr(deltafilt, "delta_factors", faulty_factors)
     argv = ["verify", "--suite", "steinberg", "--p", "3", "--r", "3", "--lo", "-30", "--hi", "30"]
     failures = _counted_against_full(
@@ -490,6 +500,9 @@ def test_counted_steinberg_lists_the_full_failures(monkeypatch, fresh_caches):
     )
     checks = {item["input"]["check"] for item in failures}
     assert checks == {"hom", "factor-table"}
+    # a doubled table changes no Hom pair: each Hom failure has 4 + 9k on one side
+    homs = [item["input"] for item in failures if item["input"]["check"] == "hom"]
+    assert all(4 in (pair["m"] % 9, pair["m2"] % 9) for pair in homs)
 
 
 def test_counted_bounds_lists_the_full_failures(monkeypatch, fresh_caches):
