@@ -39,10 +39,11 @@ p-1+p*m by p^r, so by the shift equivariance of `hom_dim` at both levels the
 pairs depend only on that residue and on the distance of the partner.  It
 counts them from inverted tables, as the linkage sweep inverts its window:
 one index per (p, r) and level maps each factor of the folded tables of one
-period (at level r, those of the images, the weights -1 mod p) to the folded
-weights whose tables hold it.  A partner's table is its residue's folded
-table shifted by a multiple of p^r, so one pass over the factors of m, or of
-its image, meets every partner that shares each of them.
+period (at level r, those of the images, the weights -1 mod p), by its
+residue mod p^r, to the folded weights whose tables hold it, as offsets.  A
+partner's table is its residue's folded table shifted by a multiple of p^r,
+so one pass over the factors of m, or of its image, meets every partner
+that shares each of them, and only the nonzero pairs are kept.
 
 Every sweep takes an optional target report.  Without one it returns a
 report of every item; with one it adds only the failing items to it and
