@@ -391,3 +391,59 @@ def test_broken_symmetry_costs_eliminations(case, symmetric):
     symmetric presentation the case was made from."""
     (build, max_len), (plain, _) = CASES[case], CASES[symmetric]
     assert quotient_dims(*build(), max_len).eliminated > quotient_dims(*plain(), max_len).eliminated
+
+
+def suffix_scan_alive_paths(quiver, max_len, words):
+    """The enumerator `_alive_paths` replaced, kept as its reference: every
+    candidate path is tested for a word at each of its suffix lengths."""
+    lengths = sorted({len(w) for w in words})
+
+    def suffix_ok(path):
+        for L in lengths:
+            if L <= len(path) and path[-L:] in words:
+                return False
+        return True
+
+    out: dict = {}
+    for v in quiver.vertices:
+        frontier = [(v, ())]
+        out.setdefault((v, v), []).append(())
+        for _ in range(max_len):
+            nxt = []
+            for at, path in frontier:
+                for aid in quiver.out_ids[at]:
+                    np = path + (aid,)
+                    if not suffix_ok(np):
+                        continue
+                    tgt = quiver.arrows[aid].target
+                    out.setdefault((v, tgt), []).append(np)
+                    nxt.append((tgt, np))
+            frontier = nxt
+    return out
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_p1_quiver(3),
+        lambda: build_p2_quiver(3),
+        lambda: build_p2_quiver(3, window=2),
+        lambda: build_p2_quiver(3, boundary_loops=False),
+        lambda: build_p2_quiver(5),
+        lambda: build_p2_quiver(7),
+        lambda: build_sl3_quiver(Fraction(7, 6), Fraction(4, 9)),
+        lambda: build_sl3_quiver(1, 1, 1),
+    ],
+    ids=["p1-p3", "p2-p3", "p2-p3-w2", "p2-p3-no-boundary-loops", "p2-p5", "p2-p7",
+         "sl3-fractional", "sl3-r1"],
+)
+@pytest.mark.parametrize("redexes", ["zero", "zero+table"])
+def test_alive_paths_match_the_suffix_scan(build, redexes):
+    """The same paths, keys in the same order and each list in the same
+    order, for the linear engine's monomial relations and for the rewriting
+    engine's redexes (words of two and more arrows)."""
+    quiver, rels = build()
+    words = rels.zero_redexes if redexes == "zero" else rels.zero_redexes.union(rels.table)
+    max_len = PRESETS[quiver.preset].max_len
+    got = _alive_paths(quiver, max_len, words)
+    assert list(got.items()) == list(suffix_scan_alive_paths(quiver, max_len, words).items())
