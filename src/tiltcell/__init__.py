@@ -4,76 +4,106 @@ Filtration multiplicities and Hom dimensions of indecomposable tilting
 objects over the level-r thickened Frobenius kernels of SL2, an independent
 character-ring oracle, cellular-basis bookkeeping, and three quiver
 presentations cross-checked by exact path-algebra quotients.
-"""
 
-from .charring import (
-    Character,
-    NotAModuleCharacter,
-    baby_verma_char,
-    decompose_into_simples,
-    simple_char,
-    simple_char_r,
-    weyl_char,
-)
-from .deltafilt import (
-    DeltaFactors,
-    InvariantViolation,
-    delta_factors,
-    hom_dim,
-    hom_dim_sum,
-    tilting_char,
-    verify_bounds,
-    verify_mult_free,
-    verify_reciprocity,
-    verify_steinberg_equivalence,
-    verify_strong_linkage,
-)
-from .cellbasis import (
-    CellIndex,
-    GeneratorSymbol,
-    cell_indices,
-    dagger,
-    generator_set_br,
-    generator_set_br0,
-    sl3_delta_table,
-    sl3_generator_set_bprime,
-)
-from .report import Report, ReportItem
-from .weights import (
-    Context,
-    PadicSplit,
-    dot_orbit,
-    dot_reflect,
-    padic_split,
-    strongly_linked,
-    tilde,
-)
+`import tiltcell` loads none of its submodules: each exported name is looked
+up in the export table on first use (PEP 562), and only the submodule that
+defines it, with what that submodule imports, is loaded then.
+"""
 
 __version__ = "0.1.0"
 
-# The quiver engine (and the exact linear algebra under it) is imported on
-# first use of one of its names, so the weight-side commands start without it.
-_QUIVER_NAMES = (
-    "NonTerminating",
-    "NotSaturated",
-    "PathElement",
-    "Quiver",
-    "QuiverConfigError",
-    "RelationSet",
-    "build_p1_quiver",
-    "build_p2_quiver",
-    "build_sl3_quiver",
-    "cell_filtration_check",
-    "check_against_cellular",
-    "export_dot",
-    "normal_form",
-    "quotient_dims",
-)
+# every exported name -> the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in (
+        (
+            "charring",
+            (
+                "Character",
+                "NotAModuleCharacter",
+                "baby_verma_char",
+                "decompose_into_simples",
+                "simple_char",
+                "simple_char_r",
+                "weyl_char",
+            ),
+        ),
+        (
+            "deltafilt",
+            (
+                "DeltaFactors",
+                "InvariantViolation",
+                "delta_factors",
+                "hom_dim",
+                "hom_dim_sum",
+                "tilting_char",
+                "verify_bounds",
+                "verify_mult_free",
+                "verify_reciprocity",
+                "verify_steinberg_equivalence",
+                "verify_strong_linkage",
+            ),
+        ),
+        (
+            "cellbasis",
+            (
+                "CellIndex",
+                "GeneratorSymbol",
+                "cell_indices",
+                "dagger",
+                "generator_set_br",
+                "generator_set_br0",
+                "sl3_delta_table",
+                "sl3_generator_set_bprime",
+            ),
+        ),
+        (
+            "quiver",
+            (
+                "NonTerminating",
+                "NotSaturated",
+                "PathElement",
+                "Quiver",
+                "QuiverConfigError",
+                "RelationSet",
+                "build_p1_quiver",
+                "build_p2_quiver",
+                "build_sl3_quiver",
+                "cell_filtration_check",
+                "check_against_cellular",
+                "export_dot",
+                "normal_form",
+                "quotient_dims",
+            ),
+        ),
+        ("report", ("Report", "ReportItem")),
+        (
+            "weights",
+            (
+                "Context",
+                "PadicSplit",
+                "dot_orbit",
+                "dot_reflect",
+                "padic_split",
+                "strongly_linked",
+                "tilde",
+            ),
+        ),
+    )
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
 
 
 def __getattr__(name: str):
-    if name in _QUIVER_NAMES:
-        from . import quiver
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-        return getattr(quiver, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

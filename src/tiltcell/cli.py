@@ -33,7 +33,7 @@ from itertools import chain
 from math import isqrt
 from typing import TYPE_CHECKING, Callable
 
-from . import cellbasis, deltafilt
+from . import deltafilt
 from .charring import baby_verma_char, simple_char, simple_char_r, weyl_char
 from .deltafilt import delta_factors, hom_dim, table_size, tilting_char
 from .report import Report
@@ -291,6 +291,8 @@ def cmd_hom_dim(args) -> int:
 
 
 def cmd_cell_basis(args) -> int:
+    from . import cellbasis
+
     ctx = _context(args)
     P = _weights_list(args.source)
     Q = _weights_list(args.target)
@@ -306,6 +308,8 @@ def cmd_cell_basis(args) -> int:
 
 
 def cmd_generators(args) -> int:
+    from . import cellbasis
+
     if args.preset == "sl3":
         if args.principal_block:
             raise UsageError("--preset sl3 has no principal-block variant")

@@ -575,36 +575,45 @@ PRESETS: dict[str, Preset] = {
 
 
 def _alive_paths(
-    quiver: Quiver, max_len: int, words: set[Path]
+    quiver: Quiver, max_len: int, words: set[Path], sources: Iterable[Vertex] | None = None
 ) -> dict[Pair, list[Path]]:
     """All composable paths of length <= max_len with no subword in `words`,
-    keyed by (source, target), each list in (length, lex) order: each length
-    extends the previous one's paths in order, by ascending arrow ids.  Every
-    prefix of a generated path was generated, so testing the suffixes ending
-    at each new arrow prunes exactly the paths that contain a word."""
-    lengths = sorted({len(w) for w in words})
-
-    def suffix_ok(path: Path) -> bool:
-        for L in lengths:
-            if L <= len(path) and path[-L:] in words:
-                return False
-        return True
-
+    from each of `sources` (default: every vertex), keyed by (source,
+    target), each list in (length, lex) order: each length extends the
+    previous one's paths in order, by ascending arrow ids.  Every prefix of a
+    generated path was generated, so testing the words that end at each new
+    arrow prunes exactly the paths that contain one.  The paths avoiding
+    the words of one and two arrows are the walks of a successor graph on
+    the arrows (Ufnarovski's graph), built once; a longer word is tested
+    only where its last arrow is appended."""
+    target = [a.target for a in quiver.arrows]
+    banned = {w[0] for w in words if len(w) == 1}
+    longer: dict[int, set[int]] = {}  # arrow -> lengths of the longer words ending there
+    for w in words:
+        if len(w) > 2:
+            longer.setdefault(w[-1], set()).add(len(w))
+    succ = [
+        [b for b in quiver.out_ids[t] if b not in banned and (a, b) not in words]
+        for a, t in enumerate(target)
+    ]
     out: dict[Pair, list[Path]] = {}
-    for v in quiver.vertices:
-        frontier: list[tuple[Vertex, Path]] = [(v, ())]
-        out.setdefault((v, v), []).append(())
+    for v in quiver.vertices if sources is None else sources:
+        by_target: dict[Vertex, list[Path]] = {v: [()]}
+        frontier = [((), [b for b in quiver.out_ids[v] if b not in banned])]
         for _ in range(max_len):
-            nxt: list[tuple[Vertex, Path]] = []
-            for at, path in frontier:
-                for aid in quiver.out_ids[at]:
-                    np = path + (aid,)
-                    if not suffix_ok(np):
+            nxt: list[tuple[Path, list[int]]] = []
+            for path, ids in frontier:
+                for b in ids:
+                    np = path + (b,)
+                    if b in longer and any(
+                        L <= len(np) and np[-L:] in words for L in longer[b]
+                    ):
                         continue
-                    tgt = quiver.arrows[aid].target
-                    out.setdefault((v, tgt), []).append(np)
-                    nxt.append((tgt, np))
+                    by_target.setdefault(target[b], []).append(np)
+                    nxt.append((np, succ[b]))
             frontier = nxt
+        for t, plist in by_target.items():
+            out[(v, t)] = plist
     return out
 
 
@@ -639,7 +648,7 @@ def _linear_setup(quiver: Quiver, rels: RelationSet, max_len: int) -> _LinearSet
         if len(rel.terms) > 1 and span <= max_len:  # a longer relation has no instance
             # rows matter only up to a scalar, so clear the denominators
             scale = lcm(*(c.denominator for c in rel.terms.values()))
-            live = alive.get((rel.source, rel.target), ())
+            live = set(alive.get((rel.source, rel.target), ()))
             terms = tuple((term, int(c * scale)) for term, c in rel.terms.items() if term in live)
             if terms:
                 index.setdefault(rel.source, []).append((rel.target, span, terms))
@@ -777,15 +786,11 @@ class _Fold:
         same place, and the relation index agrees at every vertex on them.
         Nonzero rows of a pair only touch its alive paths, so the rows then
         correspond too."""
-        up, low, step = self.alive[upper], self.alive[lower], self.step
-        # arrow by arrow, so that no translated path is built
+        up, low, step = self.alive[upper], self.alive[lower], self.step.__getitem__
         return (
             len(up) == len(low)
             and self.same[upper[0]]
-            and all(
-                len(path) == len(q) and all(step[a] == b for a, b in zip(path, q))
-                for path, q in zip(up, low)
-            )
+            and [tuple(map(step, path)) for path in up] == low
         )
 
     def spread(self, pair: Pair, verdicts: dict) -> None:
@@ -1082,12 +1087,14 @@ def cell_filtration_check(quiver: Quiver, rels: RelationSet, result: QuotientDim
     One reducer serves every composition, so a path shared by several
     rewrite trees is reduced once (the step budget of `normal_form` holds
     per composition)."""
-    words = irreducible_words(quiver, rels, result.max_len)
     core = quiver.core
+    # the irreducible words from core sources only
+    redexes = rels.zero_redexes.union(rels.table)
+    words = _alive_paths(quiver, result.max_len, redexes, [v for v in quiver.vertices if v in core])
     reducer = _Reducer(rels)
     rep = Report("cell-filtration", {"preset": quiver.preset, "max_len": result.max_len})
     for (src, tgt), plist in sorted(words.items(), key=_pair_key):
-        if src not in core or tgt not in core:
+        if tgt not in core:
             continue
         violations = 0
         checked = 0

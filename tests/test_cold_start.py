@@ -1,13 +1,15 @@
-"""Weight-side commands start without the quiver engine.
+"""`import tiltcell` loads no submodule, and each command loads only the
+layers it reads.
 
-`tiltcell` and `tiltcell.cli` import the quiver module (and the exact linear
-algebra under it) only when a quiver is built or a quiver name is looked up.
-No module of the package loads `dataclasses` (and `inspect` under it).
+The package resolves every exported name on first use, through one export
+table.  `tiltcell.cli` imports the quiver module (and the exact linear
+algebra under it) only when a quiver is built, and `cellbasis` only for the
+two commands that read it.  No module of the package loads `dataclasses`
+(and `inspect` under it).
 """
 
 from __future__ import annotations
 
-import ast
 import os
 import subprocess
 import sys
@@ -20,8 +22,8 @@ from tiltcell import charring, cellbasis, cli, deltafilt, quiver, report, weight
 
 SRC = str(Path(tiltcell.__file__).resolve().parents[1])
 
-# the package's export list: every name its __init__ imports from a submodule,
-# and the quiver names it loads on first use
+# the package's export list: every name it resolves on first use, by the
+# submodule that defines it
 EXPORTS = {
     charring: (
         "Character",
@@ -116,9 +118,26 @@ def test_weight_side_commands_skip_the_quiver_engine(argv):
     assert not loaded & {"tiltcell.quiver", "tiltcell.ratlinalg"}
 
 
-def test_quiver_names_load_the_engine_on_first_use():
-    assert "tiltcell.quiver" not in _imported_after("import tiltcell")
+def test_bare_import_loads_no_submodule():
+    assert _imported_after("import tiltcell") == {"tiltcell"}
+
+
+def test_names_load_their_layer_on_first_use():
+    assert _imported_after("from tiltcell import Context") == {"tiltcell", "tiltcell.weights"}
     assert "tiltcell.ratlinalg" in _imported_after("from tiltcell import quotient_dims")
+
+
+@pytest.mark.parametrize(
+    "argv,reads_cellbasis",
+    [
+        (["verify", "--suite", "bounds", "--p", "3", "--r", "2"], False),
+        (["generators", "--p", "3", "--r", "2"], True),
+        (["cell-basis", "--p", "3", "--r", "1", "--source", "0", "--target", "0"], True),
+    ],
+)
+def test_cellbasis_loads_only_for_its_commands(argv, reads_cellbasis):
+    loaded = _imported_after(f"from tiltcell import cli\ncli.run({argv!r})")
+    assert ("tiltcell.cellbasis" in loaded) == reads_cellbasis
 
 
 @pytest.mark.parametrize("module", ["tiltcell.cli", "tiltcell.quiver"])
@@ -133,14 +152,12 @@ def test_package_exports_resolve(module):
 
 
 def test_export_table_is_the_package_export_list():
-    tree = ast.parse(Path(tiltcell.__file__).read_text())
-    exported = {
-        f"tiltcell.{node.module}": tuple(alias.name for alias in node.names)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-    }
-    exported["tiltcell.quiver"] = tiltcell._QUIVER_NAMES
+    exported: dict[str, tuple] = {}
+    for name, module in tiltcell._EXPORTS.items():
+        exported[f"tiltcell.{module}"] = (*exported.get(f"tiltcell.{module}", ()), name)
     assert exported == {module.__name__: names for module, names in EXPORTS.items()}
+    assert tiltcell.__all__ == list(tiltcell._EXPORTS)
+    assert set(tiltcell.__all__) <= set(dir(tiltcell))
 
 
 def test_unknown_package_attribute():
