@@ -14,83 +14,55 @@ __version__ = "0.1.0"
 
 # every exported name -> the submodule that defines it
 _EXPORTS = {
-    name: module
-    for module, names in (
-        (
-            "charring",
-            (
-                "Character",
-                "NotAModuleCharacter",
-                "baby_verma_char",
-                "decompose_into_simples",
-                "simple_char",
-                "simple_char_r",
-                "weyl_char",
-            ),
-        ),
-        (
-            "deltafilt",
-            (
-                "DeltaFactors",
-                "InvariantViolation",
-                "delta_factors",
-                "hom_dim",
-                "hom_dim_sum",
-                "tilting_char",
-                "verify_bounds",
-                "verify_mult_free",
-                "verify_reciprocity",
-                "verify_steinberg_equivalence",
-                "verify_strong_linkage",
-            ),
-        ),
-        (
-            "cellbasis",
-            (
-                "CellIndex",
-                "GeneratorSymbol",
-                "cell_indices",
-                "dagger",
-                "generator_set_br",
-                "generator_set_br0",
-                "sl3_delta_table",
-                "sl3_generator_set_bprime",
-            ),
-        ),
-        (
-            "quiver",
-            (
-                "NonTerminating",
-                "NotSaturated",
-                "PathElement",
-                "Quiver",
-                "QuiverConfigError",
-                "RelationSet",
-                "build_p1_quiver",
-                "build_p2_quiver",
-                "build_sl3_quiver",
-                "cell_filtration_check",
-                "check_against_cellular",
-                "export_dot",
-                "normal_form",
-                "quotient_dims",
-            ),
-        ),
-        ("report", ("Report", "ReportItem")),
-        (
-            "weights",
-            (
-                "Context",
-                "PadicSplit",
-                "dot_orbit",
-                "dot_reflect",
-                "padic_split",
-                "strongly_linked",
-                "tilde",
-            ),
-        ),
-    )
-    for name in names
+    "Character": "charring",
+    "NotAModuleCharacter": "charring",
+    "baby_verma_char": "charring",
+    "decompose_into_simples": "charring",
+    "simple_char": "charring",
+    "simple_char_r": "charring",
+    "weyl_char": "charring",
+    "DeltaFactors": "deltafilt",
+    "InvariantViolation": "deltafilt",
+    "delta_factors": "deltafilt",
+    "hom_dim": "deltafilt",
+    "hom_dim_sum": "deltafilt",
+    "tilting_char": "deltafilt",
+    "verify_bounds": "deltafilt",
+    "verify_mult_free": "deltafilt",
+    "verify_reciprocity": "deltafilt",
+    "verify_steinberg_equivalence": "deltafilt",
+    "verify_strong_linkage": "deltafilt",
+    "CellIndex": "cellbasis",
+    "GeneratorSymbol": "cellbasis",
+    "cell_indices": "cellbasis",
+    "dagger": "cellbasis",
+    "generator_set_br": "cellbasis",
+    "generator_set_br0": "cellbasis",
+    "sl3_delta_table": "cellbasis",
+    "sl3_generator_set_bprime": "cellbasis",
+    "NonTerminating": "quiver",
+    "NotSaturated": "quiver",
+    "PathElement": "quiver",
+    "Quiver": "quiver",
+    "QuiverConfigError": "quiver",
+    "RelationSet": "quiver",
+    "build_p1_quiver": "quiver",
+    "build_p2_quiver": "quiver",
+    "build_sl3_quiver": "quiver",
+    "cell_filtration_check": "quiver",
+    "check_against_cellular": "quiver",
+    "export_dot": "quiver",
+    "normal_form": "quiver",
+    "quotient_dims": "quiver",
+    "Report": "report",
+    "ReportItem": "report",
+    "Context": "weights",
+    "PadicSplit": "weights",
+    "dot_orbit": "weights",
+    "dot_reflect": "weights",
+    "padic_split": "weights",
+    "strongly_linked": "weights",
+    "tilde": "weights",
 }
 
 __all__ = list(_EXPORTS)

@@ -1088,9 +1088,10 @@ def cell_filtration_check(quiver: Quiver, rels: RelationSet, result: QuotientDim
     rewrite trees is reduced once (the step budget of `normal_form` holds
     per composition)."""
     core = quiver.core
-    # the irreducible words from core sources only
+    # the irreducible words (as irreducible_words lists them) from core sources
     redexes = rels.zero_redexes.union(rels.table)
-    words = _alive_paths(quiver, result.max_len, redexes, [v for v in quiver.vertices if v in core])
+    sources = [v for v in quiver.vertices if v in core]
+    words = _alive_paths(quiver, result.max_len, redexes, sources)
     reducer = _Reducer(rels)
     rep = Report("cell-filtration", {"preset": quiver.preset, "max_len": result.max_len})
     for (src, tgt), plist in sorted(words.items(), key=_pair_key):

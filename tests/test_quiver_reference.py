@@ -441,9 +441,15 @@ def suffix_scan_alive_paths(quiver, max_len, words):
 def test_alive_paths_match_the_suffix_scan(build, redexes):
     """The same paths, keys in the same order and each list in the same
     order, for the linear engine's monomial relations and for the rewriting
-    engine's redexes (words of two and more arrows)."""
+    engine's redexes (words of two and more arrows); from chosen sources,
+    the same lists for those sources."""
     quiver, rels = build()
     words = rels.zero_redexes if redexes == "zero" else rels.zero_redexes.union(rels.table)
     max_len = PRESETS[quiver.preset].max_len
     got = _alive_paths(quiver, max_len, words)
     assert list(got.items()) == list(suffix_scan_alive_paths(quiver, max_len, words).items())
+    # from the core sources alone (as the filtration check enumerates)
+    core = [v for v in quiver.vertices if v in quiver.core]
+    assert list(_alive_paths(quiver, max_len, words, core).items()) == [
+        (pair, paths) for pair, paths in got.items() if pair[0] in quiver.core
+    ]
