@@ -107,7 +107,9 @@ itself.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
+from operator import eq
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -787,10 +789,13 @@ class _Fold:
         Nonzero rows of a pair only touch its alive paths, so the rows then
         correspond too."""
         up, low, step = self.alive[upper], self.alive[lower], self.step.__getitem__
+        # the same lengths, then the translated arrows in one stream: building
+        # the translated paths as tuples raised the peak resident set
         return (
             len(up) == len(low)
             and self.same[upper[0]]
-            and [tuple(map(step, path)) for path in up] == low
+            and all(map(eq, map(len, up), map(len, low)))
+            and all(map(eq, map(step, chain.from_iterable(up)), chain.from_iterable(low)))
         )
 
     def spread(self, pair: Pair, verdicts: dict) -> None:

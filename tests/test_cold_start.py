@@ -120,10 +120,11 @@ def test_weight_side_commands_skip_the_quiver_engine(argv):
 
 def test_bare_import_loads_no_submodule():
     assert _imported_after("import tiltcell") == {"tiltcell"}
-
-
-def test_names_load_their_layer_on_first_use():
     assert _imported_after("from tiltcell import Context") == {"tiltcell", "tiltcell.weights"}
+
+
+def test_quiver_names_load_the_engine_on_first_use():
+    assert "tiltcell.quiver" not in _imported_after("import tiltcell")
     assert "tiltcell.ratlinalg" in _imported_after("from tiltcell import quotient_dims")
 
 
@@ -152,10 +153,10 @@ def test_package_exports_resolve(module):
 
 
 def test_export_table_is_the_package_export_list():
-    exported: dict[str, tuple] = {}
+    exported: dict[str, list[str]] = {}
     for name, module in tiltcell._EXPORTS.items():
-        exported[f"tiltcell.{module}"] = (*exported.get(f"tiltcell.{module}", ()), name)
-    assert exported == {module.__name__: names for module, names in EXPORTS.items()}
+        exported.setdefault(f"tiltcell.{module}", []).append(name)
+    assert exported == {module.__name__: list(names) for module, names in EXPORTS.items()}
     assert tiltcell.__all__ == list(tiltcell._EXPORTS)
     assert set(tiltcell.__all__) <= set(dir(tiltcell))
 
