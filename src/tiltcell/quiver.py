@@ -607,9 +607,7 @@ def _alive_paths(
             for path, ids in frontier:
                 for b in ids:
                     np = path + (b,)
-                    if b in longer and any(
-                        L <= len(np) and np[-L:] in words for L in longer[b]
-                    ):
+                    if b in longer and any(np[-L:] in words for L in longer[b]):
                         continue
                     by_target.setdefault(target[b], []).append(np)
                     nxt.append((np, succ[b]))
