@@ -11,13 +11,14 @@ command wrote through one emitter, the four ladder shapes before p1 and p2
 were built by one ladder builder, the two `verify` sweeps before `verify`
 counted its passing weight checks instead of storing them, the
 `cell-basis` entry with multiplicities before `cell-basis` tallied standard
-factors in one pass, and the last three before the bounds, linkage and
-multfree sweeps counted their passing checks too.  The three entries
-with a mult-free report were re-recorded when that report's context gained
-the window (lo, hi) that the other weight reports carry.  A refactor of
-`cli.py`, `quiver.py`, `deltafilt.py` or `weights.py` must leave every
-entry unchanged; a deliberate change of output format must update the
-digests in the same change.
+factors in one pass, the three two-period sweeps before the bounds,
+linkage and multfree sweeps counted their passing checks too, and the last
+four, one per `char` kind not pinned before, before characters became plain
+dicts.  The three entries with a mult-free report were re-recorded when that
+report's context gained the window (lo, hi) that the other weight reports
+carry.  A refactor of `cli.py`, `quiver.py`, `deltafilt.py`, `charring.py`
+or `weights.py` must leave every entry unchanged; a deliberate change of
+output format must update the digests in the same change.
 """
 
 from __future__ import annotations
@@ -121,6 +122,13 @@ GOLDEN = [
     ("verify --suite bounds --p 3 --r 5 --lo 378 --hi 1349", 0, "f779b5580c089a31456485dbc9b3838ec6c4c61a5a894807afe8f929eac62ac1"),
     ("verify --suite linkage --p 3 --r 4 --lo 40 --hi 363", 0, "ae73125818fb3a54c2cd4bc87284439db0f7bd4ab7acb48e7cb5cf5f7276e4ed"),
     ("verify --suite multfree --p 3 --r 5 --lo -731 --hi 240", 0, "cacd0272cccf94e56f4449963b6e7518a948c0079b941bbae4c53f65bd573892"),
+    # the character kinds no entry above reaches: a level-r simple below
+    # zero, a standard character, a Weyl character with coefficients -1, and
+    # a simple character of two base-p digits
+    ("char --kind simple-r --p 3 --r 2 --weight -5", 0, "aa464747dbcbc6c6c2b79c91488c66054c74225b3bead78ed004ebc548c05ac1"),
+    ("char --kind baby-verma --p 5 --r 2 --weight 7 --format tsv", 0, "1e59aaca5f259e066356c4d1dafeae7236e6a16980dc33817130fd98f3efeb96"),
+    ("char --kind weyl --weight -4", 0, "e2c54e2c5bac8e5171bafee9210b48ec9bc6efec1f958c8b63e3550d823bae58"),
+    ("char --kind simple --p 5 --weight 24 --format tsv", 0, "4830268547e834ed0fac6f5f694a9c601bcc31b268c10044dd21ad2984fe0f26"),
 ]
 
 

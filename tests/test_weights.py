@@ -53,6 +53,26 @@ def test_tilde_examples():
         assert tilde(-1 + ctx.q * m, ctx) == -1 + ctx.q * m  # special fixed points
 
 
+def _ref_padic_split(lam: int, q: int) -> tuple[int, int]:
+    head = lam % q
+    return head, (lam - head) // q
+
+
+def _ref_tilde(lam: int, q: int) -> int:
+    head, tail = _ref_padic_split(lam, q)
+    return 2 * (q - 1) - head + q * tail
+
+
+@pytest.mark.parametrize("p,r", [(3, 1), (3, 5), (5, 3), (7, 2)])
+def test_padic_split_and_tilde_match_reference_formulas(p, r):
+    # the head/tail split and tilde as first written, over three periods
+    ctx = Context(p, r)
+    q = p**r
+    for lam in range(-q - 3, 2 * q + 3):
+        assert tuple(padic_split(lam, ctx)) == _ref_padic_split(lam, q), lam
+        assert tilde(lam, ctx) == _ref_tilde(lam, q), lam
+
+
 @pytest.mark.parametrize("p,r", [(3, 1), (3, 2), (5, 1), (5, 2)])
 def test_tilde_squared_is_twist_shift(p, r):
     # applying tilde twice shifts by the tensor period 2q, except on the
