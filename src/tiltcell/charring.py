@@ -1,9 +1,11 @@
 """Exact arithmetic in the rank-one character ring.
 
-A `Character` is a finitely supported integer combination of basis symbols
+A character is a finitely supported integer combination of basis symbols
 e^n, n an integer: the formal character sum(dim M_n * e^n) of a module with
-integer weights.  Characters are kept in canonical form (no stored zero
-coefficients), so structural equality is semantic equality.
+integer weights.  It is a plain dict from weights to nonzero ints (the
+alias `Character`), so dict equality is equality of characters.  Every
+producer returns a fresh dict, which the caller may mutate; the caches
+behind them hold tuples and read-only mappings.
 
 The module provides the classical character formulas needed downstream:
 
@@ -30,14 +32,14 @@ The module provides the classical character formulas needed downstream:
   shift by p^r (the standard and simple characters of G_rT are p^r-periodic,
   Jantzen, *Representations of Algebraic Groups*, II.9).
 
-Characters are immutable by convention; all functions are pure.
+All functions are pure.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .weights import Context, padic_split
 
@@ -46,97 +48,16 @@ class NotAModuleCharacter(ValueError):
     """Raised when highest-weight peeling meets a negative multiplicity."""
 
 
-class Character:
-    """Finitely supported map from integer weights to integer coefficients."""
-
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs: Mapping[int, int] | None = None):
-        c = dict(coeffs or {})
-        self._c: dict[int, int] = c if all(c.values()) else {w: k for w, k in c.items() if k}
-
-    @classmethod
-    def basis(cls, n: int) -> "Character":
-        return cls({n: 1})
-
-    @classmethod
-    def zero(cls) -> "Character":
-        return cls()
-
-    def coeff(self, n: int) -> int:
-        return self._c.get(n, 0)
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(self._c.items())
-
-    def support(self) -> list[int]:
-        return sorted(self._c)
-
-    def mass(self) -> int:
-        """Sum of all coefficients (the dimension, for a module character)."""
-        return sum(self._c.values())
-
-    def to_pairs(self) -> list[list[int]]:
-        """Sorted [weight, coefficient] pairs; the JSON form."""
-        return [[w, self._c[w]] for w in sorted(self._c)]
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Character) and self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._c.items())))
-
-    def __add__(self, other: "Character") -> "Character":
-        c = dict(self._c)
-        for w, k in other._c.items():
-            c[w] = c.get(w, 0) + k
-        return Character(c)
-
-    def __neg__(self) -> "Character":
-        return Character({w: -k for w, k in self._c.items()})
-
-    def __sub__(self, other: "Character") -> "Character":
-        return self + (-other)
-
-    def scale(self, k: int) -> "Character":
-        return Character({w: k * c for w, c in self._c.items()})
-
-    def shift(self, n: int) -> "Character":
-        """Multiply by e^n: translate every weight by n."""
-        return Character({w + n: c for w, c in self._c.items()})
-
-    def dilate(self, m: int) -> "Character":
-        """Substitute e -> e^m (weights multiplied by m); m must be >= 1."""
-        if m < 1:
-            raise ValueError("dilation factor must be >= 1")
-        return Character({w * m: c for w, c in self._c.items()})
-
-    def __mul__(self, other: "Character") -> "Character":
-        c: dict[int, int] = {}
-        for w1, k1 in self._c.items():
-            for w2, k2 in other._c.items():
-                w = w1 + w2
-                c[w] = c.get(w, 0) + k1 * k2
-        return Character(c)
-
-    def __repr__(self) -> str:
-        if not self._c:
-            return "Character(0)"
-        parts = [f"{c}*e^{w}" for w, c in sorted(self._c.items())]
-        return "Character(" + " + ".join(parts) + ")"
+# weight -> nonzero integer coefficient; every producer returns a fresh dict
+Character = dict[int, int]
 
 
 def weyl_char(m: int) -> Character:
     """The rank-one Weyl character: e^m + e^(m-2) + ... + e^(-m) for m >= 0,
     zero at m = -1, and -weyl_char(-m-2) below that."""
-    if m >= 0:
-        return Character({m - 2 * j: 1 for j in range(m + 1)})
-    if m == -1:
-        return Character()
-    return -weyl_char(-m - 2)
+    if m >= -1:
+        return dict.fromkeys(range(m, -m - 1, -2), 1)
+    return dict.fromkeys(range(-m - 2, m + 1, -2), -1)
 
 
 def simple_char(lam: int, p: int) -> Character:
@@ -144,19 +65,20 @@ def simple_char(lam: int, p: int) -> Character:
     tensor product over its base-p digits, read from `_simple_support`."""
     if lam < 0:
         raise ValueError(f"simple characters require a dominant weight, got {lam}")
-    return Character(dict(_simple_support(lam, p)))
+    return dict(_simple_support(lam, p))
 
 
 def simple_char_r(lam: int, ctx: Context) -> Character:
     """Character of the level-r simple with highest weight lam (any integer):
     the head's simple character shifted by p^r times the tail."""
     head, tail = padic_split(lam, ctx)
-    return simple_char(head, ctx.p).shift(ctx.q * tail)
+    shift = ctx.q * tail
+    return {w + shift: k for w, k in _simple_support(head, ctx.p)}
 
 
 def baby_verma_char(lam: int, ctx: Context) -> Character:
     """Character of the level-r standard (and costandard) object at lam."""
-    return Character(dict.fromkeys(range(lam, lam - 2 * ctx.q, -2), 1))
+    return dict.fromkeys(range(lam, lam - 2 * ctx.q, -2), 1)
 
 
 @lru_cache(maxsize=None)
@@ -175,19 +97,20 @@ def _simple_support(head: int, p: int) -> tuple[tuple[int, int], ...]:
     return tuple(out.items())
 
 
-def decompose_into_simples(f: Character, ctx: Context) -> dict[int, int]:
+def decompose_into_simples(f: Mapping[int, int], ctx: Context) -> dict[int, int]:
     """Write f as a non-negative combination of level-r simple characters.
 
-    Repeatedly peel the maximal remaining weight: its coefficient is the
-    multiplicity of that simple, because simple characters are supported
-    below their top weight, which carries coefficient one.  Raises
-    NotAModuleCharacter if a peel would need a negative multiplicity; the
-    loop is capped by the coefficient mass, which every genuine peel
-    strictly decreases.
+    f is any mapping from weights to coefficients; zero coefficients are
+    dropped on entry.  Repeatedly peel the maximal remaining weight: its
+    coefficient is the multiplicity of that simple, because simple
+    characters are supported below their top weight, which carries
+    coefficient one.  Raises NotAModuleCharacter if a peel would need a
+    negative multiplicity; the loop is capped by the coefficient mass, which
+    every genuine peel strictly decreases.
     """
     out: dict[int, int] = {}
-    rem = dict(f.items())
-    budget = f.mass()
+    rem = {w: k for w, k in f.items() if k}
+    budget = sum(rem.values())
     p, q = ctx.p, ctx.q
     while rem:
         top = max(rem)

@@ -274,7 +274,7 @@ _CHARS = {
 
 def cmd_char(args) -> int:
     ctx = _context(args)
-    pairs = _CHARS[args.kind](args.weight, ctx).to_pairs()
+    pairs = sorted(_CHARS[args.kind](args.weight, ctx).items())  # JSON writes each as a list
     doc = {"kind": args.kind, "p": ctx.p, "r": ctx.r, "weight": args.weight, "coeffs": pairs}
     _emit_doc(args, doc, pairs)
     return 0

@@ -162,7 +162,7 @@ def tilting_char(lam: int, ctx: Context) -> Character:
     for nu, mult in delta_factors(lam, ctx).items():
         for w, k in baby_verma_char(nu, ctx).items():
             out[w] = out.get(w, 0) + mult * k
-    return Character(out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -69,8 +69,8 @@ def padic_split(lam: int, ctx: Context) -> PadicSplit:
     Euclidean division with non-negative remainder, so negative weights get
     the unique head inside the fundamental box.
     """
-    head = lam % ctx.q
-    return PadicSplit(head, (lam - head) // ctx.q)
+    tail, head = divmod(lam, ctx.q)
+    return PadicSplit(head, tail)
 
 
 def tilde(lam: int, ctx: Context) -> int:
@@ -83,8 +83,8 @@ def tilde(lam: int, ctx: Context) -> int:
     2 * p**r, so it is an involution on twist classes but not on the
     integers themselves.
     """
-    head, tail = padic_split(lam, ctx)
-    return 2 * (ctx.q - 1) - head + ctx.q * tail
+    q = ctx.q
+    return lam + 2 * (q - 1 - lam % q)  # the formula above, as q * tail = lam - head
 
 
 def dot_reflect(lam: int, wall_index: int, ctx: Context) -> int:
