@@ -57,10 +57,7 @@ _EXPORTS = {
     "Report": "report",
     "ReportItem": "report",
     "Context": "weights",
-    "PadicSplit": "weights",
     "dot_orbit": "weights",
-    "dot_reflect": "weights",
-    "padic_split": "weights",
     "strongly_linked": "weights",
     "tilde": "weights",
 }

@@ -16,8 +16,8 @@ The module provides the classical character formulas needed downstream:
   The support is built one digit at a time and cached (`_simple_support`):
   the lowest digit's Weyl character times the support of lam // p dilated
   by p.  Peeling reads the same supports, so the formula is written once.
-* `simple_char_r(lam, ctx)`: level-r simples, a head character shifted by
-  p^r times the tail.
+* `simple_char_r(lam, ctx)`: level-r simples, the character of the head
+  lam mod p^r, in [0, p^r), shifted by p^r times the tail lam // p^r.
 * `baby_verma_char(lam, ctx)`: chi(p^r - 1) shifted by lam - (p^r - 1);
   its coefficient mass is always p^r.
 * `decompose_into_simples`: greedy highest-weight peeling, the exact oracle
@@ -41,7 +41,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .weights import Context, padic_split
+from .weights import Context
 
 
 class NotAModuleCharacter(ValueError):
@@ -71,7 +71,7 @@ def simple_char(lam: int, p: int) -> Character:
 def simple_char_r(lam: int, ctx: Context) -> Character:
     """Character of the level-r simple with highest weight lam (any integer):
     the head's simple character shifted by p^r times the tail."""
-    head, tail = padic_split(lam, ctx)
+    tail, head = divmod(lam, ctx.q)
     shift = ctx.q * tail
     return {w + shift: k for w, k in _simple_support(head, ctx.p)}
 
@@ -123,7 +123,7 @@ def decompose_into_simples(f: Mapping[int, int], ctx: Context) -> dict[int, int]
         budget -= c
         if budget < 0:
             raise NotAModuleCharacter("peeling exceeded the coefficient mass")
-        tail, head = divmod(top, q)  # padic_split(top, ctx), inlined
+        tail, head = divmod(top, q)
         shift = q * tail
         for w, k in _simple_support(head, p):
             w += shift
@@ -150,7 +150,7 @@ def baby_verma_simples(lam: int, ctx: Context) -> Mapping[int, int]:
     and raises its tail by one, so the factors at lam are those at its head
     shifted by p^r times its tail.  The mapping is read-only, so callers
     never copy it."""
-    head, tail = padic_split(lam, ctx)
+    tail, head = divmod(lam, ctx.q)
     factors = _baby_verma_simples(ctx.p, ctx.r, head)
     if not tail:
         return factors

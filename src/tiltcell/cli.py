@@ -12,7 +12,8 @@ lists (the sum over nu of (P : Delta(nu)) * (Q : Delta(nu))) and the
 |P| * |Q| Hom pairs of their cross-check, both before any is listed.  It also
 bounds --p by the sqrt(p)/2 trial divisions of its primality test, and --r,
 the steps of every factor-table walk (each on the residue mod p^r nearest
-zero).  A refusal quotes at most a short prefix of the input it names.
+zero).  A refusal quotes at most a short prefix of the input it names;
+argparse's own refusals are cut to 200 characters.
 
 `verify` output carries per-check item/failure counts plus the failing items
 themselves; passing items are not echoed.  No weight sweep even builds
@@ -56,10 +57,17 @@ DEFAULT_P, DEFAULT_R = 3, 1
 # Python converts an int to text with, so that every scalar prints
 SCALAR_DIGITS = 1000
 QUOTED_CHARS = 20  # the most of an input that an error message quotes
+_REFUSAL_CHARS = 200  # the most of an argparse refusal that is printed
 
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse quotes a bad value whole; subparsers are made of this class too
+    def error(self, message: str):
+        super().error(message if len(message) <= _REFUSAL_CHARS else message[:_REFUSAL_CHARS] + "...")
 
 
 def _quoted(text: str) -> str:
@@ -211,13 +219,16 @@ def _preset_build(
     preset = qv.PRESETS[args.preset]
     if preset.window is None and args.p is not None:
         raise UsageError(f"--preset {args.preset} reads no --p")
-    p = DEFAULT_P if args.p is None else args.p
-    guard_level(p)
     if preset.window is None and args.window is not None:
         raise UsageError(f"--preset {args.preset} has no window")
     if args.no_boundary_loops and not preset.boundary_loops:
         raise UsageError(f"--preset {args.preset} has no boundary loops")
     window = preset.window if args.window is None else args.window
+    # the builders' floor, checked first: a negative window passes the size guards
+    if window is not None and window < preset.window:
+        raise UsageError(f"{args.preset} window must be >= {preset.window}")
+    p = DEFAULT_P if args.p is None else args.p
+    guard_level(p)
     vertices, core = preset.vertex_count(p, window)
     guard_work(vertices)
     if max_len is not None:
@@ -534,7 +545,7 @@ def _add_common(sp, *, fmt: tuple[str, ...] = ("json", "tsv")) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="tiltcell",
         description="Exact invariants of rank-one tilting ladders and their quiver presentations.",
     )

@@ -176,12 +176,6 @@ class Quiver:
             self.in_ids[a.target].append(i)
         self.cell_rank = PRESETS[self.preset].cell_rank(self)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Quiver:
-            return NotImplemented
-        fields = ("preset", "vertices", "arrows", "weights", "core", "shift_period", "context")
-        return all(getattr(self, f) == getattr(other, f) for f in fields)
-
     def arrow_id(self, name: str) -> int:
         return self.by_name[name]
 
@@ -252,13 +246,6 @@ class RelationSet:
         self.table = {**self.rules, **self.derived_rules}
         self.lengths = sorted({len(k) for k in self.table})
         self.zero_redexes = frozenset().union(*(r.terms for r in relations if len(r.terms) == 1))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not RelationSet:
-            return NotImplemented
-        return (self.relations, self.rules, self.derived_rules, self.scalars) == (
-            other.relations, other.rules, other.derived_rules, other.scalars
-        )
 
 
 def _rule_to_relation(quiver: Quiver, redex: Path, repl: Replacement) -> PathElement:
@@ -712,10 +699,12 @@ def _pair_map(
     """The map on vertex pairs of the automorphism of the path algebra that
     sends arrow i to arrow image[i] (an anti-automorphism, reversing every
     path, if `reverse`).  None unless the certificate holds: the arrow map is
-    a bijection, the arrow ends give one bijection of the vertices, and every
-    relation goes to a relation of the set up to a nonzero scalar.  The map
-    then carries the alive paths, the relation rows and their lengths of a
-    pair onto those of its image."""
+    a bijection, the arrow ends give one map of the vertices, and every
+    relation goes to a relation of the set up to a nonzero scalar.  As the
+    arrow map permutes the arrow ends, the vertex map takes the finite set of
+    vertices on arrows onto itself, so one to one, and fixes the others.  The
+    pair map carries the alive paths and relation rows of a pair onto those
+    of its image."""
     arrows = quiver.arrows
     if None in image or sorted(image) != list(range(len(arrows))):
         return None
@@ -728,8 +717,6 @@ def _pair_map(
                 return None
     for v in quiver.vertices:
         vmap.setdefault(v, v)
-    if len(set(vmap.values())) != len(vmap):
-        return None
 
     def move(pair: Pair) -> Pair:
         s, t = vmap[pair[0]], vmap[pair[1]]

@@ -9,8 +9,8 @@ interval [0, p-2]; the points congruent to -1 mod p are the walls.  The dot
 orbits are infinite dihedral, so strong linkage is a congruence mod 2p.
 
 Weights are plain ints.  The pair (p, r) travels in an explicit `Context`, so
-the same integer can be re-read at any level r (the head/tail of a p-adic
-split depend on r).
+the same integer can be re-read at any level r, where it splits as head +
+p**r * tail with head in [0, p**r): `tail, head = divmod(lam, ctx.q)`.
 
 Everything here is a pure function of its arguments and `Context` is frozen,
 so the module is safe to use from any number of threads.
@@ -58,21 +58,6 @@ class Context(_ContextFields):
         return self.p**self.r
 
 
-class PadicSplit(NamedTuple):
-    head: int  # in [0, p**r)
-    tail: int  # head + p**r * tail reconstructs the weight
-
-
-def padic_split(lam: int, ctx: Context) -> PadicSplit:
-    """Write lam = head + p**r * tail with head in [0, p**r).
-
-    Euclidean division with non-negative remainder, so negative weights get
-    the unique head inside the fundamental box.
-    """
-    tail, head = divmod(lam, ctx.q)
-    return PadicSplit(head, tail)
-
-
 def tilde(lam: int, ctx: Context) -> int:
     """The bijection 2*(p**r - 1) - head + p**r * tail: the highest weight of
     the projective cover of the simple object with highest weight lam.
@@ -85,11 +70,6 @@ def tilde(lam: int, ctx: Context) -> int:
     """
     q = ctx.q
     return lam + 2 * (q - 1 - lam % q)  # the formula above, as q * tail = lam - head
-
-
-def dot_reflect(lam: int, wall_index: int, ctx: Context) -> int:
-    """Reflect lam in the wall at wall_index*p - 1 (dot action)."""
-    return 2 * (wall_index * ctx.p - 1) - lam
 
 
 def dot_orbit(lam: int, lo: int, hi: int, ctx: Context) -> set[int]:

@@ -803,3 +803,71 @@ def test_refusals_in_one_short_line(capsys, argv, code):
         assert err.count("\n") == 1 and len(err.encode()) < 120
     else:
         assert err == "" and json.loads(out)["scalars"]["a"] == "2"
+
+
+def _refusal(argv: list[str], capsys) -> tuple[int, str, str]:
+    """The exit status, stdout and stderr of argv, whether argparse or a
+    command refuses it."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda v: ["delta-factors", "--weight", "9" * v],
+        lambda v: ["verify", "--suite", "bounds", "--lo", "9" * v, "--hi", "0"],
+        lambda v: ["quiver-check", "--preset", "p1", "--max-len", "9" * v],
+        lambda v: ["quiver-check", "--preset", "x" * v],
+        lambda v: ["char", "--kind", "x" * v, "--weight", "0"],
+        lambda v: ["x" * v],
+        lambda v: ["delta-factors", "--weight", "0", "--" + "x" * v],
+    ],
+    ids=["weight", "lo", "max-len", "preset", "kind", "subcommand", "flag"],
+)
+def test_argparse_refusal_is_cut(capsys, argv):
+    # argparse quotes the whole bad value in its message; the message is cut,
+    # so stderr is bounded and the same for any value past the cut
+    errs = []
+    for n in (20_000, 100_000):
+        code, out, err = _refusal(argv(n), capsys)
+        assert code == 2 and out == "" and len(err.encode()) < 600
+        errs.append(err)
+    assert errs[0] == errs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["char", "--kind", "zz", "--weight", "0"],
+        ["quiver-check", "--preset", "p3"],
+        ["delta-factors", "--weight", "x"],
+        ["delta-factors", "--weight", "0", "--zz"],
+        ["zz"],
+    ],
+    ids=["kind", "preset", "weight", "flag", "subcommand"],
+)
+def test_short_argparse_refusal_unchanged(monkeypatch, capsys, argv):
+    # below the cut a refusal is argparse's own, byte for byte
+    status, _, err = _refusal(argv, capsys)
+    monkeypatch.setattr(cli, "_Parser", cli.argparse.ArgumentParser)
+    assert (status, err) == _refusal(argv, capsys)[::2]
+
+
+@pytest.mark.parametrize("command", ["quiver-build", "quiver-check"])
+@pytest.mark.parametrize("preset,floor", [("p1", 2), ("p2", 1)])
+@pytest.mark.parametrize("window", ["0", "-1", "-1000000"])
+def test_window_below_the_floor_refused_first(monkeypatch, capsys, command, preset, floor, window):
+    # the builders' floor, named before any size guard: a large negative
+    # window once passed the vertex guard and failed the path or pair bound
+    def refuse(*args, **kwargs):
+        raise AssertionError("the quiver was built")
+
+    monkeypatch.setattr(qv, f"build_{preset}_quiver", refuse)
+    code, out = invoke([command, "--preset", preset, "--window", window])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {preset} window must be >= {floor}\n"

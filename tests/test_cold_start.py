@@ -76,10 +76,7 @@ EXPORTS = {
     report: ("Report", "ReportItem"),
     weights: (
         "Context",
-        "PadicSplit",
         "dot_orbit",
-        "dot_reflect",
-        "padic_split",
         "strongly_linked",
         "tilde",
     ),

@@ -13,6 +13,7 @@ from math import lcm
 
 import pytest
 
+from tiltcell import quiver as qv
 from tiltcell.quiver import (
     PRESETS,
     Arrow,
@@ -22,8 +23,10 @@ from tiltcell.quiver import (
     RelationSet,
     _Fold,
     _alive_paths,
+    _echelon,
     _linear_setup,
     _pair_key,
+    _pair_map,
     _relation_rows,
     _rule_to_relation,
     build_p1_quiver,
@@ -139,6 +142,23 @@ def _toy():
     return quiver, RelationSet(relations, {}, {}, {})
 
 
+def _toy_duals(duals):
+    """Arrows a: 0 -> 1 and b: 1 -> 0 and a loop c at 0, naming the duals
+    `duals` in that order, with c*c = 0, b*a = 2c and a*c*b = 0.  The
+    relations are closed under duality when the duals are ("b", "a", "c")."""
+    names = ("a", "b", "c")
+    ends = ((0, 1), (1, 0), (0, 0))
+    arrows = [Arrow(n, s, t, "u", d) for n, (s, t), d in zip(names, ends, duals)]
+    quiver = Quiver("p1", [0, 1], arrows, {0: 0, 1: 1}, frozenset({0, 1}), None)
+    a, b, c = 0, 1, 2
+    relations = [
+        PathElement(0, 0, {(c, c): Fraction(1)}),
+        PathElement(0, 0, {(a, b): Fraction(1), (c,): Fraction(-2)}),
+        PathElement(1, 1, {(b, c, a): Fraction(1)}),
+    ]
+    return quiver, RelationSet(relations, {}, {}, {})
+
+
 def _rescaled(quiver, rels, redexes, factor):
     """`rels` with the replacement of each rule in `redexes` (lists of arrow
     names) multiplied by `factor`."""
@@ -175,6 +195,8 @@ def _sl3_unmirrored():
 
 CASES = {
     "toy": (_toy, 4),
+    "toy-dangling-dual": (lambda: _toy_duals(("b", "z", "c")), 4),
+    "toy-shared-dual": (lambda: _toy_duals(("b", "b", "c")), 4),
     "p1": (lambda: build_p1_quiver(3), 4),
     "p1-p5-w3": (lambda: build_p1_quiver(5, window=3), 4),
     "p2-p3-unit": (lambda: build_p2_quiver(3), 5),
@@ -391,6 +413,69 @@ def test_broken_symmetry_costs_eliminations(case, symmetric):
     symmetric presentation the case was made from."""
     (build, max_len), (plain, _) = CASES[case], CASES[symmetric]
     assert quotient_dims(*build(), max_len).eliminated > quotient_dims(*plain(), max_len).eliminated
+
+
+@pytest.mark.parametrize("case", ["toy-dangling-dual", "toy-shared-dual"])
+def test_arrow_image_with_a_gap_or_a_repeat_is_refused(case):
+    """The duality move is certified only for an arrow map that is a
+    bijection: an arrow whose dual names no arrow leaves a gap, two arrows
+    that name one dual a repeat.  With its true duals the toy is certified,
+    so here the arrow map alone is refused, and every pair is eliminated on
+    its own; `test_quotient_dims_matches_reference` pins the answers."""
+    build, max_len = CASES[case]
+    quiver, rels = build()
+    image = [quiver.by_name.get(a.dual) for a in quiver.arrows]
+    assert _pair_map(quiver, rels, image, True) is None
+    assert not _Fold(quiver, rels, _linear_setup(quiver, rels, max_len)).maps
+    dual = _toy_duals(("b", "a", "c"))
+    assert _pair_map(*dual, [1, 0, 2], True) is not None
+    assert quotient_dims(quiver, rels, max_len).eliminated > quotient_dims(*dual, max_len).eliminated
+
+
+def test_copied_verdict_is_eliminated_again_for_its_witness(monkeypatch):
+    """When the fold has given the first unsaturated core pair its verdict,
+    the engine eliminates that pair once more to read the residue words.  In
+    the engine's own order no preset reaches that branch, so boundary pairs
+    are sorted first here, then off-diagonal core pairs: on bare p2 at p=3,
+    truncated at length 2, a boundary translate of (-1, -4) hands it its
+    verdict.  The words must be those of the plain reference, which
+    eliminates every pair afresh, and `eliminated` must count the extra
+    echelon."""
+    quiver, rels = build_p2_quiver(3)
+    max_len, core = 2, quiver.core
+
+    def key(pair):
+        return (pair[0] in core and pair[1] in core, pair[0] == pair[1], repr(pair))
+
+    monkeypatch.setattr(qv, "_pair_key", key)
+    monkeypatch.setitem(globals(), "_pair_key", key)  # the reference's order too
+    calls, copied, fold_spread = [], set(), _Fold.spread
+
+    def echelon(setup, pair):
+        calls.append(pair)
+        return _echelon(setup, pair)
+
+    def spread(fold, pair, verdicts):
+        before = set(verdicts)
+        fold_spread(fold, pair, verdicts)
+        copied.update(verdicts.keys() - before)
+
+    monkeypatch.setattr(qv, "_echelon", echelon)
+    monkeypatch.setattr(qv._Fold, "spread", spread)
+    res = quotient_dims(quiver, rels, max_len, require_saturation=False)
+    first = res.unsaturated[0]
+    assert first == (-1, -4) and first in copied
+    assert [pair for pair in calls if pair in copied] == [first]
+    assert res.eliminated == len(calls)
+
+    _, _, unsaturated, witness = reference_quotient_dims(quiver, rels, max_len)
+    assert res.unsaturated == unsaturated
+    with pytest.raises(NotSaturated) as exc:
+        quotient_dims(quiver, rels, max_len)
+    assert str(exc.value) == (
+        f"{len(unsaturated)} core pair(s) have irreducible length-{max_len} paths; "
+        f"first: {first}, residue words: {', '.join(witness)}"
+    )
 
 
 def suffix_scan_alive_paths(quiver, max_len, words):

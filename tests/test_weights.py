@@ -5,8 +5,6 @@ import pytest
 from tiltcell.weights import (
     Context,
     dot_orbit,
-    dot_reflect,
-    padic_split,
     strongly_linked,
     tilde,
 )
@@ -21,28 +19,6 @@ def test_context_validation():
         Context(9, 1)
     with pytest.raises(ValueError):
         Context(5, 0)
-
-
-@pytest.mark.parametrize(
-    "lam,p,r,head,tail",
-    [
-        (0, 3, 1, 0, 0),
-        (-2, 3, 1, 1, -1),
-        (-11, 5, 2, 14, -1),  # -2p-1 at p=5, r=2
-    ],
-)
-def test_padic_split_examples(lam, p, r, head, tail):
-    got = padic_split(lam, Context(p, r))
-    assert (got.head, got.tail) == (head, tail)
-    assert got.head + p**r * got.tail == lam
-    assert 0 <= got.head < p**r
-
-
-def test_padic_split_reconstruction_sweep():
-    ctx = Context(5, 2)
-    for lam in range(-200, 201):
-        head, tail = padic_split(lam, ctx)
-        assert 0 <= head < ctx.q and head + ctx.q * tail == lam
 
 
 def test_tilde_examples():
@@ -65,11 +41,10 @@ def _ref_tilde(lam: int, q: int) -> int:
 
 @pytest.mark.parametrize("p,r", [(3, 1), (3, 5), (5, 3), (7, 2)])
 def test_padic_split_and_tilde_match_reference_formulas(p, r):
-    # the head/tail split and tilde as first written, over three periods
+    # tilde as first written, from the head/tail split, over three periods
     ctx = Context(p, r)
     q = p**r
     for lam in range(-q - 3, 2 * q + 3):
-        assert tuple(padic_split(lam, ctx)) == _ref_padic_split(lam, q), lam
         assert tilde(lam, ctx) == _ref_tilde(lam, q), lam
 
 
@@ -103,19 +78,6 @@ def test_tilde_box_mapping(p, r):
         assert image == {q * (m + 1) - 1 + x for x in range(q)}
 
 
-def test_dot_reflect():
-    ctx = Context(5, 1)
-    assert dot_reflect(0, 0, ctx) == -2
-    assert dot_reflect(8, 1, ctx) == 0  # 2p-2 reflects to 0
-    for n in range(-3, 4):
-        wall = n * ctx.p - 1
-        assert dot_reflect(wall, n, ctx) == wall
-        for lam in range(-20, 21):
-            assert dot_reflect(dot_reflect(lam, n, ctx), n, ctx) == lam
-            if lam != wall:
-                assert dot_reflect(lam, n, ctx) != lam
-
-
 def test_dot_orbit_examples():
     ctx = Context(5, 1)
     assert dot_orbit(0, -10, 10, ctx) == {-10, -2, 0, 8, 10}
@@ -129,7 +91,7 @@ def test_dot_orbit_closed_under_reflection():
     orb = dot_orbit(1, -40, 40, ctx)
     for x in orb:
         for n in range(-5, 6):
-            y = dot_reflect(x, n, ctx)
+            y = 2 * (n * ctx.p - 1) - x  # the dot reflection in the wall n*p - 1
             if -40 <= y <= 40:
                 assert y in orb
 
