@@ -211,3 +211,46 @@ def test_reciprocity_spot_level_three():
     ctx = Context(3, 3)
     for lam in (-28, -1, 0, 5, 13, 26):
         assert verify_reciprocity(lam, ctx).all_pass
+
+
+def _index_entries(index) -> list[tuple[int, int, int]]:
+    """The (residue, offset, multiplicity) entries of a period index, sorted:
+    residues keyed by position or by dict key, each entry a dict from offsets
+    to multiplicities or a tuple of offsets of multiplicity one."""
+    rows = index.items() if isinstance(index, dict) else enumerate(index)
+    return sorted(
+        (c, d, k)
+        for c, entry in rows
+        for d, k in (entry.items() if isinstance(entry, dict) else ((d, 1) for d in entry))
+    )
+
+
+@pytest.mark.parametrize("p,r", [(3, 3), (5, 2), (7, 2)])
+def test_period_indexes_match_their_definitions(p, r):
+    ctx = Context(p, r)
+    q = ctx.q
+    # offset d has multiplicity k in entry c exactly when the peeled standard
+    # object at nu + d holds the simple at nu, nu = c mod q, k times; every
+    # standard object of three periods is peeled afresh, and each entry is
+    # checked at three of its weights
+    peels = {}
+
+    def peel(mu):
+        if mu not in peels:
+            peels[mu] = decompose_into_simples(baby_verma_char(mu, ctx), ctx)
+        return peels[mu]
+
+    simples = _index_entries(deltafilt._simples_index(p, r))
+    held = set(simples)
+    for head in range(-q, 2 * q):
+        for nu, k in peel(head).items():
+            assert (nu % q, head - nu, k) in held, (head, nu, k)
+    for c, d, k in simples:
+        for nu in (c - q, c, c + q):
+            assert peel(nu + d).get(nu) == k, (c, d, k, nu)
+    # w - nu is an offset in the entry of nu mod q exactly when nu lies in
+    # the folded table at w, over the folded w = -1 mod step
+    for step in (p, 1):
+        folded = [w for w in range(-(q // 2), q - q // 2) if w % step == step - 1]
+        expected = sorted((nu % q, w - nu, 1) for w in folded for nu in delta_factors(w, ctx))
+        assert _index_entries(deltafilt._folded_holders(p, r, step)) == expected, step
