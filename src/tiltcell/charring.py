@@ -105,24 +105,22 @@ def decompose_into_simples(f: Mapping[int, int], ctx: Context) -> dict[int, int]
     coefficient is the multiplicity of that simple, because simple
     characters are supported below their top weight, which carries
     coefficient one.  Raises NotAModuleCharacter if a peel would need a
-    negative multiplicity; the loop is capped by the coefficient mass, which
-    every genuine peel strictly decreases.
+    non-positive multiplicity.  The loop ends: each peel deletes its top
+    weight, whose coefficient is one, and lowers only smaller weights; a
+    weight outside f starts at 0 and only goes down, so every positive top
+    is a weight of f, peeled at most once.  A cap on the peeled mass would
+    not change whether it raises: a module character's mass sum(m * dim L)
+    is at least sum(m), so past such a cap f is no module character.
     """
     out: dict[int, int] = {}
     rem = {w: k for w, k in f.items() if k}
-    budget = sum(rem.values())
     p, q = ctx.p, ctx.q
     while rem:
         top = max(rem)
         c = rem[top]
         # zeros are deleted as they appear; a stale zero would never leave the loop
         if c <= 0:
-            raise NotAModuleCharacter(
-                f"coefficient {c} at top weight {top} during peeling"
-            )
-        budget -= c
-        if budget < 0:
-            raise NotAModuleCharacter("peeling exceeded the coefficient mass")
+            raise NotAModuleCharacter(f"coefficient {c} at top weight {top} during peeling")
         tail, head = divmod(top, q)
         shift = q * tail
         for w, k in _simple_support(head, p):

@@ -125,6 +125,10 @@ def guard_level(p: int, r: int = 1) -> None:
 def _context(args) -> Context:
     p, r = (DEFAULT_P if args.p is None else args.p), (DEFAULT_R if args.r is None else args.r)
     guard_level(p, r)
+    return _checked_context(p, r)
+
+
+def _checked_context(p: int, r: int = 1) -> Context:
     try:
         return Context(p, r)
     except ValueError as exc:
@@ -231,6 +235,9 @@ def _preset_build(
     guard_level(p)
     vertices, core = preset.vertex_count(p, window)
     guard_work(vertices)
+    # after the vertex guard, which refuses a large p2 --p without a primality
+    # test, and before the guards below, which a p that is no odd prime passes
+    _checked_context(p)
     if max_len is not None:
         # rough path-object count; monomial pruning keeps the real work below this
         guard_power(vertices, 4, max_len)

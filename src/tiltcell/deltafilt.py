@@ -31,34 +31,33 @@ p^r reads the same r digits and reaches the level-0 weight one higher, and
 replaying the digits turns that shift of 1 into a shift of p^r.  The cache
 is the standard library LRU cache, so concurrent readers are safe.
 
-The reciprocity sweep reads the composition factors of standard objects
-from one index per (p, r), built from the peels of a single period.  The
-level-drop (Steinberg) sweep computes the Hom pairs of each residue of m mod
+Two sweeps read a p^r-periodic relation through one period of it,
+inverted by `_invert`: the reciprocity sweep the composition factors of the
+peeled standard objects (`_simples_index`, one per (p, r)), and the
+level-drop (Steinberg) sweep the folded tables at level r of the images, the
+weights -1 mod p, and at level r - 1 of all weights (`_folded_holders`).
+The level-drop sweep computes the Hom pairs of each residue of m mod
 p^(r-1) once: moving m and its partner by p^(r-1) moves their images
 p-1+p*m by p^r, so by the shift equivariance of `hom_dim` at both levels the
-pairs depend only on that residue and on the distance of the partner.  It
-counts them from inverted tables, as the linkage sweep inverts its window:
-one index per (p, r) and level maps each factor of the folded tables of one
-period (at level r, those of the images, the weights -1 mod p), by its
-residue mod p^r, to the folded weights whose tables hold it, as offsets.  A
-partner's table is its residue's folded table shifted by a multiple of p^r,
-so one pass over the factors of m, or of its image, meets every partner
-that shares each of them, and only the nonzero pairs are kept.
+pairs depend only on that residue and on the distance of the partner.  One
+pass over the factors of m, or of its image, meets every partner whose
+table shares each of them, and only the nonzero pairs are kept.
 
 Every sweep takes an optional target report.  Without one it returns a
 report of every item; with one it adds only the failing items to it and
 counts the rest in `Report.unlisted`, so a sweep whose passing items nobody
 reads never builds them.
 
-`hom_dim` never builds a shifted table: it compares the cached folded tables
-of both weights at their relative shift, and answers 0 at once when the
-shifted ranges cannot meet.  The linkage sweep inverts the tables of its
-window instead, mapping each factor to the weights whose tables hold it, and
-tests each pair for one dot orbit by the congruence of `strongly_linked`.
+`hom_dim` never builds a shifted table: it counts the factors of one cached
+folded table that lie in the other at their relative shift.  The linkage
+sweep inverts the tables of its window instead, mapping each factor to the
+weights whose tables hold it, and tests each pair for one dot orbit by the
+congruence of `strongly_linked`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
 
 from .charring import Character, baby_verma_char, baby_verma_simples
@@ -82,7 +81,7 @@ def delta_factors(lam: int, ctx: Context) -> DeltaFactors:
     tilting object with highest weight lam."""
     lam0 = _fold(lam, ctx.q)
     shift = lam - lam0
-    return {nu + shift: 1 for nu in _folded_factors(ctx.p, ctx.r, lam0)[0]}
+    return {nu + shift: 1 for nu in _folded_factors(ctx.p, ctx.r, lam0)}
 
 
 def _fold(lam: int, q: int) -> int:
@@ -109,9 +108,9 @@ def table_size(lam: int, ctx: Context) -> int:
 
 
 @lru_cache(maxsize=None)
-def _folded_factors(p: int, r: int, lam: int) -> tuple[tuple[int, ...], frozenset[int]]:
-    """The weights of the folded table at lam, sorted and as a set; every
-    multiplicity is one, which `InvariantViolation` enforces."""
+def _folded_factors(p: int, r: int, lam: int) -> frozenset[int]:
+    """The weights of the folded table at lam; every multiplicity is one,
+    which `InvariantViolation` enforces."""
     base, digits = _digit_walk(p, r, lam)
     table = {base}
     for a in reversed(digits):
@@ -124,7 +123,7 @@ def _folded_factors(p: int, r: int, lam: int) -> tuple[tuple[int, ...], frozense
             raise InvariantViolation(
                 f"multiplicity above one in the table of {lam} (p={p}, r={r})"
             )
-    return tuple(sorted(table)), frozenset(table)
+    return frozenset(table)
 
 
 def hom_dim(lam: int, mu: int, ctx: Context) -> int:
@@ -133,16 +132,14 @@ def hom_dim(lam: int, mu: int, ctx: Context) -> int:
     every table is multiplicity-free, which `InvariantViolation` enforces.
 
     With lam = lam0 + s and mu = mu0 + t folded, nu + s lies in both tables
-    iff nu lies in the folded table at lam0 and nu + s - t in the one at mu0.
+    iff nu lies in the folded table at lam0 and nu + s - t in the one at mu0,
+    so the count reads the two cached folded tables and builds no other.
     """
     q = ctx.q
     lam0, mu0 = _fold(lam, q), _fold(mu, q)
-    a, _ = _folded_factors(ctx.p, ctx.r, lam0)
-    b, b_set = _folded_factors(ctx.p, ctx.r, mu0)
     d = (lam - lam0) - (mu - mu0)
-    if a[-1] + d < b[0] or a[0] + d > b[-1]:
-        return 0
-    return sum(nu + d in b_set for nu in a)
+    held = _folded_factors(ctx.p, ctx.r, mu0)
+    return sum(nu + d in held for nu in _folded_factors(ctx.p, ctx.r, lam0))
 
 
 def hom_dim_sum(P: dict[int, int], Q: dict[int, int], ctx: Context) -> int:
@@ -171,24 +168,27 @@ def tilting_char(lam: int, ctx: Context) -> Character:
 # ---------------------------------------------------------------------------
 
 
-def _ctx_dict(ctx: Context) -> dict:
-    return {"p": ctx.p, "r": ctx.r}
+def _invert(q: int, entries: Iterable[tuple[int, int, int]]) -> dict[int, dict[int, int]]:
+    """Invert one period of a relation that holds nu in w with multiplicity
+    k, given as its (w, nu, k) over weights w pairwise incongruent mod q: the
+    residue of nu mod q maps to {w - nu: k}.  If shifting both weights by q
+    keeps the multiplicity, the entry of any nu answers for every nu + d
+    congruent to a listed w: nu + d = w + t*q, and nu - t*q, of the residue
+    of nu, lies in w at offset d, with the multiplicity of nu in nu + d."""
+    index: dict[int, dict[int, int]] = {}
+    for w, nu, k in entries:
+        index.setdefault(nu % q, {})[w - nu] = k
+    return index
 
 
 @lru_cache(maxsize=None)
-def _simples_index(p: int, r: int) -> tuple[dict[int, int], ...]:
-    """The peeled standard objects of one period, inverted: entry c maps
-    mu - nu to the multiplicity of the simple at nu in the standard object at
-    mu, over the nu congruent to c mod p^r.  One offset names one pair (mu
-    mod p^r is then fixed), and shifting both weights by p^r keeps both the
-    offset and, since peeling is p^r-periodic, the multiplicity."""
+def _simples_index(p: int, r: int) -> dict[int, dict[int, int]]:
+    """The composition factors nu of the peeled standard objects at one
+    period of weights mu, inverted: every residue maps mu - nu to the
+    multiplicity of the simple at nu in the standard object at mu."""
     ctx = Context(p, r)
-    q = ctx.q
-    index = tuple({} for _ in range(q))
-    for head in range(q):
-        for nu, k in baby_verma_simples(head, ctx).items():
-            index[nu % q][head - nu] = k
-    return index
+    peels = ((mu, nu, k) for mu in range(ctx.q) for nu, k in baby_verma_simples(mu, ctx).items())
+    return _invert(ctx.q, peels)
 
 
 def verify_reciprocity(lam: int, ctx: Context, target: Report | None = None) -> Report:
@@ -205,7 +205,7 @@ def verify_reciprocity(lam: int, ctx: Context, target: Report | None = None) -> 
     simples = _simples_index(ctx.p, ctx.r)[lam % ctx.q]
     top = lt - lam
     if target is None:
-        rep, offsets = Report("reciprocity", _ctx_dict(ctx)), range(top + 1)
+        rep, offsets = Report("reciprocity", ctx._asdict()), range(top + 1)
     else:
         support = sorted({mu - lam for mu in fac}.union(simples))
         rep, offsets = target, [
@@ -225,7 +225,7 @@ def verify_bounds(lam: int, ctx: Context, target: Report | None = None) -> Repor
     counted; the target is returned."""
     lt = tilde(lam, ctx)
     fac = delta_factors(lt, ctx)
-    rep = Report("bounds", _ctx_dict(ctx)) if target is None else target
+    rep = Report("bounds", ctx._asdict()) if target is None else target
     factors = sorted(fac if target is None else (nu for nu in fac if not lam <= nu <= lt))
     for nu in factors:
         rep.add(
@@ -247,7 +247,7 @@ def verify_strong_linkage(lam: int, ctx: Context, target: Report | None = None) 
     With a target, the failures are added to it and the other items
     counted; the target is returned."""
     lt = tilde(lam, ctx)
-    rep = Report("strong-linkage", _ctx_dict(ctx)) if target is None else target
+    rep = Report("strong-linkage", ctx._asdict()) if target is None else target
     for nu in sorted(delta_factors(lt, ctx)):
         for direction, linked in (
             ("up", strongly_linked(lam, nu, ctx)),
@@ -261,19 +261,12 @@ def verify_strong_linkage(lam: int, ctx: Context, target: Report | None = None) 
 
 
 @lru_cache(maxsize=None)
-def _folded_holders(p: int, r: int, step: int) -> dict[int, tuple[int, ...]]:
-    """The folded tables of one period at the weights w = -1 mod step,
-    inverted: residue c mod p^r maps to the offsets w - nu over the factors
-    nu = c mod p^r of those tables.  A weight mu = w + k*p^r holds the
-    factor x iff x - k*p^r lies in the folded table at w, so each offset d
-    in the entry of x mod p^r names one such mu, x + d, and no other."""
+def _folded_holders(p: int, r: int, step: int) -> dict[int, dict[int, int]]:
+    """The folded tables at the weights w = -1 mod step of one period,
+    inverted: a factor's residue maps each w - nu to 1."""
     q = p**r
-    holders: dict[int, list[int]] = {}
-    for head in range(step - 1, q, step):
-        w = _fold(head, q)
-        for nu in _folded_factors(p, r, w)[0]:
-            holders.setdefault(nu % q, []).append(w - nu)
-    return {c: tuple(offsets) for c, offsets in holders.items()}
+    folded = (_fold(head, q) for head in range(step - 1, q, step))
+    return _invert(q, ((w, nu, 1) for w in folded for nu in _folded_factors(p, r, w)))
 
 
 def _hom_row(lam: int, p: int, r: int, step: int) -> dict[int, int]:
@@ -284,7 +277,7 @@ def _hom_row(lam: int, p: int, r: int, step: int) -> dict[int, int]:
     shift = lam - lam0
     holders = _folded_holders(p, r, step)
     row: dict[int, int] = {}
-    for nu in _folded_factors(p, r, lam0)[0]:
+    for nu in _folded_factors(p, r, lam0):
         x = nu + shift
         for d in holders.get(x % q, ()):
             row[x + d] = row.get(x + d, 0) + 1
@@ -321,7 +314,7 @@ def verify_steinberg_equivalence(m: int, ctx: Context, target: Report | None = N
         raise ValueError("the level-drop check needs r >= 2")
     p = ctx.p
     sub_ctx = Context(p, ctx.r - 1)
-    rep = Report("steinberg-equivalence", _ctx_dict(ctx)) if target is None else target
+    rep = Report("steinberg-equivalence", ctx._asdict()) if target is None else target
     image = sorted((p - 1 + p * nu, k) for nu, k in delta_factors(m, sub_ctx).items())
     lhs = sorted(delta_factors(p - 1 + p * m, ctx).items())
     if target is None or lhs != image:
@@ -343,7 +336,7 @@ def verify_mult_free(lo: int, hi: int, ctx: Context, target: Report | None = Non
 
     With a target, the failures are added to it and the other items
     counted; the target is returned."""
-    rep = Report("mult-free", _ctx_dict(ctx)) if target is None else target
+    rep = Report("mult-free", ctx._asdict()) if target is None else target
     for lam in range(lo, hi + 1):
         fac = delta_factors(lam, ctx)
         top = max(fac.values())
@@ -369,7 +362,7 @@ def verify_linkage_necessity(
 
     With a target, the failures are added to it and the other items
     counted; the target is returned."""
-    rep = Report("linkage-necessity", _ctx_dict(ctx)) if target is None else target
+    rep = Report("linkage-necessity", ctx._asdict()) if target is None else target
     tables = {mu: delta_factors(mu, ctx) for mu in range(lo, hi + 1)}
     # Hom is nonzero exactly when two tables share a factor
     holders: dict[int, list[int]] = {}

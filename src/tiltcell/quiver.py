@@ -1084,13 +1084,13 @@ def cell_filtration_check(quiver: Quiver, rels: RelationSet, result: QuotientDim
     words = _alive_paths(quiver, result.max_len, redexes, sources)
     reducer = _Reducer(rels)
     rep = Report("cell-filtration", {"preset": quiver.preset, "max_len": result.max_len})
-    for (src, tgt), plist in sorted(words.items(), key=_pair_key):
+    for src, tgt in sorted(words, key=_pair_key):
         if tgt not in core:
             continue
         violations = 0
         checked = 0
         escape = None
-        for path in plist:
+        for path in words[src, tgt]:
             cell = word_cell_rank(quiver, src, path)
             extensions: list[tuple[Vertex, Path]] = []
             for aid in quiver.out_ids[tgt]:

@@ -154,6 +154,20 @@ def test_decompose_examples():
         decompose_into_simples({1: 1, 0: -1}, ctx)
 
 
+def test_peeling_needs_no_mass_cap():
+    # {5: 1, 0: -10} has negative mass, which a cap on the peeled mass once
+    # refused before the second peel; the peeling itself meets -1 at 3
+    ctx = Context(3, 1)
+    for f in ({5: 1, 0: -10}, {1: 1, 0: -1}):
+        with pytest.raises(NotAModuleCharacter, match="at top weight"):
+            decompose_into_simples(f, ctx)
+    mults = {5: 2, 1: 1, -4: 3}
+    total: dict[int, int] = {}
+    for lam, k in mults.items():
+        total = _add(total, _scale(simple_char_r(lam, ctx), k))
+    assert decompose_into_simples(total, ctx) == mults
+
+
 @pytest.mark.parametrize("p,r", [(3, 1), (3, 2), (5, 1)])
 def test_baby_verma_always_decomposes(p, r):
     ctx = Context(p, r)

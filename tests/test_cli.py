@@ -460,7 +460,7 @@ def test_counted_reciprocity_lists_the_full_failures(monkeypatch, fresh_caches):
     # every reciprocity item passes on real data: perturb the peeled side at
     # one residue, once on an offset both sides hold and once on a new one
     ctx = weights.Context(3, 3)
-    faulty = tuple(dict(entry) for entry in deltafilt._simples_index(3, 3))
+    faulty = {c: dict(entry) for c, entry in deltafilt._simples_index(3, 3).items()}
     held = min(d for d in faulty[5] if d > 0)
     fresh = next(d for d in range(1, ctx.q) if d not in faulty[5])
     faulty[5][held] += 1
@@ -483,10 +483,8 @@ def test_counted_steinberg_lists_the_full_failures(monkeypatch, fresh_caches):
     folded_factors, delta_factors = deltafilt._folded_factors, deltafilt.delta_factors
 
     def faulty_folded(p, r, lam):
-        table, held = folded_factors(p, r, lam)
-        if (p, r, lam) == (3, 2, 4):
-            return tuple(sorted(table + (1,))), held | {1}
-        return table, held
+        table = folded_factors(p, r, lam)
+        return table | {1} if (p, r, lam) == (3, 2, 4) else table
 
     def faulty_factors(lam, c):
         fac = delta_factors(lam, c)
@@ -871,3 +869,22 @@ def test_window_below_the_floor_refused_first(monkeypatch, capsys, command, pres
     code, out = invoke([command, "--preset", preset, "--window", window])
     assert code == 2 and out == ""
     assert capsys.readouterr().err == f"error: {preset} window must be >= {floor}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quiver-check", "--preset", "p2", "--p", "-1000001"],
+        ["quiver-check", "--preset", "p2", "--p", "-101", "--scalars", "zz=1"],
+        ["quiver-check", "--preset", "p2", "--p", "4", "--scalars", "zz=1"],
+        ["quiver-build", "--preset", "p1", "--p", "-3"],
+    ],
+    ids=["p2-pair-bound", "p2-negative-scalars", "p2-composite-scalars", "p1-negative"],
+)
+def test_preset_p_refused_as_no_prime(monkeypatch, capsys, argv):
+    # a p that is no odd prime passed the size guards and reached the pair
+    # bound or the scalar names, which were refused or listed at that p
+    monkeypatch.delenv("TILTCELL_MAX_WORK", raising=False)
+    code, out = invoke(argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: p must be an odd prime >= 3, got {argv[4]}\n"
