@@ -237,3 +237,84 @@ def test_escape_names_its_first_composition_and_word():
         (1, 2): escape,
         (2, 2): None,
     }
+
+
+def rewrite_depth(rels, path, memo):
+    """0 for an irreducible path, else 1 + the deepest term of its reduct,
+    rewritten by the engine's rule: leftmost position, then shortest redex."""
+    if path in memo:
+        return memo[path]
+    depth = 0
+    hit = next(((i, L) for i in range(len(path)) for L in rels.lengths
+                if i + L <= len(path) and path[i : i + L] in rels.table), None)
+    if hit is not None:
+        i, L = hit
+        head, tail = path[:i], path[i + L :]
+        terms = [head + rep + tail for rep, _ in rels.table[path[i : i + L]]]
+        depth = 1 + max((rewrite_depth(rels, t, memo) for t in terms), default=0)
+    memo[path] = depth
+    return depth
+
+
+@pytest.mark.parametrize(
+    "maker,max_len",
+    [
+        (lambda: build_p1_quiver(3, window=12), 4),
+        (lambda: build_p2_quiver(7, window=3), 5),
+        (lambda: build_p2_quiver(13, window=2), 5),
+        (build_sl3_quiver, 9),
+        (lambda: build_sl3_quiver(r=1), 9),
+    ],
+    ids=["p1-p3-w12", "p2-p7-w3", "p2-p13-w2", "sl3", "sl3-r1"],
+)
+def test_rewrite_trees_are_shallow(maker, max_len):
+    # the reducer recurses once per rewrite, so its depth is the deepest
+    # rewrite chain: over every composition the filtration check reduces,
+    # and over long random walks, that stays far below the recursion limit
+    quiver, rels = maker()
+    core, memo = quiver.core, {}
+    extension_depth = 0
+    for (src, tgt), plist in irreducible_words(quiver, rels, max_len).items():
+        if src not in core or tgt not in core:
+            continue
+        for path in plist:
+            for aid in quiver.out_ids[tgt]:
+                if quiver.arrows[aid].target in core:
+                    extension_depth = max(extension_depth, rewrite_depth(rels, path + (aid,), memo))
+            for aid in quiver.in_ids[src]:
+                if quiver.arrows[aid].source in core:
+                    extension_depth = max(extension_depth, rewrite_depth(rels, (aid,) + path, memo))
+    rng = random.Random(35)
+    starts = sorted(core, key=str)
+    walk_depth = 0
+    for _ in range(300):
+        at, path = rng.choice(starts), ()
+        for _ in range(160):
+            aid = rng.choice(quiver.out_ids[at])
+            path, at = path + (aid,), quiver.arrows[aid].target
+        walk_depth = max(walk_depth, rewrite_depth(rels, path, memo))
+    assert 1 <= extension_depth <= 32
+    assert 1 <= walk_depth <= 32
+
+
+def _two_rule_cycle():
+    """p1 at p=3 with the reverse of the rule d0*u0 -> u-1*d-1 added, so
+    each of the two paths rewrites to the other."""
+    quiver, rels = build_p1_quiver(3, window=2)
+    aid = quiver.arrow_id
+    up_down, down_up = (aid("u0"), aid("d0")), (aid("d-1"), aid("u-1"))
+    assert rels.rules[up_down] == ((down_up, Fraction(1)),)
+    spin = dict(rels.rules)
+    spin[down_up] = ((up_down, Fraction(1)),)
+    return quiver, RelationSet(rels.relations, spin, {}, {}), up_down
+
+
+def test_two_rule_rewrite_cycle_is_non_terminating():
+    # the cycle closes one rewrite below the path it starts from
+    quiver, bad, up_down = _two_rule_cycle()
+    elem = PathElement(quiver.arrows[up_down[0]].source, quiver.arrows[up_down[-1]].target,
+                       {up_down: Fraction(1)})
+    with pytest.raises(NonTerminating, match=r"^rewriting returns to the path \(16, 17\)$"):
+        normal_form(elem, bad)
+    with pytest.raises(NonTerminating, match=r"^rewriting returns to the path \(15, 14\)$"):
+        cell_filtration_check(quiver, bad, _shell(4))
