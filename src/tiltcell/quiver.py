@@ -55,15 +55,15 @@ Two independent engines are provided and cross-checked:
 
 A `RelationSet` builds its rewrite index (rule table, redex lengths) once,
 at construction, and rules are fixed after that.  The rewriting engine finds
-redexes in that index (`_Reducer._rewrite`).  The linear engine tests a path
+redexes in that index (`_Reducer.reduce`).  The linear engine tests a path
 for a monomial relation once, while it enumerates the alive paths
 (`_alive_paths`); after that a path of at most max_len arrows holds one
 exactly when it is not alive.
 
-One reducer (`_Reducer`) does all rewriting.  It rewrites each reducible
-path once, at its leftmost position and there by the shortest redex, and
-keeps the normal form of every reducible path it has met; irreducible paths
-are not stored.  `normal_form` builds a fresh reducer per call, while
+One reducer (`_Reducer`) does all rewriting, by memoised recursion: a
+reducible path is rewritten once, at its leftmost position and there by
+the shortest redex, and its normal form is the sum of those of its
+reduct's terms.  `normal_form` builds a fresh reducer per call, while
 `cell_filtration_check` shares one across all its compositions and drops it
 when it returns.  The step budget `_MAX_STEPS` bounds the paths rewritten
 in one normal form.  A path met again while it is still being reduced is a
@@ -953,21 +953,27 @@ class _Reducer:
     once (see Engines in the module docstring).
 
     `memo` maps each reducible path met so far to its normal form, a tuple
-    of (irreducible path, nonzero coefficient).  The rewrite tree is walked
-    with an explicit stack, so a long chain cannot hit the recursion limit.
-    `steps` counts the paths rewritten against `_MAX_STEPS`; the caller
-    zeroes it at the start of each normal form."""
+    of (irreducible path, nonzero coefficient); `active` holds the paths
+    being reduced.  `reduce` calls itself once per rewrite, at most 11 deep
+    on the rewrite-cells shapes.  `steps` counts the paths rewritten
+    against `_MAX_STEPS`; the caller zeroes it for each normal form."""
 
-    __slots__ = ("rules", "lengths", "steps", "memo")
+    __slots__ = ("rules", "lengths", "steps", "memo", "active")
 
     def __init__(self, rels: RelationSet) -> None:
         self.rules, self.lengths = rels.table, rels.lengths
         self.steps = 0
         self.memo: dict[Path, Replacement] = {}
+        self.active: set[Path] = set()
 
-    def _rewrite(self, path: Path) -> tuple[Path, Replacement, Path] | None:
-        """(head, replacement, tail) of the redex to rewrite in path, or None
-        if path is irreducible; counts one step."""
+    def reduce(self, path: Path) -> Replacement:
+        """The normal form of one path: rewrite its leftmost, shortest redex
+        and sum the normal forms of the reduct's terms."""
+        form = self.memo.get(path)
+        if form is not None:
+            return form
+        if path in self.active:
+            raise NonTerminating(f"rewriting returns to the path {path}")
         rules, lengths, n = self.rules, self.lengths, len(path)
         for i in range(n):
             for L in lengths:
@@ -978,52 +984,22 @@ class _Reducer:
                     self.steps += 1
                     if self.steps > _MAX_STEPS:
                         raise NonTerminating(f"rewrite budget {_MAX_STEPS} exhausted")
-                    return path[:i], repl, path[i + L :]
-        return None
-
-    def reduce(self, path: Path) -> Replacement:
-        """The normal form of one path."""
-        memo = self.memo
-        form = memo.get(path)
-        if form is not None:
-            return form
-        hit = self._rewrite(path)
-        if hit is None:
-            return ((path, _ONE),)
-        # frame: [path, head, replacement, tail, next term, sum so far, coefficient in parent]
-        stack = [[path, *hit, 0, {}, _ONE]]
-        active = {path}
-        while True:
-            frame = stack[-1]
-            path, head, repl, tail, k, acc, coeff = frame
-            if k < len(repl):
-                frame[4] = k + 1
-                rep, rc = repl[k]
-                child = head + rep + tail
-                form = memo.get(child)
-                if form is None:
-                    if child in active:
-                        raise NonTerminating(f"rewriting returns to the path {child}")
-                    hit = self._rewrite(child)
-                    if hit is not None:
-                        active.add(child)
-                        stack.append([child, *hit, 0, {}, rc])
-                        continue
-                    form = ((child, _ONE),)
-                _add_form(acc, rc, form)
-                continue
-            stack.pop()
-            active.discard(path)
-            form = memo[path] = tuple((q, c) for q, c in acc.items() if c)
-            if not stack:
-                return form
-            _add_form(stack[-1][5], coeff, form)
+                    head, tail = path[:i], path[i + L :]
+                    self.active.add(path)
+                    acc: dict[Path, Fraction] = {}
+                    for rep, rc in repl:
+                        _add_form(acc, rc, self.reduce(head + rep + tail))
+                    self.active.discard(path)
+                    form = self.memo[path] = tuple((q, c) for q, c in acc.items() if c)
+                    return form
+        return ((path, _ONE),)
 
 
 def normal_form(x: PathElement, rels: RelationSet) -> PathElement:
     """Rewrite to a fixed point: leftmost position first, shortest redex
     first, each reducible path once.  Raises NonTerminating when rewriting
-    cycles or rewrites more than _MAX_STEPS paths."""
+    cycles or rewrites more than _MAX_STEPS paths, and RecursionError when a
+    chain of rewrites outgrows the recursion limit, which no preset nears."""
     reducer = _Reducer(rels)
     out: dict[Path, Fraction] = {}
     for path, coeff in x.terms.items():
@@ -1090,15 +1066,14 @@ def cell_filtration_check(quiver: Quiver, rels: RelationSet, result: QuotientDim
         violations = 0
         checked = 0
         escape = None
+        # the core arrows after tgt and before src, the same for every word
+        after = [aid for aid in quiver.out_ids[tgt] if quiver.arrows[aid].target in core]
+        before = [(quiver.arrows[aid].source, aid) for aid in quiver.in_ids[src]
+                  if quiver.arrows[aid].source in core]
         for path in words[src, tgt]:
             cell = word_cell_rank(quiver, src, path)
-            extensions: list[tuple[Vertex, Path]] = []
-            for aid in quiver.out_ids[tgt]:
-                if quiver.arrows[aid].target in core:
-                    extensions.append((src, path + (aid,)))
-            for aid in quiver.in_ids[src]:
-                if quiver.arrows[aid].source in core:
-                    extensions.append((quiver.arrows[aid].source, (aid,) + path))
+            extensions = chain(((src, path + (aid,)) for aid in after),
+                               ((esrc, (aid,) + path) for esrc, aid in before))
             for esrc, epath in extensions:
                 reducer.steps = 0
                 checked += 1
