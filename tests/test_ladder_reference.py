@@ -230,3 +230,23 @@ def test_window_minimums():
         build_p1_quiver(3, window=1)
     with pytest.raises(QuiverConfigError, match="p2 window must be >= 1"):
         build_p2_quiver(3, window=0)
+
+
+def test_arrow_without_cellular_home_is_refused(monkeypatch):
+    """An up arrow whose source weight is missing from its target's factor
+    table is refused, naming the first such arrow in arrow order."""
+    import tiltcell.quiver as quiver
+
+    monkeypatch.setattr(quiver, "delta_factors", lambda weight, ctx: {})
+    with pytest.raises(QuiverConfigError, match=r"^arrow u-8 has no cellular home$"):
+        build_p1_quiver(3)
+    with pytest.raises(QuiverConfigError, match=r"^arrow u-18 has no cellular home$"):
+        build_p2_quiver(3)
+
+    def without_4_at_16(weight, ctx):
+        table = delta_factors(weight, ctx)
+        return {mu: m for mu, m in table.items() if (weight, mu) != (16, 4)}
+
+    monkeypatch.setattr(quiver, "delta_factors", without_4_at_16)
+    with pytest.raises(QuiverConfigError, match=r"^arrow u'1 has no cellular home$"):
+        build_p2_quiver(3)
