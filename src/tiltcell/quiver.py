@@ -5,18 +5,20 @@ Presentations
 -------------
 * `build_p1_quiver`, `build_p2_quiver`: the ladders of levels r = 1 and 2,
   both built by `_build_ladder`.  Column j has highest weight j*p (j even)
-  or (j+1)*p - 2 (j odd), and the shift period is P = 2p^(r-1).  Each level
-  adds one kind of up arrow, each with its dual: `u` steps from j to j+1
-  (at r = 2 not out of j = p-1 mod p, so vertical chains of p vertices hang
-  below the multiples of p), and `u'` (r = 2) reflects j in the nearest
-  multiple of p from above.  Relations, kind by kind: consecutive like
-  arrows vanish and the two loops at a vertex agree.  At r = 2 the squares
-  formed by a vertical and a horizontal step commute (with configurable
-  nonzero scalars).  These families leave the endomorphism space at each
-  chain-top column one dimension too big, so by default an extra relation
-  identifies the length-four loop through the adjacent row with the
-  length-two vertical loop there; pass boundary_loops=False to reproduce
-  the bare families.
+  or (j+1)*p - 2 (j odd), and the shift period is P = 2p^(r-1).  One rule
+  gives the up arrows of each kind k = 1..r (u, u', u'', ..., with duals
+  d, d', ...): kind 1 steps from j to j+1; kind k >= 2 reflects j, not a
+  multiple of b = p^(k-1), in the nearest multiple of b above it.  Below
+  kind r, an arrow whose target reaches or passes a multiple of b*p is
+  dropped (at r = 2, chains of p vertices hang below the multiples of p),
+  and so is one that leaves the window.  Relations, kind by kind:
+  consecutive like arrows vanish and the two loops at a vertex agree.  At
+  r = 2 the squares formed by a vertical and a horizontal step commute
+  (with configurable nonzero scalars).  These families leave the
+  endomorphism space at each chain-top column one dimension too big, so by
+  default an extra relation identifies the length-four loop through the
+  adjacent row with the length-two vertical loop there; pass
+  boundary_loops=False to reproduce the bare families.
 * `build_sl3_quiver`: six vertices on the Bruhat graph of S3, one up arrow
   for each of its eight covers (`cellbasis.SL3_COVERS`, which are also the
   generators B'), their duals, and the block's relations with scalar
@@ -141,7 +143,7 @@ class Arrow(NamedTuple):
     name: str
     source: Vertex
     target: Vertex
-    kind: str  # "u" | "u'" | "d" | "d'"
+    kind: str  # kind k: "u" then k-1 primes up, "d" then k-1 primes down
     dual: str  # name of the reverse arrow
 
 
@@ -364,38 +366,45 @@ def _resolve_scalars(
     return out
 
 
+def _ladder_arrows(ctx: Context, weights: Mapping[int, int]) -> list[Arrow]:
+    """The arrows of the level-r ladder on the columns of `weights` by the rule
+    under "Presentations": kind by kind, by ascending source, up then dual."""
+    p, r = ctx.p, ctx.r
+    arrows: list[Arrow] = []
+    for k in range(1, r + 1):
+        primes, b = "'" * (k - 1), p ** (k - 1)
+        for j in weights:
+            t = j + 1 if k == 1 else right_neighbor(j, b) if j % b else None
+            if t not in weights or (k < r and t // (b * p) > j // (b * p)):
+                continue
+            # sanity: the arrow's cell weight occurs in its target's table
+            if delta_factors(weights[t], ctx).get(weights[j], 0) != 1:
+                raise QuiverConfigError(f"arrow u{primes}{j} has no cellular home")
+            arrows.append(Arrow(f"u{primes}{j}", j, t, f"u{primes}", f"d{primes}{j}"))
+            arrows.append(Arrow(f"d{primes}{j}", t, j, f"d{primes}", f"u{primes}{j}"))
+    return arrows
+
+
 def _build_ladder(
     p: int, r: int, window: int, scalars: Mapping[str, object] | None, boundary_loops: bool
 ) -> tuple[Quiver, RelationSet]:
-    """The level-r ladder (r = 1 or 2) on the columns |j| <= P*(window+_MARGIN),
-    P = 2p^(r-1) its shift period; columns |j| <= P*window form the trusted
-    core.  At r = 2 the window is cut at multiples of 2p, so every vertical
-    chain is complete and only the horizontal rows are severed at the ends."""
+    """The level-r ladder on the columns |j| <= P*(window+_MARGIN), P = 2p^(r-1)
+    its shift period; columns |j| <= P*window form the trusted core.  Arrows
+    at every r, relations for r <= 2.  At r = 2 the window is cut at multiples
+    of 2p, so every vertical chain is complete and only the horizontal rows
+    are severed at the ends."""
+    if window < (floor := PRESETS[f"p{r}"].window):
+        raise QuiverConfigError(f"p{r} window must be >= {floor}")
     ctx = Context(p, r)
     period, half = _ladder_extent(p, r, window)
     vertices = list(range(-half, half + 1))
     weights = {j: ladder_weight(j, p) for j in vertices}
     config = _resolve_scalars(f"p{r}", p, scalars)
-    # each level adds one kind of up arrow: its target from a column, or None
-    steps = {"u": lambda j: j + 1 if r == 1 or j % p != p - 1 else None}
-    if r == 2:
-        steps["u'"] = lambda j: right_neighbor(j, p) if j % p else None
-    arrows: list[Arrow] = []
-    for kind, step in steps.items():
-        down = "d" + kind[1:]
-        for j in vertices:
-            t = step(j)
-            if t is not None and -half <= t <= half:
-                arrows.append(Arrow(f"{kind}{j}", j, t, kind, f"{down}{j}"))
-                arrows.append(Arrow(f"{down}{j}", t, j, down, f"{kind}{j}"))
-
+    arrows = _ladder_arrows(ctx, weights)
     core = frozenset(range(-period * window, period * window + 1))
     quiver = Quiver(f"p{r}", vertices, arrows, weights, core, period, ctx)
-    ups = [a for a in arrows if a.kind in steps]
-    for a in ups:
-        # sanity: the arrow's cell weight occurs in its target's table
-        if delta_factors(weights[a.target], ctx).get(weights[a.source], 0) != 1:
-            raise QuiverConfigError(f"arrow {a.name} has no cellular home")
+    ups = arrows[::2]
+    kinds = list(dict.fromkeys(a.kind for a in ups))  # in kind order
     out_of = {(a.source, a.kind): a for a in ups}
     into = {(a.target, a.kind): a for a in ups}
 
@@ -407,13 +416,11 @@ def _build_ladder(
         if c:
             b.state([([a.name, c.name], [])])
     for x in vertices:
-        for kind in steps:
+        for kind in kinds:
             # the loop at x through the next column equals the loop through the previous
             a, c = out_of.get((x, kind)), into.get((x, kind))
             if a and c:
                 b.state([([a.name, a.dual], [([c.dual, c.name], 1)])])
-        if r == 1 or x % p in (0, p - 1):
-            continue
         rn1 = right_neighbor(x, p) - 1  # equals right_neighbor(x + 1, p)
         if not (has(f"u'{x}") and has(f"u{x}") and has(f"u{rn1}") and has(f"u'{x+1}")):
             continue
@@ -444,8 +451,6 @@ def _build_ladder(
 
 def build_p1_quiver(p: int, window: int = 2) -> tuple[Quiver, RelationSet]:
     """The zigzag chain, the level-one ladder."""
-    if window < 2:
-        raise QuiverConfigError("p1 window must be >= 2")
     return _build_ladder(p, 1, window, None, False)
 
 
@@ -456,8 +461,6 @@ def build_p2_quiver(
     boundary_loops: bool = True,
 ) -> tuple[Quiver, RelationSet]:
     """The level-two ladder; scalars override the defaults of p2_scalar_names."""
-    if window < 1:
-        raise QuiverConfigError("p2 window must be >= 1")
     return _build_ladder(p, 2, window, scalars, boundary_loops)
 
 
@@ -1104,7 +1107,7 @@ def export_dot(quiver: Quiver) -> str:
         label = str(v) if quiver.context is None else f"P{v} ({quiver.weights[v]})"
         lines.append(f'  "{v}" [label="{label}"];')
     for a in sorted(quiver.arrows, key=lambda a: a.name):
-        style = "solid" if a.kind in ("u", "u'") else "dashed"
+        style = "solid" if a.kind.startswith("u") else "dashed"
         lines.append(f'  "{a.source}" -> "{a.target}" [label="{a.name}", style={style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -22,6 +22,7 @@ from tiltcell.quiver import (
     QuiverConfigError,
     RelationSet,
     _Builder,
+    _ladder_arrows,
     _resolve_scalars,
     build_p1_quiver,
     build_p2_quiver,
@@ -250,3 +251,55 @@ def test_arrow_without_cellular_home_is_refused(monkeypatch):
     monkeypatch.setattr(quiver, "delta_factors", without_4_at_16)
     with pytest.raises(QuiverConfigError, match=r"^arrow u'1 has no cellular home$"):
         build_p2_quiver(3)
+
+
+def _midpoint_ups(p: int, r: int, half: int) -> list[tuple[str, int, int]]:
+    """The up arrows (kind, source, target) of the level-r ladder on the
+    columns |j| <= half, by kind and then source, stated by midpoints: kind 1
+    joins j to j+1, and kind k >= 2 joins j < t when (j+t)/2 is a multiple
+    of b = p^(k-1) and t - j < 2b.  Below kind r an arrow is dropped when its
+    target (kind 1) or its midpoint (kind k >= 2) is a multiple of b*p."""
+    ups = []
+    for k in range(1, r + 1):
+        b = p ** (k - 1)
+        for j in range(-half, half + 1):
+            for t in range(j + 1, min(j + 2 * b, half + 1)):
+                at = t if k == 1 else Fraction(j + t, 2)
+                if k > 1 and at % b:
+                    continue
+                if k < r and at % (b * p) == 0:
+                    continue
+                ups.append(("u" + "'" * (k - 1), j, t))
+    return ups
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5])
+def test_ladder_arrows_follow_the_midpoint_rule(p, r):
+    """On three level-three periods each side, every kind of arrow at levels
+    one to three follows the rule by midpoints, each up arrow is followed by
+    its dual, and the arrows are invariant under the shift period."""
+    half = 3 * 2 * p**2
+    arrows = _ladder_arrows(Context(p, r), {j: ladder_weight(j, p) for j in range(-half, half + 1)})
+    ups = [(a.kind, a.source, a.target) for a in arrows[::2]]
+    assert ups == _midpoint_ups(p, r, half)
+    for up, down in zip(arrows[::2], arrows[1::2]):
+        primes = up.kind[1:]
+        assert up == Arrow(up.name, up.source, up.target, f"u{primes}", f"d{primes}{up.source}")
+        assert down == Arrow(up.dual, up.target, up.source, f"d{primes}", up.name)
+    period = 2 * p ** (r - 1)
+    found = set(ups)
+    for kind, j, t in ups:
+        if t + period <= half:
+            assert (kind, j + period, t + period) in found
+        if j - period >= -half:
+            assert (kind, j - period, t - period) in found
+
+
+@pytest.mark.parametrize("p, counts", [(3, (72, 48, 88)), (5, (240, 192, 264))])
+def test_level_three_arrow_counts(p, counts):
+    half = 3 * 2 * p**2
+    arrows = _ladder_arrows(Context(p, 3), {j: ladder_weight(j, p) for j in range(-half, half + 1)})
+    kinds = [a.kind for a in arrows[::2]]
+    assert len(kinds) == sum(counts)
+    assert [kinds.count(kind) for kind in ("u", "u'", "u''")] == list(counts)
