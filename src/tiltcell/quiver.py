@@ -404,7 +404,7 @@ def _build_ladder(
     core = frozenset(range(-period * window, period * window + 1))
     quiver = Quiver(f"p{r}", vertices, arrows, weights, core, period, ctx)
     ups = arrows[::2]
-    kinds = list(dict.fromkeys(a.kind for a in ups))  # in kind order
+    kinds = list(dict.fromkeys(a.kind for a in ups))  # kind order; a set reorders relations
     out_of = {(a.source, a.kind): a for a in ups}
     into = {(a.target, a.kind): a for a in ups}
 

@@ -273,6 +273,10 @@ def _midpoint_ups(p: int, r: int, half: int) -> list[tuple[str, int, int]]:
     return ups
 
 
+# up arrows of kinds u, u', u'' at r = 3 on |j| <= 6p^2
+LEVEL_THREE_COUNTS = {3: [72, 48, 88], 5: [240, 192, 264]}
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("p", [3, 5])
 def test_ladder_arrows_follow_the_midpoint_rule(p, r):
@@ -280,13 +284,17 @@ def test_ladder_arrows_follow_the_midpoint_rule(p, r):
     one to three follows the rule by midpoints, each up arrow is followed by
     its dual, and the arrows are invariant under the shift period."""
     half = 3 * 2 * p**2
-    arrows = _ladder_arrows(Context(p, r), {j: ladder_weight(j, p) for j in range(-half, half + 1)})
+    weights = {j: ladder_weight(j, p) for j in range(-half, half + 1)}
+    arrows = _ladder_arrows(Context(p, r), weights)
     ups = [(a.kind, a.source, a.target) for a in arrows[::2]]
     assert ups == _midpoint_ups(p, r, half)
+    if r == 3:
+        kinds = [kind for kind, _, _ in ups]
+        assert [kinds.count(kind) for kind in ("u", "u'", "u''")] == LEVEL_THREE_COUNTS[p]
     for up, down in zip(arrows[::2], arrows[1::2]):
-        primes = up.kind[1:]
-        assert up == Arrow(up.name, up.source, up.target, f"u{primes}", f"d{primes}{up.source}")
-        assert down == Arrow(up.dual, up.target, up.source, f"d{primes}", up.name)
+        primes, j = up.kind[1:], up.source
+        assert up == Arrow(f"u{primes}{j}", j, up.target, f"u{primes}", f"d{primes}{j}")
+        assert down == Arrow(f"d{primes}{j}", up.target, j, f"d{primes}", up.name)
     period = 2 * p ** (r - 1)
     found = set(ups)
     for kind, j, t in ups:
@@ -294,12 +302,3 @@ def test_ladder_arrows_follow_the_midpoint_rule(p, r):
             assert (kind, j + period, t + period) in found
         if j - period >= -half:
             assert (kind, j - period, t - period) in found
-
-
-@pytest.mark.parametrize("p, counts", [(3, (72, 48, 88)), (5, (240, 192, 264))])
-def test_level_three_arrow_counts(p, counts):
-    half = 3 * 2 * p**2
-    arrows = _ladder_arrows(Context(p, 3), {j: ladder_weight(j, p) for j in range(-half, half + 1)})
-    kinds = [a.kind for a in arrows[::2]]
-    assert len(kinds) == sum(counts)
-    assert [kinds.count(kind) for kind in ("u", "u'", "u''")] == list(counts)
