@@ -74,7 +74,7 @@ runs out.
 
 Only window-interior ("core") vertex pairs are trusted: the infinite
 presentations are realised on a finite window with a declared shift period,
-and pairs near the cut are reported separately.
+and a pair with a vertex near the cut is only counted, never decided.
 
 Folding
 -------
@@ -624,7 +624,6 @@ class _LinearSetup(NamedTuple):
     # non-monomial relation with a live term and no term longer than max_len
     index: dict[Vertex, list[tuple[Vertex, int, tuple[tuple[Path, int], ...]]]]
     reach: dict[Vertex, list[Vertex]]  # source -> targets of its alive paths
-    shortest: int  # no relation row has a path shorter than this
 
 
 def _linear_setup(quiver: Quiver, rels: RelationSet, max_len: int) -> _LinearSetup:
@@ -632,7 +631,6 @@ def _linear_setup(quiver: Quiver, rels: RelationSet, max_len: int) -> _LinearSet
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     alive = _alive_paths(quiver, max_len, rels.zero_redexes)
     index: dict = {}
-    shortest = max_len + 1
     for rel in rels.relations:
         span = max(len(term) for term in rel.terms)
         if len(rel.terms) > 1 and span <= max_len:  # a longer relation has no instance
@@ -642,11 +640,10 @@ def _linear_setup(quiver: Quiver, rels: RelationSet, max_len: int) -> _LinearSet
             terms = tuple((term, int(c * scale)) for term, c in rel.terms.items() if term in live)
             if terms:
                 index.setdefault(rel.source, []).append((rel.target, span, terms))
-                shortest = min(shortest, *(len(term) for term, _ in terms))
     reach: dict = {}
     for s, u in alive:
         reach.setdefault(s, []).append(u)
-    return _LinearSetup(max_len, alive, index, reach, shortest)
+    return _LinearSetup(max_len, alive, index, reach)
 
 
 def _relation_rows(setup: _LinearSetup, pair: Pair, col: Mapping[Path, int]) -> Iterator[Row]:
@@ -808,13 +805,14 @@ class _Fold:
 class QuotientDims(NamedTuple):
     """Result of the linear engine: per-pair dimensions of the truncated
     path space modulo relation instances for the trusted core pairs, with a
-    saturation certificate for them.  Of the boundary pairs only the nonzero
-    ones are recorded, in `boundary_nonzero`."""
+    saturation certificate for them.  The boundary pairs, those with an
+    alive path and a vertex outside the core, are listed in `boundary` and
+    never decided."""
 
     max_len: int
     dims: dict[Pair, int]  # core pairs with an alive path
     core_pairs: list[Pair]
-    boundary_nonzero: list[Pair]
+    boundary: list[Pair]
     unsaturated: list[Pair]
     eliminated: int = 0  # echelons built
 
@@ -837,11 +835,8 @@ def quotient_dims(
     require_saturation: bool = True,
 ) -> QuotientDims:
     """Exact dimensions of paths modulo relations, truncated at max_len, for
-    every core pair.  max_len must be >= 1.
-
-    A boundary pair is only decided nonzero or zero.  It is nonzero for
-    certain when it has a path shorter than every relation term, since no
-    relation row reaches such a path; otherwise it is eliminated.
+    every core pair.  max_len must be >= 1.  Boundary pairs are listed, not
+    decided: no comparison reads them.
 
     Saturation means every maximal-length path between core vertices lies in
     the span of shorter paths plus relation instances.  Longer paths are
@@ -850,44 +845,38 @@ def quotient_dims(
     raised, naming the first unsaturated pair and the top-length words of its
     residue, and the caller should retry with a larger max_len.
 
-    One pair per class of certified symmetries is eliminated; the others take
-    its rank and saturation (see Folding in the module docstring)."""
+    One core pair per class of certified symmetries is eliminated; the others
+    take its rank and saturation (see Folding in the module docstring)."""
     if max_len is None:
         max_len = PRESETS[quiver.preset].max_len
     setup = _linear_setup(quiver, rels, max_len)
     fold = _Fold(quiver, rels, setup)
 
     dims: dict[Pair, int] = {}
-    boundary_nonzero: list[Pair] = []
     unsaturated: list[Pair] = []
     witness: list[str] = []  # residue words of the first unsaturated pair
     verdicts: dict[Pair, tuple[int, bool]] = {}  # pair -> (rank, top paths all pivots)
     eliminated = 0
     core = quiver.core
-    for pair in sorted(setup.alive, key=_pair_key):
-        plist = setup.alive[pair]
-        in_core = pair[0] in core and pair[1] in core
-        if not in_core and len(plist[0]) < setup.shortest:
-            boundary_nonzero.append(pair)
+    core_pairs = sorted(((v, w) for v in core for w in core), key=_pair_key)
+    for pair in core_pairs:
+        plist = setup.alive.get(pair)
+        if not plist:
             continue
         tops = sum(len(path) == max_len for path in plist)  # columns 0..tops-1
-        ech = None
         if pair not in verdicts:
             ech, col = _echelon(setup, pair)
             eliminated += 1
             verdicts[pair] = (ech.rank, ech.pivots_among(tops) == tops)
             fold.spread(pair, verdicts)
         rank, saturated = verdicts[pair]
-        if not in_core:
-            if rank < len(plist):
-                boundary_nonzero.append(pair)
-            continue
         dims[pair] = len(plist) - rank
         if not saturated:
             if not unsaturated:
-                if ech is None:
-                    ech, col = _echelon(setup, pair)
-                    eliminated += 1
+                # A copied verdict comes from its class's representative, an
+                # earlier core pair with the same saturation, which would have
+                # been unsaturated first; so this pair is a representative,
+                # and `ech` is its echelon, built in this iteration.
                 heads = list(col)[:tops]  # the top-length paths
                 for c in range(tops):
                     top = [heads[k] for k in ech.reduce({c: 1}) if k < tops]
@@ -896,8 +885,8 @@ def quotient_dims(
                         break
             unsaturated.append(pair)
 
-    core_pairs = sorted(((v, w) for v in core for w in core), key=_pair_key)
-    result = QuotientDims(max_len, dims, core_pairs, boundary_nonzero, unsaturated, eliminated)
+    boundary = sorted((pair for pair in setup.alive if not core.issuperset(pair)), key=_pair_key)
+    result = QuotientDims(max_len, dims, core_pairs, boundary, unsaturated, eliminated)
     if require_saturation and unsaturated:
         raise NotSaturated(
             f"{len(unsaturated)} core pair(s) have irreducible length-{max_len} paths; "
@@ -913,16 +902,16 @@ def check_against_cellular(
 ) -> Report:
     """Compare core-pair quotient dimensions with the cellular counts:
     common standard factors for the ladders, Bruhat upper-set intersections
-    for the sl3 block.  Boundary pairs are excluded and counted in the
-    report context; the scalar configuration that was checked is recorded
-    there too."""
+    for the sl3 block.  Boundary pairs (an alive path, a vertex outside the
+    core) are excluded and counted in the report context; the scalar
+    configuration that was checked is recorded there too."""
     ctx = quiver.context
     rep = Report(
         "quiver-vs-cellular",
         {
             "preset": quiver.preset,
             "max_len": result.max_len,
-            "excluded_boundary_pairs": len(result.boundary_nonzero),
+            "excluded_boundary_pairs": len(result.boundary),
             **({"p": ctx.p, "r": ctx.r} if ctx else {}),
             **({"scalars": {k: str(v) for k, v in sorted(scalars.items())}} if scalars else {}),
         },
