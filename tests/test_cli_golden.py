@@ -16,7 +16,9 @@ linkage and multfree sweeps counted their passing checks too, and the last
 four, one per `char` kind not pinned before, before characters became plain
 dicts.  The three entries with a mult-free report were re-recorded when that
 report's context gained the window (lo, hi) that the other weight reports
-carry.  A refactor of `cli.py`, `quiver.py`, `deltafilt.py`, `charring.py`
+carry.  The eleven entries that print a ladder's `excluded_boundary_pairs`
+were re-recorded when that count became the number of boundary pairs with
+an alive path, no longer the nonzero ones only.  A refactor of `cli.py`, `quiver.py`, `deltafilt.py`, `charring.py`
 or `weights.py` must leave every entry unchanged; a deliberate change of
 output format must update the digests in the same change.
 """
@@ -44,18 +46,18 @@ GOLDEN = [
     ("quiver-build --preset sl3 --format dot", 0, "abbbfda6c17a2a291f987d6a51c576bd313e7867ea31ad913a65bab5c576a6fc"),
     ("quiver-check --preset p1 --format json", 0, "60818889f404d12b409d081cb20eec2e70740d2784c7dd6bf19510ec237c7f09"),
     ("quiver-check --preset p1 --format tsv", 0, "66b6723bc24cff9c7cdb956bd30abd6da8674b97af353f49b1ce09b144bae913"),
-    ("quiver-check --preset p2 --p 3 --format json", 0, "b6ccdf39404a7ad561902d3979b747fe7d87d6343b4f8fb8714681c9d3defb79"),
+    ("quiver-check --preset p2 --p 3 --format json", 0, "c47474f0c83793bdc0621d58222ea10d70cf3f24f397a50ab84ae500cd9b97b3"),
     ("quiver-check --preset p2 --p 3 --format tsv", 0, "070f315cd0e89f8b52fe49eba940b83d87b11044c914caeee19ec811d61d9be9"),
-    (f"quiver-check --preset p2 --p 3 --scalars {BALANCED_P3} --format json", 0, "4c5d35a1ee9d0d91f953e9b08a0127500d255ba86678b96b57877a18730a376e"),
+    (f"quiver-check --preset p2 --p 3 --scalars {BALANCED_P3} --format json", 0, "4ffe9ffc3f0abc71d09177a334aabfb1a38a46112eed365bd9e562ab348cb046"),
     (f"quiver-check --preset p2 --p 3 --scalars {BALANCED_P3} --format tsv", 0, "070f315cd0e89f8b52fe49eba940b83d87b11044c914caeee19ec811d61d9be9"),
     ("quiver-check --preset sl3 --scalars a=2/3,b=3,r=0 --format json", 0, "db3f07d0a11984e3b6dc76e61abd2d835b26a19439780c1b33ccbe232cf8a54f"),
     ("quiver-check --preset sl3 --scalars a=2/3,b=3,r=0 --format tsv", 0, "15e058d917c552b4b83ab47934d27c6475379cfd7567ffeceafa01fa619327bf"),
     # failing controls: the bare relation families, one unbalanced square scalar
-    ("quiver-check --preset p2 --p 3 --no-boundary-loops", 1, "3e79ba9b6acc364381de841b00c3914455c06203f01774cbbee9325b1f120d7a"),
-    ("quiver-check --preset p2 --p 3 --scalars m1=2", 1, "963af53d7661303abc4be7e33fd440c4cb8e4914768b6aef7ff254357b821180"),
-    ("verify --suite quiver --p 3", 0, "406af0ed1ed8802c9580df3f462cd4630177f1d88f66447c4850b8aad69050c7"),
+    ("quiver-check --preset p2 --p 3 --no-boundary-loops", 1, "cce35436fb863fc4cb94fdb9e7943a65fff6353fe541768c255f8a6205df2207"),
+    ("quiver-check --preset p2 --p 3 --scalars m1=2", 1, "4115669f88f96e9acc3debedf09746969cdeb780441aa11bcc436ef223983850"),
+    ("verify --suite quiver --p 3", 0, "9b41422d9e37cd9d9ffb6d0bb3370454e8b65c26256bddbdb4474a7041f16bb7"),
     # excluded_boundary_pairs beyond p=3
-    ("quiver-check --preset p2 --p 5", 0, "5c71040ccb1582adb7397c4a4881c11dae4d7ec2f4045c3e2bf21521523a9b6d"),
+    ("quiver-check --preset p2 --p 5", 0, "e6c587e1f7ede95f92b7822f8ff26fe8c7e4722f7b26f98ceee82e7ed479d79e"),
     # an unsaturated truncation: the NotSaturated witness, then the dims it leaves
     ("quiver-check --preset sl3 --scalars a=1,b=1,r=1", 1, "01072234980a6a926ed18be75028ea56e801a678391f3d7d15e0f55963292509"),
     ("quiver-check --preset sl3 --scalars a=1,b=1,r=1 --allow-unsaturated", 1, "9de45c81b1b03f616982e8f6dcfd01138f3e24c05788f4415a4489335e11453f"),
@@ -72,7 +74,7 @@ GOLDEN = [
     ("generators --p 3 --r 3", 0, "bfbb10a0e2a21911efc0071d029536474e7059353a04eb16005cab433a0d71e9"),
     ("generators --p 5 --r 2 --principal-block --format tsv", 0, "a2b6f8064968c2f45e281259f23fc3ad032d2b0b6a694980992ac5e7b6ea435b"),
     # weight-side verify suites: every suite at (3, 2), four over an explicit window
-    ("verify --suite all --p 3 --r 2", 0, "03330e12836bdc5f162c1f76d4d1dd01f01203fc7c02bfd364cf7db488adb642"),
+    ("verify --suite all --p 3 --r 2", 0, "eb94b18c47cd33b5c698ec4d2c63a91d2b3639024eb671b4fd4298cb430fbf19"),
     ("verify --suite reciprocity --p 5 --r 2 --lo -30 --hi 30", 0, "aad51d94ddd30c135029c4095b8e43fb4f086641f13293b71b0dc240157c9410"),
     ("verify --suite bounds --p 5 --r 2 --lo -30 --hi 30", 0, "bf761a296230357a1e758b6ec5d6b725f82ee5b9ffa5992b98cab01c336c0bed"),
     ("verify --suite linkage --p 5 --r 2 --lo -30 --hi 30", 0, "190a28b159a258c238569aff7a879cdec9b0d394cd3be0f7d816b030916ae28e"),
@@ -89,11 +91,11 @@ GOLDEN = [
     # the linear engine across translates, both directions of each pair and
     # the sl3 mirror: the largest ladder checked, a wider window, a longer
     # truncation, and an unsaturated sl3 truncation past the default length
-    ("quiver-check --preset p2 --p 7", 0, "3fbc6c198c1bbd5eaf3f015bf6def644921187c8e69ce590e2c6fdb1f47bb1d9"),
-    (f"quiver-check --preset p2 --p 7 --scalars {BALANCED_P7}", 0, "ef5a029bc76d1a080d7227e019980262101b39471809b1473c33539d7f565496"),
-    ("quiver-check --preset p2 --p 3 --window 2", 0, "a5eea3fdb82950453ef771b1904a4d9942d823c74a36ec13938e1a0e6dd543ea"),
+    ("quiver-check --preset p2 --p 7", 0, "ed5c4b35e479bc92fc2a885a7829b9b95577dc745bff0c2b451f928ba0bc1395"),
+    (f"quiver-check --preset p2 --p 7 --scalars {BALANCED_P7}", 0, "37aa920ac11260c517db4df2952c3d136448ebf5635dc7b0d765aa75cf3b0d19"),
+    ("quiver-check --preset p2 --p 3 --window 2", 0, "0c4ff105617639b3485c307e4dcd93b138e8f15071f364ea20e3fe133d73ba37"),
     ("quiver-check --preset sl3", 0, "7f73ca8d991f3f16a7ed38e6063451ff139b563d90905dafbecd5946cc2b35a2"),
-    ("quiver-check --preset p2 --p 3 --max-len 6", 0, "000e081432603abc2e810575279692d2e14a8a82c41447d4c37fd9d099954e12"),
+    ("quiver-check --preset p2 --p 3 --max-len 6", 0, "e667a82616a4936b85d83a61a0baa7b8ee56fb60e6f6a15ba28caf9160d0b2e5"),
     ("quiver-check --preset sl3 --scalars a=1,b=1,r=1 --max-len 8 --allow-unsaturated", 1, "b7779522c136f7db0c5b59b306bd2d739cd8cc2219039ded57b8fefda5b0c49a"),
     # the remaining emitter paths: an empty TSV table (one newline), a simple
     # character, the sl3 generator pairs in both formats, and a report as TSV
