@@ -21,11 +21,11 @@ _EXPORTS = {
     "simple_char": "charring",
     "simple_char_r": "charring",
     "weyl_char": "charring",
-    "DeltaFactors": "deltafilt",
-    "InvariantViolation": "deltafilt",
-    "delta_factors": "deltafilt",
-    "hom_dim": "deltafilt",
-    "hom_dim_sum": "deltafilt",
+    "DeltaFactors": "factors",
+    "InvariantViolation": "factors",
+    "delta_factors": "factors",
+    "hom_dim": "factors",
+    "hom_dim_sum": "factors",
     "tilting_char": "deltafilt",
     "verify_bounds": "deltafilt",
     "verify_mult_free": "deltafilt",
@@ -40,8 +40,6 @@ _EXPORTS = {
     "generator_set_br0": "cellbasis",
     "sl3_delta_table": "cellbasis",
     "sl3_generator_set_bprime": "cellbasis",
-    "NonTerminating": "quiver",
-    "NotSaturated": "quiver",
     "PathElement": "quiver",
     "Quiver": "quiver",
     "QuiverConfigError": "quiver",
@@ -49,11 +47,13 @@ _EXPORTS = {
     "build_p1_quiver": "quiver",
     "build_p2_quiver": "quiver",
     "build_sl3_quiver": "quiver",
-    "cell_filtration_check": "quiver",
     "check_against_cellular": "quiver",
     "export_dot": "quiver",
-    "normal_form": "quiver",
-    "quotient_dims": "quiver",
+    "NotSaturated": "linear",
+    "quotient_dims": "linear",
+    "NonTerminating": "rewrite",
+    "cell_filtration_check": "rewrite",
+    "normal_form": "rewrite",
     "Report": "report",
     "ReportItem": "report",
     "Context": "weights",

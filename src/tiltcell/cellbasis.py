@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple
 
-from .deltafilt import InvariantViolation, delta_factors, hom_dim_sum
+from .factors import InvariantViolation, delta_factors, hom_dim_sum
 from .weights import Context
 
 ObjectLabel = tuple[tuple[int, int], ...]  # sorted ((weight, multiplicity), ...)

@@ -34,9 +34,9 @@ from itertools import chain
 from math import isqrt
 from typing import TYPE_CHECKING, Callable
 
-from . import deltafilt
-from .charring import baby_verma_char, simple_char, simple_char_r, weyl_char
-from .deltafilt import delta_factors, hom_dim, table_size, tilting_char
+import tiltcell
+
+from .factors import delta_factors, hom_dim, table_size
 from .report import Report
 from .weights import Context, tilde
 
@@ -46,8 +46,10 @@ if TYPE_CHECKING:
     from . import quiver as qv
 
 SCHEMA = 1
-# the keys of quiver.PRESETS; the quiver engine is imported only by the
-# commands that build a quiver, so weight-side commands start without it
+# the keys of quiver.PRESETS; the quiver module is imported only by the
+# commands that build a quiver, and the weight sweeps and characters
+# (deltafilt, charring) only by `verify` and `char`, so that each command
+# compiles only the layers it runs
 PRESET_NAMES = ("p1", "p2", "sl3")
 DEFAULT_MAX_WORK = 2_000_000
 # what an omitted --p or --r means; the flags default to None, so that a
@@ -280,13 +282,15 @@ def _dominant(lam: int) -> None:
 
 # each kind's callable bounds the character's support (|weight|+1, p^r or
 # (2p)^r; a guard returns None) and then builds it, looking the builder up on
-# this module when it runs
+# the package when it runs, which imports charring or deltafilt only then
 _CHARS = {
-    "weyl": lambda lam, ctx: guard_work(abs(lam) + 1) or weyl_char(lam),
-    "simple": lambda lam, ctx: _dominant(lam) or guard_work(lam + 1) or simple_char(lam, ctx.p),
-    "simple-r": lambda lam, ctx: guard_power(1, ctx.p, ctx.r) or simple_char_r(lam, ctx),
-    "baby-verma": lambda lam, ctx: guard_power(1, ctx.p, ctx.r) or baby_verma_char(lam, ctx),
-    "tilting": lambda lam, ctx: guard_power(1, 2 * ctx.p, ctx.r) or tilting_char(lam, ctx),
+    "weyl": lambda lam, ctx: guard_work(abs(lam) + 1) or tiltcell.weyl_char(lam),
+    "simple": lambda lam, ctx: (
+        _dominant(lam) or guard_work(lam + 1) or tiltcell.simple_char(lam, ctx.p)
+    ),
+    "simple-r": lambda lam, ctx: guard_power(1, ctx.p, ctx.r) or tiltcell.simple_char_r(lam, ctx),
+    "baby-verma": lambda lam, ctx: guard_power(1, ctx.p, ctx.r) or tiltcell.baby_verma_char(lam, ctx),
+    "tilting": lambda lam, ctx: guard_power(1, 2 * ctx.p, ctx.r) or tiltcell.tilting_char(lam, ctx),
 }
 
 
@@ -393,14 +397,17 @@ def cmd_quiver_build(args) -> int:
 
 def cmd_quiver_check(args) -> int:
     from . import quiver as qv
+    from .linear import NotSaturated
 
     max_len = qv.PRESETS[args.preset].max_len if args.max_len is None else args.max_len
     if max_len < 1:
         raise UsageError(f"--max-len must be >= 1, got {max_len}")
     quiver, rels = _preset_build(args, max_len)()
     try:
+        # the engine and the comparison are read through quiver, where the
+        # benchmark's tracer wraps them
         result = qv.quotient_dims(quiver, rels, max_len, require_saturation=not args.allow_unsaturated)
-    except qv.NotSaturated as exc:
+    except NotSaturated as exc:
         report = Report("quiver-vs-cellular", {"preset": args.preset, "max_len": max_len})
         report.add({"saturation": str(exc)}, False, True)
         return _emit_report(args, report)
@@ -455,6 +462,9 @@ def _guard_weight_suites(name: str, lo: int, hi: int, ctx: Context) -> None:
 
 
 def _run_suite(name: str, args) -> list[Report]:
+    # the sweeps are read on deltafilt, where the benchmark's tracer wraps them
+    from . import deltafilt
+
     if name == "quiver" and any(v is not None for v in (args.r, args.lo, args.hi)):
         raise UsageError("the quiver suite reads no --r, --lo or --hi")
     ctx = _context(args)
@@ -511,6 +521,7 @@ def _run_suite(name: str, args) -> list[Report]:
         reports.append(rep)
     for build in builds:
         quiver, rels = build()
+        # through quiver, as in quiver-check
         result = qv.quotient_dims(quiver, rels)
         reports.append(qv.check_against_cellular(quiver, result, scalars=rels.scalars))
     return reports

@@ -25,7 +25,7 @@ Presentations
   parameters (a, b, r).
 
 Each builder states a relation once, and `_Builder.state` adds its image
-under duality, the cellular anti-involution (see "Folding" below).
+under duality, the cellular anti-involution (see "Folding" in `linear`).
 
 `PRESETS` is the one place a preset is defined; the CLI and the engines read
 every preset-specific choice (window, truncation, oracle, ...) from it.
@@ -38,100 +38,53 @@ matches the usual juxtaposition for morphisms.
 
 Engines
 -------
-Two independent engines are provided and cross-checked:
-
-* `quotient_dims`: exact linear algebra.  Per ordered vertex pair, span the
-  paths of length <= max_len, quotient by every relation instance that
-  fits, and report the dimension.  Rows of one or two terms merge or kill
-  classes of paths in a weighted union-find, and only the longer rows are
-  eliminated (`ratlinalg.ContractedEchelon`).  A saturation flag certifies
-  that each maximal-length path reduces into shorter ones, which pins the
-  truncation.  One pair per class of certified symmetries is eliminated and
-  the others take its verdict (see "Folding" below).
-* `normal_form`: oriented rewriting.  Relations are oriented so that
-  down-after-up patterns rewrite towards sorted words; a handful of derived
-  rules (consequences of the relations near chain-top columns, each checked
-  against the linear ideal in the test suite) make the system effective in
-  practice.  The orientation is nowhere proven confluent; agreement of the
-  irreducible-word counts with the linear dimensions is an empirical check.
+Two independent engines are cross-checked, each in a module of its own, so
+that a process compiles only the one it runs: exact linear algebra in
+`linear` and oriented rewriting in `rewrite`.  This module keeps what both
+read, and resolves the engine names that the benchmark reads through it on
+first use (`_ENGINES`, PEP 562).
 
 A `RelationSet` builds its rewrite index (rule table, redex lengths) once,
 at construction, and rules are fixed after that.  The rewriting engine finds
-redexes in that index (`_Reducer.reduce`).  The linear engine tests a path
-for a monomial relation once, while it enumerates the alive paths
-(`_alive_paths`); after that a path of at most max_len arrows holds one
-exactly when it is not alive.
-
-One reducer (`_Reducer`) does all rewriting, by memoised recursion: a
-reducible path is rewritten once, at its leftmost position and there by
-the shortest redex, and its normal form is the sum of those of its
-reduct's terms.  `normal_form` builds a fresh reducer per call, while
-`cell_filtration_check` shares one across all its compositions and drops it
-when it returns.  The step budget `_MAX_STEPS` bounds the paths rewritten
-in one normal form.  A path met again while it is still being reduced is a
-rewrite cycle: NonTerminating is raised at once, as it is when the budget
-runs out.
+redexes in that index.  The linear engine tests a path for a monomial
+relation once, while it enumerates the alive paths (`_alive_paths`); after
+that a path of at most max_len arrows holds one exactly when it is not
+alive.
 
 Only window-interior ("core") vertex pairs are trusted: the infinite
 presentations are realised on a finite window with a declared shift period,
 and a pair with a vertex near the cut is only counted, never decided.
-
-Folding
--------
-A map g of paths that sends arrows to arrows (reversing each path if g is an
-anti-automorphism) and the relation set onto itself up to nonzero scalars
-sends the alive paths of a pair bijectively to those of its image pair,
-length by length, and its relation rows to scalar multiples of the image's
-rows.  The two pairs then have the same rank, and the same projected rank on
-the top-length columns, which is what saturation reads (`pivots_among` does
-not depend on the column order within one length).  `quotient_dims` uses
-three such maps, each only once an exact certificate passes:
-
-* duality: each arrow to its `dual`, paths reversed, (s, t) to (t, s).  The
-  builders close every preset under it by construction; it is still
-  certified once per call, relation by relation, for sets built by hand.
-* the preset's `mirror`, a vertex involution (sl3: s <-> t, st <-> ts) that
-  sends each arrow to the arrow of its kind between the images of its ends,
-  certified the same way.
-* translation by `shift_period`: not a global automorphism, because the
-  window cuts the ladder, so it is certified per pair.  (s, t) and
-  (s - P, t - P) are translates when the alive path list of the first,
-  translated arrow by arrow (looked up by source, target and kind), is the
-  list of the second, and the relation index at every vertex on those
-  paths, translated, is the index one period below.  A nonzero row only
-  touches alive paths of its pair, so the rows then correspond.
-
-Where a certificate fails the pair is eliminated.  The witness of
-`NotSaturated` always comes from eliminating the first unsaturated pair
-itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import lcm
-from operator import eq
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .cellbasis import SL3_COVERS, SL3_ELEMENTS, SL3_LENGTH, sl3_hom_dim
-from .deltafilt import delta_factors, hom_dim
-from .ratlinalg import ContractedEchelon, Row
+from .factors import delta_factors, hom_dim
 from .report import Report
 from .weights import Context
 
 
+# the engine names read through this module, by the module that defines them
+_ENGINES = {"quotient_dims": "linear", "NonTerminating": "rewrite", "normal_form": "rewrite",
+            "cell_filtration_check": "rewrite", "irreducible_words": "rewrite"}
+
+
+def __getattr__(name: str):
+    module = _ENGINES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f"{__package__}.{module}"), name)
+    return value
+
+
 class QuiverConfigError(ValueError):
     """Bad build parameters, e.g. a declared-nonzero scalar set to zero."""
-
-
-class NotSaturated(RuntimeError):
-    """Paths of maximal length did not all reduce; raise max_len."""
-
-
-class NonTerminating(RuntimeError):
-    """Rewriting cycled or exceeded its step budget; indicates an orientation bug."""
 
 
 Path = tuple[int, ...]
@@ -562,7 +515,7 @@ PRESETS: dict[str, Preset] = {
 
 
 # ---------------------------------------------------------------------------
-# linear engine
+# path enumeration and the linear engine's result, which both engines read
 # ---------------------------------------------------------------------------
 
 
@@ -615,193 +568,6 @@ def surviving_paths(quiver: Quiver, rels: RelationSet, max_len: int) -> dict[Pai
     return _alive_paths(quiver, max_len, rels.zero_redexes)
 
 
-class _LinearSetup(NamedTuple):
-    """What one call of the linear engine shares between vertex pairs."""
-
-    max_len: int
-    alive: dict[Pair, list[Path]]  # each list in (length, lex) order
-    # source vertex -> (target, longest term, integer-scaled alive terms) per
-    # non-monomial relation with a live term and no term longer than max_len
-    index: dict[Vertex, list[tuple[Vertex, int, tuple[tuple[Path, int], ...]]]]
-    reach: dict[Vertex, list[Vertex]]  # source -> targets of its alive paths
-
-
-def _linear_setup(quiver: Quiver, rels: RelationSet, max_len: int) -> _LinearSetup:
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
-    alive = _alive_paths(quiver, max_len, rels.zero_redexes)
-    index: dict = {}
-    for rel in rels.relations:
-        span = max(len(term) for term in rel.terms)
-        if len(rel.terms) > 1 and span <= max_len:  # a longer relation has no instance
-            # rows matter only up to a scalar, so clear the denominators
-            scale = lcm(*(c.denominator for c in rel.terms.values()))
-            live = set(alive.get((rel.source, rel.target), ()))
-            terms = tuple((term, int(c * scale)) for term, c in rel.terms.items() if term in live)
-            if terms:
-                index.setdefault(rel.source, []).append((rel.target, span, terms))
-    reach: dict = {}
-    for s, u in alive:
-        reach.setdefault(s, []).append(u)
-    return _LinearSetup(max_len, alive, index, reach)
-
-
-def _relation_rows(setup: _LinearSetup, pair: Pair, col: Mapping[Path, int]) -> Iterator[Row]:
-    """Nonzero rows x*rel*y from s to t of length <= max_len, one per non-monomial
-    relation instance, each scaled to integers and keyed by the column `col`
-    gives each path.  `col` holds exactly the alive paths of the pair, so the
-    term of a composite that contains a monomial relation has no column and
-    is dropped."""
-    max_len, alive = setup.max_len, setup.alive
-    s, t = pair
-    for u in setup.reach.get(s, ()):
-        instances = setup.index.get(u)
-        if not instances:
-            continue
-        prefixes = alive[(s, u)]
-        for target, span, terms in instances:
-            suffixes = alive.get((target, t))
-            if not suffixes:
-                continue
-            for x in prefixes:
-                room = max_len - span - len(x)
-                if room < 0:
-                    break
-                for y in suffixes:
-                    if len(y) > room:
-                        break
-                    row = {c: k for term, k in terms if (c := col.get(x + term + y)) is not None}
-                    if row:
-                        yield row
-
-
-def _echelon(setup: _LinearSetup, pair: Pair) -> tuple[ContractedEchelon, dict[Path, int]]:
-    """The span of the relation rows of `pair`, and the column of each alive
-    path, in column order: longer paths first, so that they are pivoted first."""
-    order = sorted(setup.alive.get(pair, []), key=lambda q: (-len(q), q))
-    col = {path: c for c, path in enumerate(order)}
-    return ContractedEchelon(len(col), _relation_rows(setup, pair, col)), col
-
-
-def _canonical(source: Vertex, target: Vertex, terms: Mapping[Path, Fraction]) -> tuple:
-    """A relation up to a nonzero scalar: its ends, and its terms in path
-    order scaled so that the first coefficient is 1."""
-    items = sorted(terms.items())
-    lead = items[0][1] if items else 1
-    if lead != 1:
-        items = [(path, c / lead) for path, c in items]
-    return (source, target, tuple(items))
-
-
-def _pair_map(
-    quiver: Quiver, rels: RelationSet, image: list[int | None], reverse: bool
-) -> Callable[[Pair], Pair] | None:
-    """The map on vertex pairs of the automorphism of the path algebra that
-    sends arrow i to arrow image[i] (an anti-automorphism, reversing every
-    path, if `reverse`).  None unless the certificate holds: the arrow map is
-    a bijection, the arrow ends give one map of the vertices, and every
-    relation goes to a relation of the set up to a nonzero scalar.  As the
-    arrow map permutes the arrow ends, the vertex map takes the finite set of
-    vertices on arrows onto itself, so one to one, and fixes the others.  The
-    pair map carries the alive paths and relation rows of a pair onto those
-    of its image."""
-    arrows = quiver.arrows
-    if None in image or sorted(image) != list(range(len(arrows))):
-        return None
-    vmap: dict = {}
-    for a, i in zip(arrows, image):
-        b = arrows[i]
-        ends = (b.target, b.source) if reverse else (b.source, b.target)
-        for v, w in zip((a.source, a.target), ends):
-            if vmap.setdefault(v, w) != w:
-                return None
-    for v in quiver.vertices:
-        vmap.setdefault(v, v)
-
-    def move(pair: Pair) -> Pair:
-        s, t = vmap[pair[0]], vmap[pair[1]]
-        return (t, s) if reverse else (s, t)
-
-    known = {_canonical(rel.source, rel.target, rel.terms) for rel in rels.relations}
-    for rel in rels.relations:
-        terms = {tuple(image[a] for a in path): c for path, c in rel.terms.items()}
-        if reverse:
-            terms = {path[::-1]: c for path, c in terms.items()}
-        if _canonical(*move((rel.source, rel.target)), terms) not in known:
-            return None
-    return move
-
-
-class _Fold:
-    """The certified symmetries of one linear setup, as moves between vertex
-    pairs whose relation rows correspond one to one, so that they share rank
-    and saturation: path-reversal duality and the preset's mirror, each
-    certified once, and translation by the shift period, certified per pair."""
-
-    def __init__(self, quiver: Quiver, rels: RelationSet, setup: _LinearSetup):
-        self.alive = setup.alive
-        arrows, by_name = quiver.arrows, quiver.by_name
-        by_ends = {(a.source, a.target, a.kind): i for i, a in enumerate(arrows)}
-        images = [([by_name.get(a.dual) for a in arrows], True)]
-        m = PRESETS[quiver.preset].mirror
-        if m:
-            ends = [(m.get(a.source, a.source), m.get(a.target, a.target), a.kind) for a in arrows]
-            images.append(([by_ends.get(e) for e in ends], False))
-        maps = (_pair_map(quiver, rels, image, reverse) for image, reverse in images)
-        self.maps = [move for move in maps if move is not None]
-        self.period = period = quiver.shift_period
-        self.same: dict[Vertex, bool] = {}  # index at v, translated, is the index at v - period
-        self.step: list[int | None] = []  # arrow -> its translate by -period, if usable
-        if not period or len(by_ends) < len(arrows):
-            return
-        shift = [by_ends.get((a.source - period, a.target - period, a.kind)) for a in arrows]
-
-        def moved(entry):
-            target, span, terms = entry
-            return (target - period, span, tuple((tuple(shift[a] for a in t), c) for t, c in terms))
-
-        index = setup.index
-        self.same = {
-            v: [moved(e) for e in index.get(v, ())] == index.get(v - period, [])
-            for v in quiver.vertices
-        }
-        self.step = [i if self.same[a.target] else None for i, a in zip(shift, arrows)]
-
-    def _translates(self, upper: Pair, lower: Pair) -> bool:
-        """Whether `lower` is `upper` moved down one period: each alive path
-        of upper, translated arrow by arrow, is the alive path of lower in the
-        same place, and the relation index agrees at every vertex on them.
-        Nonzero rows of a pair only touch its alive paths, so the rows then
-        correspond too."""
-        up, low, step = self.alive[upper], self.alive[lower], self.step.__getitem__
-        # the same lengths, then the translated arrows in one stream: building
-        # the translated paths as tuples raised the peak resident set
-        return (
-            len(up) == len(low)
-            and self.same[upper[0]]
-            and all(map(eq, map(len, up), map(len, low)))
-            and all(map(eq, map(step, chain.from_iterable(up)), chain.from_iterable(low)))
-        )
-
-    def spread(self, pair: Pair, verdicts: dict) -> None:
-        """Give every pair reached from `pair` by certified moves its verdict."""
-        verdict, stack = verdicts[pair], [pair]
-        alive, P = self.alive, self.period
-        while stack:
-            pair = stack.pop()
-            reached = [move(pair) for move in self.maps]
-            if self.step:
-                s, t = pair
-                below, above = (s - P, t - P), (s + P, t + P)
-                for other, upper, lower in ((below, pair, below), (above, above, pair)):
-                    if other in alive and other not in verdicts and self._translates(upper, lower):
-                        reached.append(other)
-            for other in reached:
-                if other not in verdicts:
-                    verdicts[other] = verdict
-                    stack.append(other)
-
-
 class QuotientDims(NamedTuple):
     """Result of the linear engine: per-pair dimensions of the truncated
     path space modulo relation instances for the trusted core pairs, with a
@@ -826,73 +592,6 @@ class QuotientDims(NamedTuple):
 
 def _pair_key(pair: Pair) -> str:
     return repr(pair)
-
-
-def quotient_dims(
-    quiver: Quiver,
-    rels: RelationSet,
-    max_len: int | None = None,
-    require_saturation: bool = True,
-) -> QuotientDims:
-    """Exact dimensions of paths modulo relations, truncated at max_len, for
-    every core pair.  max_len must be >= 1.  Boundary pairs are listed, not
-    decided: no comparison reads them.
-
-    Saturation means every maximal-length path between core vertices lies in
-    the span of shorter paths plus relation instances.  Longer paths are
-    pivoted first, so that holds exactly when every maximal-length column is
-    a pivot.  If it fails and require_saturation is set, NotSaturated is
-    raised, naming the first unsaturated pair and the top-length words of its
-    residue, and the caller should retry with a larger max_len.
-
-    One core pair per class of certified symmetries is eliminated; the others
-    take its rank and saturation (see Folding in the module docstring)."""
-    if max_len is None:
-        max_len = PRESETS[quiver.preset].max_len
-    setup = _linear_setup(quiver, rels, max_len)
-    fold = _Fold(quiver, rels, setup)
-
-    dims: dict[Pair, int] = {}
-    unsaturated: list[Pair] = []
-    witness: list[str] = []  # residue words of the first unsaturated pair
-    verdicts: dict[Pair, tuple[int, bool]] = {}  # pair -> (rank, top paths all pivots)
-    eliminated = 0
-    core = quiver.core
-    core_pairs = sorted(((v, w) for v in core for w in core), key=_pair_key)
-    for pair in core_pairs:
-        plist = setup.alive.get(pair)
-        if not plist:
-            continue
-        tops = sum(len(path) == max_len for path in plist)  # columns 0..tops-1
-        if pair not in verdicts:
-            ech, col = _echelon(setup, pair)
-            eliminated += 1
-            verdicts[pair] = (ech.rank, ech.pivots_among(tops) == tops)
-            fold.spread(pair, verdicts)
-        rank, saturated = verdicts[pair]
-        dims[pair] = len(plist) - rank
-        if not saturated:
-            if not unsaturated:
-                # A copied verdict comes from its class's representative, an
-                # earlier core pair with the same saturation, which would have
-                # been unsaturated first; so this pair is a representative,
-                # and `ech` is its echelon, built in this iteration.
-                heads = list(col)[:tops]  # the top-length paths
-                for c in range(tops):
-                    top = [heads[k] for k in ech.reduce({c: 1}) if k < tops]
-                    if top:
-                        witness = sorted(map(quiver.format_path, top))
-                        break
-            unsaturated.append(pair)
-
-    boundary = sorted((pair for pair in setup.alive if not core.issuperset(pair)), key=_pair_key)
-    result = QuotientDims(max_len, dims, core_pairs, boundary, unsaturated, eliminated)
-    if require_saturation and unsaturated:
-        raise NotSaturated(
-            f"{len(unsaturated)} core pair(s) have irreducible length-{max_len} paths; "
-            f"first: {unsaturated[0]}, residue words: {', '.join(witness)}"
-        )
-    return result
 
 
 def check_against_cellular(
@@ -923,93 +622,6 @@ def check_against_cellular(
 
 
 # ---------------------------------------------------------------------------
-# rewriting engine
-# ---------------------------------------------------------------------------
-
-
-_ONE = Fraction(1)
-_MAX_STEPS = 200_000  # rewrite budget of one normal form
-
-
-def _add_form(acc: dict[Path, Fraction], coeff: Fraction, form: Replacement) -> None:
-    """acc += coeff * form."""
-    for path, c in form:
-        if coeff != 1:
-            c = coeff * c
-        prev = acc.get(path)
-        acc[path] = c if prev is None else prev + c
-
-
-class _Reducer:
-    """Normal forms under one relation set, each reducible path rewritten
-    once (see Engines in the module docstring).
-
-    `memo` maps each reducible path met so far to its normal form, a tuple
-    of (irreducible path, nonzero coefficient); `active` holds the paths
-    being reduced.  `reduce` calls itself once per rewrite, at most 11 deep
-    on the rewrite-cells shapes.  `steps` counts the paths rewritten
-    against `_MAX_STEPS`; the caller zeroes it for each normal form."""
-
-    __slots__ = ("rules", "lengths", "steps", "memo", "active")
-
-    def __init__(self, rels: RelationSet) -> None:
-        self.rules, self.lengths = rels.table, rels.lengths
-        self.steps = 0
-        self.memo: dict[Path, Replacement] = {}
-        self.active: set[Path] = set()
-
-    def reduce(self, path: Path) -> Replacement:
-        """The normal form of one path: rewrite its leftmost, shortest redex
-        and sum the normal forms of the reduct's terms."""
-        form = self.memo.get(path)
-        if form is not None:
-            return form
-        if path in self.active:
-            raise NonTerminating(f"rewriting returns to the path {path}")
-        rules, lengths, n = self.rules, self.lengths, len(path)
-        for i in range(n):
-            for L in lengths:
-                if i + L > n:
-                    break
-                repl = rules.get(path[i : i + L])
-                if repl is not None:
-                    self.steps += 1
-                    if self.steps > _MAX_STEPS:
-                        raise NonTerminating(f"rewrite budget {_MAX_STEPS} exhausted")
-                    head, tail = path[:i], path[i + L :]
-                    self.active.add(path)
-                    acc: dict[Path, Fraction] = {}
-                    for rep, rc in repl:
-                        _add_form(acc, rc, self.reduce(head + rep + tail))
-                    self.active.discard(path)
-                    form = self.memo[path] = tuple((q, c) for q, c in acc.items() if c)
-                    return form
-        return ((path, _ONE),)
-
-
-def normal_form(x: PathElement, rels: RelationSet) -> PathElement:
-    """Rewrite to a fixed point: leftmost position first, shortest redex
-    first, each reducible path once.  Raises NonTerminating when rewriting
-    cycles or rewrites more than _MAX_STEPS paths, and RecursionError when a
-    chain of rewrites outgrows the recursion limit, which no preset nears."""
-    reducer = _Reducer(rels)
-    out: dict[Path, Fraction] = {}
-    for path, coeff in x.terms.items():
-        _add_form(out, coeff, reducer.reduce(path))
-    return PathElement(x.source, x.target, out)
-
-
-def irreducible_words(
-    quiver: Quiver, rels: RelationSet, max_len: int
-) -> dict[Pair, list[Path]]:
-    """Paths of length <= max_len containing no redex, per vertex pair in
-    (length, lex) order, pruned as they are generated.  For a complete, confluent orientation
-    these enumerate a monomial basis of the quotient, so their counts must
-    match the linear dimensions."""
-    return _alive_paths(quiver, max_len, rels.zero_redexes.union(rels.table))
-
-
-# ---------------------------------------------------------------------------
 # cell filtration
 # ---------------------------------------------------------------------------
 
@@ -1032,56 +644,6 @@ def word_cell_rank(quiver: Quiver, source: Vertex, path: Path):
         fac = sorted(delta_factors(quiver.weights[source], quiver.context), reverse=True)
         return fac[1]
     return low
-
-
-def cell_filtration_check(quiver: Quiver, rels: RelationSet, result: QuotientDims) -> Report:
-    """Check that composition never escapes upward through the cell layers:
-    for every irreducible word between core vertices and every one-arrow
-    extension on either side staying in the core, the normal form is
-    supported on words of cell rank at most the original's.
-
-    Each item counts the escaping words of one vertex pair; a failing item
-    also names its first escaping composition and the word that escapes.
-    One reducer serves every composition, so a path shared by several
-    rewrite trees is reduced once (the step budget of `normal_form` holds
-    per composition)."""
-    core = quiver.core
-    # the irreducible words (as irreducible_words lists them) from core sources
-    redexes = rels.zero_redexes.union(rels.table)
-    sources = [v for v in quiver.vertices if v in core]
-    words = _alive_paths(quiver, result.max_len, redexes, sources)
-    reducer = _Reducer(rels)
-    rep = Report("cell-filtration", {"preset": quiver.preset, "max_len": result.max_len})
-    for src, tgt in sorted(words, key=_pair_key):
-        if tgt not in core:
-            continue
-        violations = 0
-        checked = 0
-        escape = None
-        # the core arrows after tgt and before src, the same for every word
-        after = [aid for aid in quiver.out_ids[tgt] if quiver.arrows[aid].target in core]
-        before = [(quiver.arrows[aid].source, aid) for aid in quiver.in_ids[src]
-                  if quiver.arrows[aid].source in core]
-        for path in words[src, tgt]:
-            cell = word_cell_rank(quiver, src, path)
-            extensions = chain(((src, path + (aid,)) for aid in after),
-                               ((esrc, (aid,) + path) for esrc, aid in before))
-            for esrc, epath in extensions:
-                reducer.steps = 0
-                checked += 1
-                for comp, _ in reducer.reduce(epath):
-                    if word_cell_rank(quiver, esrc, comp) > cell:
-                        violations += 1
-                        if escape is None:
-                            escape = {
-                                "composition": quiver.format_path(epath),
-                                "word": quiver.format_path(comp),
-                            }
-        item = {"source": src, "target": tgt, "compositions": checked}
-        if escape is not None:
-            item["first_escape"] = escape
-        rep.add(item, violations, 0)
-    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -11,26 +11,24 @@ from contextlib import contextmanager
 
 from tiltcell.cellbasis import SL3_ELEMENTS, cell_indices, dagger, sl3_hom_dim
 from tiltcell.deltafilt import (
-    delta_factors,
-    hom_dim,
     verify_bounds,
     verify_mult_free,
     verify_reciprocity,
     verify_steinberg_equivalence,
     verify_strong_linkage,
 )
+from tiltcell.factors import delta_factors, hom_dim
+from tiltcell.linear import quotient_dims
 from tiltcell.quiver import (
     PathElement,
     build_p1_quiver,
     build_p2_quiver,
     build_sl3_quiver,
     check_against_cellular,
-    irreducible_words,
     ladder_weight,
-    normal_form,
-    quotient_dims,
     surviving_paths,
 )
+from tiltcell.rewrite import irreducible_words, normal_form
 from tiltcell.weights import Context, dot_orbit, tilde
 
 

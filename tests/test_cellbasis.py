@@ -16,7 +16,7 @@ from tiltcell.cellbasis import (
     sl3_generator_set_bprime,
     sl3_hom_dim,
 )
-from tiltcell.deltafilt import InvariantViolation, delta_factors, hom_dim_sum
+from tiltcell.factors import InvariantViolation, delta_factors, hom_dim_sum
 from tiltcell.weights import Context
 
 

@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from tiltcell import cellbasis, cli, deltafilt, quiver as qv, weights
+from tiltcell import cellbasis, charring, cli, deltafilt, factors, quiver as qv, weights
 from tiltcell.cli import run
 
 
@@ -344,11 +344,13 @@ def test_deep_level(argv, key, value):
 )
 def test_factor_tables_bounded_before_build(monkeypatch, argv, cap):
     # a table has 2**k entries for k regular digits; -19 is regular at most
-    # levels, so its tables are counted from the digits and never built
+    # levels, so its tables are counted from the digits and never built,
+    # neither by the factor tables nor by the sweeps' own readers
     def refuse(*args, **kwargs):
         raise AssertionError("a factor table was built")
 
-    monkeypatch.setattr(deltafilt, "_folded_factors", refuse)
+    for module in (factors, deltafilt):
+        monkeypatch.setattr(module, "_folded_factors", refuse)
     if cap is None:
         monkeypatch.delenv("TILTCELL_MAX_WORK", raising=False)
     else:
@@ -406,11 +408,13 @@ def test_reciprocity_peeling_bounded_before_peel(monkeypatch, suite):
 @pytest.mark.parametrize("suite", ["steinberg", "all"])
 def test_steinberg_items_bounded_before_build(monkeypatch, suite):
     # a one-weight window far out still sweeps every m with |m| <= 20000/3,
-    # each with 4p^(r-1) + 2 items: 4 347 210 at (3, 5), past the default cap
+    # each with 4p^(r-1) + 2 items: 4 347 210 at (3, 5), past the default cap;
+    # the factor tables and the sweep's Hom index both read _folded_factors
     def refuse(*args, **kwargs):
         raise AssertionError("a factor table was built")
 
-    monkeypatch.setattr(deltafilt, "_folded_factors", refuse)
+    for module in (factors, deltafilt):
+        monkeypatch.setattr(module, "_folded_factors", refuse)
     monkeypatch.delenv("TILTCELL_MAX_WORK", raising=False)
     argv = ["verify", "--suite", suite, "--p", "3", "--r", "5", "--lo", "20000", "--hi", "20000"]
     code, out = invoke(argv)
@@ -420,7 +424,7 @@ def test_steinberg_items_bounded_before_build(monkeypatch, suite):
 @pytest.fixture
 def fresh_caches():
     caches = (
-        deltafilt._folded_factors,
+        factors._folded_factors,
         deltafilt._folded_holders,
         deltafilt._simples_index,
         deltafilt._steinberg_homs,
@@ -480,7 +484,7 @@ def test_counted_steinberg_lists_the_full_failures(monkeypatch, fresh_caches):
     # read, and doubling the factor tables at 2 + 9k; the span covers each
     # residue twice or more
     ctx = weights.Context(3, 3)
-    folded_factors, delta_factors = deltafilt._folded_factors, deltafilt.delta_factors
+    folded_factors, delta_factors = factors._folded_factors, factors.delta_factors
 
     def faulty_folded(p, r, lam):
         table = folded_factors(p, r, lam)
@@ -490,7 +494,10 @@ def test_counted_steinberg_lists_the_full_failures(monkeypatch, fresh_caches):
         fac = delta_factors(lam, c)
         return {nu: 2 for nu in fac} if c.r == 2 and lam % 9 == 2 else fac
 
-    monkeypatch.setattr(deltafilt, "_folded_factors", faulty_folded)
+    # the Hom index reads deltafilt's _folded_factors, the factor tables
+    # factors' one; the sweep reads delta_factors on deltafilt
+    for module in (factors, deltafilt):
+        monkeypatch.setattr(module, "_folded_factors", faulty_folded)
     monkeypatch.setattr(deltafilt, "delta_factors", faulty_factors)
     argv = ["verify", "--suite", "steinberg", "--p", "3", "--r", "3", "--lo", "-30", "--hi", "30"]
     failures = _counted_against_full(
@@ -535,7 +542,7 @@ def test_counted_linkage_lists_the_full_failures(monkeypatch, fresh_caches):
     lam, nu = 5, 11  # 11 is a factor of tilde(5) = 47
     assert nu in deltafilt.delta_factors(weights.tilde(lam, ctx), ctx)
     necessity = (-42, -8)  # no factor of tilde(-42) is -8, and tilde(-8) is not -42
-    assert deltafilt.hom_dim(*necessity, ctx) > 0
+    assert factors.hom_dim(*necessity, ctx) > 0
     strongly_linked = deltafilt.strongly_linked
 
     def faulty_linked(a, b, c):
@@ -592,8 +599,10 @@ def test_char_bounded_before_build(monkeypatch, kind, p, r, weight, cap):
     def refuse(*args, **kwargs):
         raise AssertionError("the character was built")
 
-    for name in ("weyl_char", "simple_char", "simple_char_r", "baby_verma_char", "tilting_char"):
-        monkeypatch.setattr(cli, name, refuse)
+    # the table reads the builders on charring and deltafilt when it runs
+    for name in ("weyl_char", "simple_char", "simple_char_r", "baby_verma_char"):
+        monkeypatch.setattr(charring, name, refuse)
+    monkeypatch.setattr(deltafilt, "tilting_char", refuse)
     if cap is None:
         monkeypatch.delenv("TILTCELL_MAX_WORK", raising=False)
     else:

@@ -2,14 +2,19 @@
 layers it reads.
 
 The package resolves every exported name on first use, through one export
-table.  `tiltcell.cli` imports the quiver module (and the exact linear
-algebra under it) only when a quiver is built, and `cellbasis` only for the
-two commands that read it.  No module of the package loads `dataclasses`
-(and `inspect` under it).
+table.  `tiltcell.cli` imports the quiver module only when a quiver is
+built, `cellbasis` only for the commands that read it, and the weight
+sweeps and characters (`deltafilt`, `charring`) only for `verify` and
+`char`.  Each quiver engine is a module of its own, loaded on first use:
+a `quiver-check` compiles the linear engine (`linear`, `ratlinalg`) and
+not the rewriting engine (`rewrite`), a rewrite operation the other way
+round.  The benchmark's tracer still reaches every layer it wraps.  No
+module of the package loads `dataclasses` (and `inspect` under it).
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -18,9 +23,21 @@ from pathlib import Path
 import pytest
 
 import tiltcell
-from tiltcell import charring, cellbasis, cli, deltafilt, quiver, report, weights
+from tiltcell import (
+    cellbasis,
+    charring,
+    cli,
+    deltafilt,
+    factors,
+    linear,
+    quiver,
+    report,
+    rewrite,
+    weights,
+)
 
 SRC = str(Path(tiltcell.__file__).resolve().parents[1])
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
 # the package's export list: every name it resolves on first use, by the
 # submodule that defines it
@@ -34,12 +51,14 @@ EXPORTS = {
         "simple_char_r",
         "weyl_char",
     ),
-    deltafilt: (
+    factors: (
         "DeltaFactors",
         "InvariantViolation",
         "delta_factors",
         "hom_dim",
         "hom_dim_sum",
+    ),
+    deltafilt: (
         "tilting_char",
         "verify_bounds",
         "verify_mult_free",
@@ -58,8 +77,6 @@ EXPORTS = {
         "sl3_generator_set_bprime",
     ),
     quiver: (
-        "NonTerminating",
-        "NotSaturated",
         "PathElement",
         "Quiver",
         "QuiverConfigError",
@@ -67,12 +84,11 @@ EXPORTS = {
         "build_p1_quiver",
         "build_p2_quiver",
         "build_sl3_quiver",
-        "cell_filtration_check",
         "check_against_cellular",
         "export_dot",
-        "normal_form",
-        "quotient_dims",
     ),
+    linear: ("NotSaturated", "quotient_dims"),
+    rewrite: ("NonTerminating", "cell_filtration_check", "normal_form"),
     report: ("Report", "ReportItem"),
     weights: (
         "Context",
@@ -111,8 +127,50 @@ def _imported_after(statements: str, prefix: str = "tiltcell") -> set[str]:
 )
 def test_weight_side_commands_skip_the_quiver_engine(argv):
     loaded = _imported_after(f"from tiltcell import cli\ncli.run({argv!r})")
-    assert "tiltcell.deltafilt" in loaded
-    assert not loaded & {"tiltcell.quiver", "tiltcell.ratlinalg"}
+    assert "tiltcell.factors" in loaded
+    # the sweeps load for `verify`; the generator families read the factor
+    # tables only
+    sweeps = argv[0] == "verify"
+    assert {m in loaded for m in ("tiltcell.deltafilt", "tiltcell.charring")} == {sweeps}
+    assert not loaded & {"tiltcell.quiver", "tiltcell.ratlinalg", "tiltcell.linear", "tiltcell.rewrite"}
+
+
+@pytest.mark.parametrize("preset", ["p2", "sl3"])
+def test_quiver_check_loads_the_linear_engine_only(preset):
+    loaded = _imported_after(f"from tiltcell import cli\ncli.run(['quiver-check', '--preset', {preset!r}])")
+    assert not loaded & {"tiltcell.rewrite", "tiltcell.deltafilt", "tiltcell.charring"}
+    layers = ("cli", "quiver", "linear", "ratlinalg", "cellbasis", "factors", "report", "weights")
+    assert loaded == {"tiltcell", *(f"tiltcell.{m}" for m in layers)}
+
+
+def test_rewrite_op_loads_the_rewriting_engine_only():
+    # the calls of perfbench/child.py's rewrite operation, read through quiver
+    loaded = _imported_after(
+        "from fractions import Fraction\n"
+        "from tiltcell import quiver\n"
+        "q, rels = quiver.build_p2_quiver(7, window=1)\n"
+        "quiver.irreducible_words(q, rels, 5)\n"
+        "quiver.cell_filtration_check(q, rels, quiver.QuotientDims(5, {}, [], [], []))\n"
+        "x = quiver.PathElement(0, 0, {(q.arrow_id('u0'), q.arrow_id('d0')): Fraction(1)})\n"
+        "quiver.normal_form(x, rels)\n"
+        "quiver.NonTerminating\n"
+    )
+    assert not loaded & {
+        "tiltcell.linear", "tiltcell.ratlinalg", "tiltcell.deltafilt", "tiltcell.charring"
+    }
+    layers = ("quiver", "rewrite", "cellbasis", "factors", "report", "weights")
+    assert loaded == {"tiltcell", *(f"tiltcell.{m}" for m in layers)}
+
+
+def test_verify_reciprocity_loads_the_sweeps():
+    argv = ["verify", "--suite", "reciprocity", "--p", "3", "--r", "2"]
+    loaded = _imported_after(f"from tiltcell import cli\ncli.run({argv!r})")
+    assert {"tiltcell.deltafilt", "tiltcell.charring"} <= loaded
+
+
+def test_unknown_quiver_attribute():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        quiver.no_such_name
 
 
 def test_bare_import_loads_no_submodule():
@@ -138,7 +196,7 @@ def test_cellbasis_loads_only_for_its_commands(argv, reads_cellbasis):
     assert ("tiltcell.cellbasis" in loaded) == reads_cellbasis
 
 
-@pytest.mark.parametrize("module", ["tiltcell.cli", "tiltcell.quiver"])
+@pytest.mark.parametrize("module", ["tiltcell.cli", "tiltcell.quiver", "tiltcell.linear", "tiltcell.rewrite"])
 def test_import_skips_dataclasses(module):
     assert not _imported_after(f"import {module}", prefix="dataclasses")
 
@@ -165,3 +223,67 @@ def test_unknown_package_attribute():
 
 def test_preset_names_match_the_preset_table():
     assert cli.PRESET_NAMES == tuple(quiver.PRESETS)
+
+
+# every span and hot count that the commands below must reach, by the name
+# perfbench/child.py records it under
+TRACED_SPANS = (
+    "quiver.build",
+    "quiver.quotient_dims",
+    "quiver.check_against_cellular",
+    "quiver.irreducible_words",
+    "quiver.cell_filtration_check",
+    "deltafilt.verify_reciprocity",
+    "cellbasis.generators",
+)
+TRACED_COUNTS = (
+    "deltafilt.delta_factors",
+    "deltafilt.hom_dim",
+    "cellbasis.sl3_hom_dim",
+    "quiver.normal_form",
+    "charring.baby_verma_simples",
+)
+
+
+def test_benchmark_tracer_sees_every_layer():
+    """The benchmark's tracer wraps each layer where its callers look it up;
+    a caller that bypasses a wrapper would leave its metric reading 0."""
+    code = f"""
+import contextlib, io, json, sys
+sys.path.insert(0, {PERFBENCH!r})
+import child
+from tiltcell import cli
+
+tr = child.Tracer()
+child.install(tr)
+spec = {{
+    "preset": "p2", "p": 3, "window": 1, "max_len": 5,
+    "elements": [{{"source": 1, "target": 1, "terms": [[["u1", "d1"], "1"], [["d0", "u0"], "2"]]}}],
+}}
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["quiver-check", "--preset", "p2", "--p", "3"],
+        ["quiver-check", "--preset", "sl3"],
+        ["verify", "--suite", "reciprocity", "--p", "3", "--r", "2"],
+        ["generators", "--p", "3", "--r", "2"],
+    ):
+        assert cli.run(argv) == 0, argv
+    assert child.run_rewrite(spec, tr) == 0
+spans = {{}}
+for name, *_ in tr.spans:
+    spans[name] = spans.get(name, 0) + 1
+print(json.dumps({{"spans": spans, "counts": tr.counts}}))
+"""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    seen = json.loads(res.stdout)
+    assert {name: seen["spans"].get(name, 0) > 0 for name in TRACED_SPANS} == dict.fromkeys(
+        TRACED_SPANS, True
+    )
+    assert {name: seen["counts"].get(name, 0) > 0 for name in TRACED_COUNTS} == dict.fromkeys(
+        TRACED_COUNTS, True
+    )

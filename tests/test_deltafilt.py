@@ -4,14 +4,9 @@ from collections import Counter
 
 import pytest
 
-from tiltcell import deltafilt
+from tiltcell import deltafilt, factors
 from tiltcell.charring import baby_verma_char, decompose_into_simples
 from tiltcell.deltafilt import (
-    _folded_factors,
-    delta_factors,
-    hom_dim,
-    hom_dim_sum,
-    table_size,
     tilting_char,
     verify_bounds,
     verify_linkage_necessity,
@@ -20,6 +15,7 @@ from tiltcell.deltafilt import (
     verify_steinberg_equivalence,
     verify_strong_linkage,
 )
+from tiltcell.factors import _folded_factors, delta_factors, hom_dim, hom_dim_sum, table_size
 from tiltcell.weights import Context, dot_orbit, tilde
 
 
@@ -170,13 +166,13 @@ def test_level_drop_at_deep_level():
 def test_large_level_walks_the_residue_nearest_zero(monkeypatch):
     # a weight near zero folds to itself, not to its r-digit residue in
     # [0, p^r), so no walk divides a long number at a large level
-    walk, walked = deltafilt._digit_walk, []
+    walk, walked = factors._digit_walk, []
 
     def spy(p, r, lam):
         walked.append(lam)
         return walk(p, r, lam)
 
-    monkeypatch.setattr(deltafilt, "_digit_walk", spy)
+    monkeypatch.setattr(factors, "_digit_walk", spy)
     _folded_factors.cache_clear()
     ctx = Context(3, 5000)
     assert delta_factors(-1, ctx) == {-1: 1}

@@ -16,7 +16,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiltcell.deltafilt import delta_factors, hom_dim, verify_steinberg_equivalence
+from tiltcell.deltafilt import verify_steinberg_equivalence
+from tiltcell.factors import delta_factors, hom_dim
 from tiltcell.weights import Context
 
 PRIMES = (3, 5, 7, 11, 13)

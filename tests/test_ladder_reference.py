@@ -14,7 +14,7 @@ from typing import Mapping
 
 import pytest
 
-from tiltcell.deltafilt import delta_factors
+from tiltcell.factors import delta_factors
 from tiltcell.quiver import (
     _MARGIN,
     Arrow,

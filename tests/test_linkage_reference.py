@@ -18,7 +18,8 @@ from test_cli import invoke
 from test_cli_golden import GOLDEN
 
 from tiltcell import deltafilt, weights
-from tiltcell.deltafilt import delta_factors, verify_linkage_necessity
+from tiltcell.deltafilt import verify_linkage_necessity
+from tiltcell.factors import delta_factors
 from tiltcell.report import Report
 from tiltcell.weights import Context, strongly_linked
 

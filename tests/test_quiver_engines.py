@@ -13,23 +13,18 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tiltcell.linear import NotSaturated, _echelon, _linear_setup, _relation_rows, quotient_dims
 from tiltcell.quiver import (
-    NonTerminating,
-    NotSaturated,
     PathElement,
     Quiver,
     RelationSet,
     build_p1_quiver,
     build_p2_quiver,
-    _echelon,
-    _linear_setup,
-    _relation_rows,
     build_sl3_quiver,
     export_dot,
-    normal_form,
-    quotient_dims,
 )
 from tiltcell.ratlinalg import SparseEchelon
+from tiltcell.rewrite import NonTerminating, normal_form
 
 
 def _random_elements(quiver, rels, rng, count, max_len=4):

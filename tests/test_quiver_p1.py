@@ -4,17 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from tiltcell.linear import quotient_dims
 from tiltcell.quiver import (
     PathElement,
     QuiverConfigError,
     build_p1_quiver,
-    cell_filtration_check,
     check_against_cellular,
     export_dot,
-    irreducible_words,
-    normal_form,
-    quotient_dims,
 )
+from tiltcell.rewrite import cell_filtration_check, irreducible_words, normal_form
 
 
 def test_build_structure():

@@ -5,23 +5,19 @@ from math import lcm
 
 import pytest
 
-from tiltcell.deltafilt import delta_factors, hom_dim
+from tiltcell.factors import delta_factors, hom_dim
+from tiltcell.linear import _echelon, _linear_setup, quotient_dims
 from tiltcell.quiver import (
     PathElement,
     QuiverConfigError,
-    _echelon,
-    _linear_setup,
     _rule_to_relation,
     build_p2_quiver,
-    cell_filtration_check,
     check_against_cellular,
     export_dot,
-    irreducible_words,
-    normal_form,
     p2_scalar_names,
-    quotient_dims,
     right_neighbor,
 )
+from tiltcell.rewrite import cell_filtration_check, irreducible_words, normal_form
 from tiltcell.weights import Context
 
 

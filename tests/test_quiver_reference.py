@@ -14,27 +14,29 @@ from math import lcm
 
 import pytest
 
-from tiltcell import quiver as qv
+from tiltcell import linear
+from tiltcell.linear import (
+    NotSaturated,
+    _Fold,
+    _echelon,
+    _linear_setup,
+    _pair_map,
+    _relation_rows,
+    quotient_dims,
+)
 from tiltcell.quiver import (
     PRESETS,
     Arrow,
-    NotSaturated,
     PathElement,
     Quiver,
     RelationSet,
-    _Fold,
     _alive_paths,
-    _echelon,
-    _linear_setup,
     _pair_key,
-    _pair_map,
-    _relation_rows,
     _rule_to_relation,
     build_p1_quiver,
     build_p2_quiver,
     build_sl3_quiver,
     p2_scalar_names,
-    quotient_dims,
     right_neighbor,
 )
 from tiltcell.ratlinalg import SparseEchelon
@@ -407,7 +409,7 @@ def test_no_boundary_pair_is_eliminated(case, monkeypatch):
         calls.append(pair)
         return _echelon(setup, pair)
 
-    monkeypatch.setattr(qv, "_echelon", echelon)
+    monkeypatch.setattr(linear, "_echelon", echelon)
     res = quotient_dims(quiver, rels, max_len, require_saturation=False)
     core = quiver.core
     assert calls and len(calls) == res.eliminated

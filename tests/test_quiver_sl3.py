@@ -5,16 +5,9 @@ from fractions import Fraction
 import pytest
 
 from tiltcell.cellbasis import SL3_ELEMENTS, sl3_hom_dim
-from tiltcell.quiver import (
-    PathElement,
-    QuiverConfigError,
-    build_sl3_quiver,
-    cell_filtration_check,
-    check_against_cellular,
-    irreducible_words,
-    normal_form,
-    quotient_dims,
-)
+from tiltcell.linear import quotient_dims
+from tiltcell.quiver import PathElement, QuiverConfigError, build_sl3_quiver, check_against_cellular
+from tiltcell.rewrite import cell_filtration_check, irreducible_words, normal_form
 
 
 def test_build_structure():

@@ -26,10 +26,8 @@ from tiltcell.quiver import (
     build_p1_quiver,
     build_p2_quiver,
     build_sl3_quiver,
-    cell_filtration_check,
-    irreducible_words,
-    normal_form,
 )
+from tiltcell.rewrite import cell_filtration_check, irreducible_words, normal_form
 
 # the first balanced point of test_scalar_locus at p=5
 P5_BALANCED = _balanced(5, Fraction(2, 3), 1, -1, theta0=Fraction(-5, 7))

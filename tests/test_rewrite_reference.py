@@ -22,24 +22,26 @@ from hypothesis import given, settings
 from test_deltafilt_reference import reference_factors
 from test_quiver_engines import _random_elements, core_elements
 from test_rewrite_golden import CASES
-from tiltcell import quiver as qv
+from tiltcell import rewrite
 from tiltcell.quiver import (
     Arrow,
-    NonTerminating,
     PathElement,
     Quiver,
     QuotientDims,
     RelationSet,
     _pair_key,
-    _Reducer,
     _rule_to_relation,
     build_p1_quiver,
     build_p2_quiver,
     build_sl3_quiver,
+    word_cell_rank,
+)
+from tiltcell.rewrite import (
+    NonTerminating,
+    _Reducer,
     cell_filtration_check,
     irreducible_words,
     normal_form,
-    word_cell_rank,
 )
 from tiltcell.report import Report
 
@@ -192,10 +194,10 @@ def test_max_steps_is_counted_per_normal_form_call(monkeypatch):
     assert steps >= 3
     want = reference_normal_form(x, rels)
     # a fresh budget on every call: the same budget suffices twice
-    monkeypatch.setattr(qv, "_MAX_STEPS", steps)
+    monkeypatch.setattr(rewrite, "_MAX_STEPS", steps)
     assert normal_form(x, rels) == want
     assert normal_form(x, rels) == want
-    monkeypatch.setattr(qv, "_MAX_STEPS", steps - 1)
+    monkeypatch.setattr(rewrite, "_MAX_STEPS", steps - 1)
     with pytest.raises(NonTerminating, match=f"rewrite budget {steps - 1} exhausted"):
         normal_form(x, rels)
     # the reference rewrites shared paths once per tree, so it needs at least

@@ -29,11 +29,11 @@ from tiltcell.charring import (
     decompose_into_simples,
 )
 from tiltcell.deltafilt import (
-    hom_dim,
     verify_linkage_necessity,
     verify_reciprocity,
     verify_steinberg_equivalence,
 )
+from tiltcell.factors import hom_dim
 from tiltcell.weights import Context, tilde
 
 EXHAUSTIVE = [(3, 4), (5, 3), (7, 2)]
