@@ -36,7 +36,11 @@ three such maps, each only once an exact certificate passes:
   translated arrow by arrow (looked up by source, target and kind), is the
   list of the second, and the relation index at every vertex on those
   paths, translated, is the index one period below.  A nonzero row only
-  touches alive paths of its pair, so the rows then correspond.
+  touches alive paths of its pair, so the rows then correspond.  A verdict
+  is translated only onto a core pair: no boundary pair is decided, and the
+  translates of a core pair that lie in the core are consecutive, so every
+  one of them is still reached.  Duality keeps the core, and so does the
+  sl3 mirror, whose core is every vertex.
 
 Where a certificate fails the pair is eliminated.  The witness of
 `NotSaturated` always comes from eliminating the first unsaturated pair
@@ -184,7 +188,7 @@ class _Fold:
     certified once, and translation by the shift period, certified per pair."""
 
     def __init__(self, quiver: Quiver, rels: RelationSet, setup: _LinearSetup):
-        self.alive = setup.alive
+        self.alive, self.core = setup.alive, quiver.core
         arrows, by_name = quiver.arrows, quiver.by_name
         by_ends = {(a.source, a.target, a.kind): i for i, a in enumerate(arrows)}
         images = [([by_name.get(a.dual) for a in arrows], True)]
@@ -229,9 +233,10 @@ class _Fold:
         )
 
     def spread(self, pair: Pair, verdicts: dict) -> None:
-        """Give every pair reached from `pair` by certified moves its verdict."""
+        """Give every pair reached from `pair` by certified moves its verdict,
+        translating only onto core pairs, the only ones decided."""
         verdict, stack = verdicts[pair], [pair]
-        alive, P = self.alive, self.period
+        alive, core, P = self.alive, self.core, self.period
         while stack:
             pair = stack.pop()
             reached = [move(pair) for move in self.maps]
@@ -239,7 +244,8 @@ class _Fold:
                 s, t = pair
                 below, above = (s - P, t - P), (s + P, t + P)
                 for other, upper, lower in ((below, pair, below), (above, above, pair)):
-                    if other in alive and other not in verdicts and self._translates(upper, lower):
+                    if (core.issuperset(other) and other in alive and other not in verdicts
+                            and self._translates(upper, lower)):
                         reached.append(other)
             for other in reached:
                 if other not in verdicts:
