@@ -25,7 +25,7 @@ The module provides the classical character formulas needed downstream:
   has top coefficient one.  It peels inside one mutable dict: each step
   subtracts a multiple of the cached support of the head's simple
   character, shifted by p^r times the tail.  The oracle reads nothing from
-  the factor tables of `deltafilt`.
+  the factor tables of `factors`.
 * `baby_verma_simples`: the peeled composition factors of a standard
   object, handed out as a read-only mapping.  They are peeled once per
   residue mod p^r and shifted into place, since peeling commutes with a
