@@ -10,7 +10,8 @@ path algebras.
 The rank-two block of category O for sl3 is stated by the element names of
 S3 and their lengths.  S3 is dihedral, so its Bruhat order is the length
 order, and the upper sets and covers are derived by that rule; it holds only
-in rank two, so there is no general Coxeter machinery.
+in rank two, so there is no general Coxeter machinery.  The upper sets
+(`sl3_delta_table`) are the sl3 preset's standard-factor table in `quiver`.
 """
 
 from __future__ import annotations

@@ -60,9 +60,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple
 
-from .cellbasis import SL3_COVERS, SL3_ELEMENTS, SL3_LENGTH, sl3_hom_dim
+from .cellbasis import SL3_COVERS, SL3_ELEMENTS, SL3_LENGTH, sl3_delta_table, sl3_hom_dim
 from .factors import delta_factors, hom_dim
 from .report import Report
 from .weights import Context
@@ -129,7 +129,8 @@ class Quiver:
         for i, a in enumerate(self.arrows):
             self.out_ids[a.source].append(i)
             self.in_ids[a.target].append(i)
-        self.cell_rank = PRESETS[self.preset].cell_rank(self)
+        rank = PRESETS[self.preset].cell_rank
+        self.cell_rank = {v: rank(w) for v, w in self.weights.items()}
 
     def arrow_id(self, name: str) -> int:
         return self.by_name[name]
@@ -461,8 +462,9 @@ def build_sl3_quiver(a=1, b=1, r=0) -> tuple[Quiver, RelationSet]:
 
 class Preset(NamedTuple):
     """What differs between the presentations; a preset with no window reads no p.
-    The callables look builders and oracles up on this module when they run, so
-    replacing `build_*`, `hom_dim` or `sl3_hom_dim` here reaches every caller."""
+    The callables look builders, tables and oracles up on this module when they
+    run, so replacing `build_*`, `delta_factors`, `hom_dim` or `sl3_hom_dim`
+    here reaches every caller."""
 
     # build(p, window, scalars, boundary_loops); scalars holds validated overrides
     build: Callable[[int, int | None, dict, bool], tuple[Quiver, RelationSet]]
@@ -470,12 +472,18 @@ class Preset(NamedTuple):
     max_len: int  # default truncation of the linear engine
     # (vertices, core vertices) from p and window, before building
     vertex_count: Callable[[int, int | None], tuple[int, int]]
-    # the ladders' choices: no scalars, common-factor Hom counts, cells ranked by weight
+    # the ladders' choices: no scalars, common-factor Hom counts, the tables of
+    # `delta_factors`, cells ranked by weight
     scalar_names: Callable[[int], list[str]] = lambda p: []
     valid_scalars: Callable[[int], str] = lambda p: "none"  # the names as one short line
     boundary_loops: bool = False  # whether build reads boundary_loops
     oracle: Callable[..., int] = lambda lam, mu, ctx: hom_dim(lam, mu, ctx)
-    cell_rank: Callable[[Quiver], dict] = lambda quiver: dict(quiver.weights)
+    # the cell data: factors(label, ctx) is the set of cell labels nu with
+    # (T(label) : Delta(nu)) = 1, and nu lies below label in the cell order
+    # when it is in that table; cell_rank(label) is a linear extension of that
+    # order, and oracle(lam, mu, ctx) counts the factors common to two tables
+    factors: Callable[..., AbstractSet] = lambda lam, ctx: delta_factors(lam, ctx).keys()
+    cell_rank: Callable[[Vertex], int] = lambda lam: lam
     # vertices swapped by an automorphism of the presentation (unlisted
     # vertices stay put), which sends each arrow to the arrow of its kind
     # between the images of its ends; the linear engine uses it only once it
@@ -507,7 +515,8 @@ PRESETS: dict[str, Preset] = {
         scalar_names=lambda p: ["a", "b", "r"],
         valid_scalars=lambda p: "a, b, r",
         oracle=lambda lam, mu, ctx: sl3_hom_dim(lam, mu),
-        cell_rank=lambda quiver: {v: -SL3_LENGTH[v] for v in quiver.vertices},
+        factors=lambda x, ctx: sl3_delta_table()[x],
+        cell_rank=lambda x: -SL3_LENGTH[x],
         # the Dynkin diagram automorphism, for every (a, b, r)
         mirror=MappingProxyType({"s": "t", "t": "s", "st": "ts", "ts": "st"}),
     ),
@@ -599,9 +608,9 @@ def check_against_cellular(
     result: QuotientDims,
     scalars: Mapping[str, Fraction] | None = None,
 ) -> Report:
-    """Compare core-pair quotient dimensions with the cellular counts:
-    common standard factors for the ladders, Bruhat upper-set intersections
-    for the sl3 block.  Boundary pairs (an alive path, a vertex outside the
+    """Compare core-pair quotient dimensions with the cellular counts, the
+    preset's `oracle`: common factors of the two vertices' tables
+    (`Preset.factors`).  Boundary pairs (an alive path, a vertex outside the
     core) are excluded and counted in the report context; the scalar
     configuration that was checked is recorded there too."""
     ctx = quiver.context
@@ -630,8 +639,8 @@ def word_cell_rank(quiver: Quiver, source: Vertex, path: Path):
     """Cell rank of an irreducible word: the lowest rank among visited
     vertices.  A length-two loop that only ascends (the chain-top loop of a
     ladder column) represents the lower of its two diagonal cells, whose
-    factorisation vertex lies off the path; it gets the second-highest
-    common factor instead."""
+    factorisation vertex lies off the path; it gets the second-highest cell
+    of its source's table instead, and is refused on a one-cell table."""
     rank = quiver.cell_rank
     at, low = source, rank[source]
     for aid in path:
@@ -639,10 +648,11 @@ def word_cell_rank(quiver: Quiver, source: Vertex, path: Path):
         if rank[at] < low:
             low = rank[at]
     if len(path) == 2 and at == source and low == rank[source]:
-        if quiver.context is None:
-            raise RuntimeError("ascending loop outside a ladder preset")
-        fac = sorted(delta_factors(quiver.weights[source], quiver.context), reverse=True)
-        return fac[1]
+        pre = PRESETS[quiver.preset]
+        cells = sorted(map(pre.cell_rank, pre.factors(quiver.weights[source], quiver.context)))
+        if len(cells) < 2:
+            raise RuntimeError(f"ascending loop {quiver.format_path(path)}: one-cell table")
+        return cells[-2]
     return low
 
 
