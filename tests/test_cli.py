@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -638,6 +639,44 @@ def test_verify_quiver_bounded_before_build(monkeypatch, suite):
     monkeypatch.setenv("TILTCELL_MAX_WORK", "100000")
     code, out = invoke(["verify", "--suite", suite, "--p", "11"])
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ["verify", "--suite", "quiver", "--p", "3"],
+            "019c3d88408f7b992b7c2d6686c18284b9793af8b43dc02dfe72807e12068ebc",
+        ),
+        (
+            ["verify", "--suite", "all", "--p", "3", "--r", "2"],
+            "7053758a4270479ea9b1c4913aff4b46511ed1f778f2d76366d95f5527268440",
+        ),
+    ],
+)
+def test_verify_lists_the_failing_quiver_pairs(monkeypatch, argv, digest):
+    """A quiver report that fails lists exactly its failing core pairs and
+    counts every pair: the ladders' oracle, read on quiver at call time, is
+    one too high on the diagonal, which sl3's oracle does not read."""
+    hom_dim = qv.hom_dim
+    monkeypatch.setattr(qv, "hom_dim", lambda lam, mu, ctx: hom_dim(lam, mu, ctx) + (lam == mu))
+    code, out = invoke(argv)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    quiver_counts = [c for c in doc["counts"] if c["check"] == "quiver-vs-cellular"]
+    assert [(c["items"], c["failures"]) for c in quiver_counts] == [(81, 9), (169, 13), (36, 0)]
+    reports = [rep for rep in doc["reports"] if rep["check"] == "quiver-vs-cellular"]
+    assert [rep["context"]["preset"] for rep in reports] == ["p1", "p2", "sl3"]
+    for rep in reports:
+        key = rep["context"]["preset"]
+        preset = qv.PRESETS[key]
+        core = [] if key == "sl3" else sorted(preset.build(3, preset.window, {}, True)[0].core)
+        assert all(item["input"]["source"] == item["input"]["target"] for item in rep["items"])
+        assert sorted(item["input"]["source"] for item in rep["items"]) == core
+        assert all(item["rhs"] == item["lhs"] + 1 and not item["pass"] for item in rep["items"])
+        assert rep["pass"] is (key == "sl3")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("flags", [["--r", "9"], ["--lo", "7"], ["--lo", "0", "--hi", "1"], ["--r", "0"]])
