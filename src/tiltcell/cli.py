@@ -16,10 +16,11 @@ zero).  A refusal quotes at most a short prefix of the input it names;
 argparse's own refusals are cut to 200 characters.
 
 `verify` output carries per-check item/failure counts plus the failing items
-themselves; passing items are not echoed.  No weight sweep even builds
-them: each adds its failures to the suite's report and counts the rest
-(`Report.unlisted`), and the Steinberg sweep computes the Hom pairs of each
-residue of m mod p^(r-1) once.  Its guard bounds all (2*span+1)*(4p^(r-1)+2)
+themselves; passing items are not echoed.  Each check fills one
+`FailureReport`, which counts its passing items (`Report.unlisted`), and the
+quiver suite runs quiver-check's own comparison and pours each report into
+one; the Steinberg sweep computes the Hom pairs of each residue of m mod
+p^(r-1) once.  Its guard bounds all (2*span+1)*(4p^(r-1)+2)
 items it checks, not just the window.  `quiver-check` emits the full
 per-pair comparison.
 """
@@ -37,7 +38,7 @@ from typing import TYPE_CHECKING, Callable
 import tiltcell
 
 from .factors import delta_factors, hom_dim, table_size
-from .report import Report
+from .report import FailureReport, Report
 from .weights import Context, tilde
 
 if TYPE_CHECKING:
@@ -216,24 +217,24 @@ def _weights_list(raw: list[str]) -> dict[int, int]:
 
 
 def _preset_build(
-    args, max_len: int | None = None
+    key: str, p: int | None, window=None, scalars=None, no_boundary_loops=False, max_len=None
 ) -> Callable[[], tuple[qv.Quiver, qv.RelationSet]]:
     """Validate the preset flags and bound the build (with max_len, also the
     path and core-pair counts of a quiver-check); return the build, unrun."""
     from . import quiver as qv
 
-    preset = qv.PRESETS[args.preset]
-    if preset.window is None and args.p is not None:
-        raise UsageError(f"--preset {args.preset} reads no --p")
-    if preset.window is None and args.window is not None:
-        raise UsageError(f"--preset {args.preset} has no window")
-    if args.no_boundary_loops and not preset.boundary_loops:
-        raise UsageError(f"--preset {args.preset} has no boundary loops")
-    window = preset.window if args.window is None else args.window
+    preset = qv.PRESETS[key]
+    if preset.window is None and p is not None:
+        raise UsageError(f"--preset {key} reads no --p")
+    if preset.window is None and window is not None:
+        raise UsageError(f"--preset {key} has no window")
+    if no_boundary_loops and not preset.boundary_loops:
+        raise UsageError(f"--preset {key} has no boundary loops")
+    window = preset.window if window is None else window
     # the builders' floor, checked first: a negative window passes the size guards
     if window is not None and window < preset.window:
-        raise UsageError(f"{args.preset} window must be >= {preset.window}")
-    p = DEFAULT_P if args.p is None else args.p
+        raise UsageError(f"{key} window must be >= {preset.window}")
+    p = DEFAULT_P if p is None else p
     guard_level(p)
     vertices, core = preset.vertex_count(p, window)
     guard_work(vertices)
@@ -246,19 +247,44 @@ def _preset_build(
         # the comparison lists every ordered pair of core vertices
         guard_work(core * core)
     # after the vertex guard, which bounds p for p2, whose scalar names count to 2p
-    scalars = _parse_scalars(args.scalars)
+    parsed = _parse_scalars(scalars)
     names = preset.scalar_names(p)
-    for key in scalars:
-        if key not in names:
-            raise UsageError(qv.unknown_scalar(args.preset, p, _quoted(key)))
+    for name in parsed:
+        if name not in names:
+            raise UsageError(qv.unknown_scalar(key, p, _quoted(name)))
 
     def build() -> tuple[qv.Quiver, qv.RelationSet]:
         try:
-            return preset.build(p, window, scalars, not args.no_boundary_loops)
+            return preset.build(p, window, parsed, not no_boundary_loops)
         except (qv.QuiverConfigError, ValueError) as exc:
             raise UsageError(str(exc))
 
     return build
+
+
+def _quiver_report(
+    build: Callable, preset: str, max_len: int, allow_unsaturated: bool = False
+) -> tuple[Report, list | None]:
+    """Run a build, its quotient and the comparison with the cellular counts:
+    the report and the (source, target, dim) rows of a quiver-check, rows
+    None when the quotient is refused as unsaturated."""
+    from . import quiver as qv
+    from .linear import NotSaturated
+
+    quiver, rels = build()
+    try:
+        # the engine and the comparison are read through quiver, where the
+        # benchmark's tracer wraps them
+        result = qv.quotient_dims(quiver, rels, max_len, require_saturation=not allow_unsaturated)
+    except NotSaturated as exc:
+        report = Report("quiver-vs-cellular", {"preset": preset, "max_len": max_len})
+        report.add({"saturation": str(exc)}, False, True)
+        return report, None
+    report = qv.check_against_cellular(quiver, result, scalars=rels.scalars)
+    if not result.saturated:
+        report.add({"saturation": result.unsaturated}, False, True)
+    dims = [(v, w, result.dim(v, w)) for v, w in result.core_pairs]
+    return report, [("source", "target", "dim"), *dims]
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +413,9 @@ def _quiver_json(quiver: qv.Quiver, rels: qv.RelationSet) -> dict:
 def cmd_quiver_build(args) -> int:
     from . import quiver as qv
 
-    quiver, rels = _preset_build(args)()
+    quiver, rels = _preset_build(
+        args.preset, args.p, args.window, args.scalars, args.no_boundary_loops
+    )()
     if args.format == "dot":
         _emit(args, qv.export_dot(quiver))
     else:
@@ -397,25 +425,14 @@ def cmd_quiver_build(args) -> int:
 
 def cmd_quiver_check(args) -> int:
     from . import quiver as qv
-    from .linear import NotSaturated
 
     max_len = qv.PRESETS[args.preset].max_len if args.max_len is None else args.max_len
     if max_len < 1:
         raise UsageError(f"--max-len must be >= 1, got {max_len}")
-    quiver, rels = _preset_build(args, max_len)()
-    try:
-        # the engine and the comparison are read through quiver, where the
-        # benchmark's tracer wraps them
-        result = qv.quotient_dims(quiver, rels, max_len, require_saturation=not args.allow_unsaturated)
-    except NotSaturated as exc:
-        report = Report("quiver-vs-cellular", {"preset": args.preset, "max_len": max_len})
-        report.add({"saturation": str(exc)}, False, True)
-        return _emit_report(args, report)
-    report = qv.check_against_cellular(quiver, result, scalars=rels.scalars)
-    if not result.saturated:
-        report.add({"saturation": result.unsaturated}, False, True)
-    dims = [(v, w, result.dim(v, w)) for v, w in result.core_pairs]
-    return _emit_report(args, report, [("source", "target", "dim"), *dims])
+    build = _preset_build(
+        args.preset, args.p, args.window, args.scalars, args.no_boundary_loops, max_len
+    )
+    return _emit_report(args, *_quiver_report(build, args.preset, max_len, args.allow_unsaturated))
 
 
 _SUITES = ("reciprocity", "bounds", "linkage", "multfree", "steinberg", "quiver", "all")
@@ -485,45 +502,42 @@ def _run_suite(name: str, args) -> list[Report]:
 
         # every preset at its defaults and at --p where it reads one, each
         # bounded as quiver-check bounds it, all before the first is built
-        defaults = {"window": None, "scalars": None, "no_boundary_loops": False}
-        builds = [
-            _preset_build(
-                argparse.Namespace(preset=key, p=None if preset.window is None else ctx.p, **defaults),
-                preset.max_len,
-            )
-            for key, preset in qv.PRESETS.items()
-        ]
-    reports: list[Report] = []
+        for key, preset in qv.PRESETS.items():
+            p = None if preset.window is None else ctx.p
+            builds.append((key, preset.max_len, _preset_build(key, p, max_len=preset.max_len)))
+    # one report per check, listing its failures and counting every item
+    reports: list[FailureReport] = []
+    context = {"p": ctx.p, "r": ctx.r, "lo": lo, "hi": hi}
     if name in ("reciprocity", "all"):
-        rep = Report("reciprocity", {"p": ctx.p, "r": ctx.r, "lo": lo, "hi": hi})
+        rep = FailureReport("reciprocity", context)
         for lam in range(lo, hi + 1):
             deltafilt.verify_reciprocity(lam, ctx, rep)
         reports.append(rep)
     if name in ("bounds", "all"):
-        rep = Report("bounds", {"p": ctx.p, "r": ctx.r, "lo": lo, "hi": hi})
+        rep = FailureReport("bounds", context)
         for lam in range(lo, hi + 1):
             deltafilt.verify_bounds(lam, ctx, rep)
         reports.append(rep)
     if name in ("linkage", "all"):
-        rep = Report("strong-linkage", {"p": ctx.p, "r": ctx.r, "lo": lo, "hi": hi})
+        rep = FailureReport("strong-linkage", context)
         for lam in range(lo, hi + 1):
             deltafilt.verify_strong_linkage(lam, ctx, rep)
         deltafilt.verify_linkage_necessity(lo, hi, ctx, rep)
         reports.append(rep)
     if name in ("multfree", "all"):
-        rep = Report("mult-free", {"p": ctx.p, "r": ctx.r, "lo": lo, "hi": hi})
+        rep = FailureReport("mult-free", context)
         reports.append(deltafilt.verify_mult_free(lo, hi, ctx, rep))
     if name in ("steinberg", "all") and ctx.r >= 2:
-        rep = Report("steinberg-equivalence", {"p": ctx.p, "r": ctx.r, "lo": lo, "hi": hi})
+        rep = FailureReport("steinberg-equivalence", context)
         span = _steinberg_span(lo, hi, ctx)
         for m in range(-span, span + 1):
             deltafilt.verify_steinberg_equivalence(m, ctx, rep)
         reports.append(rep)
-    for build in builds:
-        quiver, rels = build()
-        # through quiver, as in quiver-check
-        result = qv.quotient_dims(quiver, rels)
-        reports.append(qv.check_against_cellular(quiver, result, scalars=rels.scalars))
+    for key, max_len, build in builds:
+        full, _ = _quiver_report(build, key, max_len)
+        rep = FailureReport(full.check, full.context)
+        rep.extend(full)
+        reports.append(rep)
     return reports
 
 
@@ -531,19 +545,14 @@ def cmd_verify(args) -> int:
     if args.suite not in _SUITES:
         raise UsageError(f"unknown suite {_quoted(args.suite)}; valid: {', '.join(_SUITES)}")
     reports = _run_suite(args.suite, args)
-    failed = [Report(rep.check, rep.context, rep.failures) for rep in reports]
-    ok = not any(rep.items for rep in failed)
+    ok = all(rep.all_pass for rep in reports)
     doc = {
         "suite": args.suite,
         "pass": ok,
-        "reports": [rep.to_dict() for rep in failed],
+        "reports": [rep.to_dict() for rep in reports],
         "counts": [
-            {
-                "check": rep.check,
-                "items": len(rep.items) + rep.unlisted,
-                "failures": len(bad.items),
-            }
-            for rep, bad in zip(reports, failed)
+            {"check": rep.check, "items": len(rep.items) + rep.unlisted, "failures": len(rep.items)}
+            for rep in reports
         ],
     }
     _emit_doc(args, doc)

@@ -13,10 +13,13 @@ pairs depend only on that residue and on the distance of the partner.  One
 pass over the factors of m, or of its image, meets every partner whose
 table shares each of them, and only the nonzero pairs are kept.
 
-Every sweep takes an optional target report.  Without one it returns a
-report of every item; with one it adds only the failing items to it and
-counts the rest in `Report.unlisted`, so a sweep whose passing items nobody
-reads never builds them.
+Every sweep adds its items to an optional target report, or to a new
+`Report`, and returns it; the report's type decides what is listed (see
+`report`).  A `Report`, given or not, lists every item.  For a
+`FailureReport`, which only `verify` builds, a sweep skips and counts the
+candidates it knows pass without building them: reciprocity offsets outside
+both supports, in-range bounds factors and single endpoints, level-drop Hom
+distances where both levels agree, and linked pairs.
 
 The linkage sweep inverts the tables of its window, mapping each factor to
 the weights whose tables hold it, and tests each pair for one dot orbit by
@@ -78,22 +81,15 @@ def verify_reciprocity(lam: int, ctx: Context, target: Report | None = None) -> 
     """Factor multiplicities of the projective cover of the simple at lam
     against composition multiplicities of costandard objects, computed by the
     independent character-peeling oracle and read from its inverted index,
-    for every mu in [lam, tilde(lam)].
-
-    With a target, only the mu in the support of either side are compared
-    (every other mu reads 0 on both), the failures are added to the target
-    and the other items counted; the target is returned."""
+    for every mu in [lam, tilde(lam)]."""
     lt = tilde(lam, ctx)
     fac = delta_factors(lt, ctx)
     simples = _simples_index(ctx.p, ctx.r)[lam % ctx.q]
     top = lt - lam
-    if target is None:
-        rep, offsets = Report("reciprocity", ctx._asdict()), range(top + 1)
-    else:
-        support = sorted({mu - lam for mu in fac}.union(simples))
-        rep, offsets = target, [
-            d for d in support if 0 <= d <= top and fac.get(lam + d, 0) != simples.get(d, 0)
-        ]
+    rep = target or Report("reciprocity", ctx._asdict())
+    offsets = range(top + 1)
+    if not rep.lists_passes:  # every mu outside both supports reads 0 on both sides
+        offsets = [d for d in sorted({mu - lam for mu in fac}.union(simples)) if 0 <= d <= top]
     for d in offsets:
         rep.add({"lam": lam, "mu": lam + d}, fac.get(lam + d, 0), simples.get(d, 0))
     rep.unlisted += top + 1 - len(offsets)
@@ -102,21 +98,18 @@ def verify_reciprocity(lam: int, ctx: Context, target: Report | None = None) -> 
 
 def verify_bounds(lam: int, ctx: Context, target: Report | None = None) -> Report:
     """Every factor nu of the projective cover at lam satisfies
-    lam <= nu <= tilde(lam), and both endpoints occur exactly once.
-
-    With a target, the failures are added to it and the other items
-    counted; the target is returned."""
+    lam <= nu <= tilde(lam), and both endpoints occur exactly once."""
     lt = tilde(lam, ctx)
     fac = delta_factors(lt, ctx)
-    rep = Report("bounds", ctx._asdict()) if target is None else target
-    factors = sorted(fac if target is None else (nu for nu in fac if not lam <= nu <= lt))
+    rep = target or Report("bounds", ctx._asdict())
+    factors = sorted(fac if rep.lists_passes else (nu for nu in fac if not lam <= nu <= lt))
     for nu in factors:
         rep.add(
             {"lam": lam, "nu": nu},
             {"lo": lam <= nu, "hi": nu <= lt},
             {"lo": True, "hi": True},
         )
-    endpoints = [e for e in (lam, lt) if target is None or fac.get(e, 0) != 1]
+    endpoints = [e for e in (lam, lt) if rep.lists_passes or fac.get(e, 0) != 1]
     for e in endpoints:
         rep.add({"lam": lam, "endpoint": e}, fac.get(e, 0), 1)
     rep.unlisted += len(fac) + 2 - len(factors) - len(endpoints)
@@ -125,18 +118,15 @@ def verify_bounds(lam: int, ctx: Context, target: Report | None = None) -> Repor
 
 def verify_strong_linkage(lam: int, ctx: Context, target: Report | None = None) -> Report:
     """Every factor of the projective cover at lam is strongly linked above
-    lam and below tilde(lam).
-
-    With a target, the failures are added to it and the other items
-    counted; the target is returned."""
+    lam and below tilde(lam)."""
     lt = tilde(lam, ctx)
-    rep = Report("strong-linkage", ctx._asdict()) if target is None else target
+    rep = target or Report("strong-linkage", ctx._asdict())
     for nu in sorted(delta_factors(lt, ctx)):
         for direction, linked in (
             ("up", strongly_linked(lam, nu, ctx)),
             ("to-tilde", strongly_linked(nu, lt, ctx)),
         ):
-            if target is None or not linked:
+            if rep.lists_passes or not linked:
                 rep.add({"lam": lam, "nu": nu, "dir": direction}, linked, True)
             else:
                 rep.unlisted += 1
@@ -189,24 +179,18 @@ def _steinberg_homs(p: int, r: int, m0: int) -> tuple[dict[int, tuple[int, int]]
 def verify_steinberg_equivalence(m: int, ctx: Context, target: Report | None = None) -> Report:
     """The level-(r-1) table of m matches the level-r table of p-1+p*m under
     nu -> p-1+p*nu, and Hom dimensions agree across the embedding on a
-    window of partners.
-
-    With a target, the failures are added to it and the other items
-    counted; the target is returned."""
+    window of partners."""
     if ctx.r < 2:
         raise ValueError("the level-drop check needs r >= 2")
     p = ctx.p
     sub_ctx = Context(p, ctx.r - 1)
-    rep = Report("steinberg-equivalence", ctx._asdict()) if target is None else target
+    rep = target or Report("steinberg-equivalence", ctx._asdict())
     image = sorted((p - 1 + p * nu, k) for nu, k in delta_factors(m, sub_ctx).items())
     lhs = sorted(delta_factors(p - 1 + p * m, ctx).items())
-    if target is None or lhs != image:
-        rep.add({"m": m, "check": "factor-table"}, lhs, image)
-    else:
-        rep.unlisted += 1
+    rep.add({"m": m, "check": "factor-table"}, lhs, image)
     homs, fails = _steinberg_homs(p, ctx.r, m % sub_ctx.q)
     span = 2 * sub_ctx.q
-    listed = range(-span, span + 1) if target is None else fails
+    listed = range(-span, span + 1) if rep.lists_passes else fails
     for d in listed:
         rep.add({"m": m, "m2": m + d, "check": "hom"}, *homs.get(d, (0, 0)))
     rep.unlisted += 2 * span + 1 - len(listed)
@@ -215,24 +199,14 @@ def verify_steinberg_equivalence(m: int, ctx: Context, target: Report | None = N
 
 def verify_mult_free(lo: int, hi: int, ctx: Context, target: Report | None = None) -> Report:
     """All multiplicities are one and factor counts are powers of two over
-    the weight window [lo, hi].
-
-    With a target, the failures are added to it and the other items
-    counted; the target is returned."""
-    rep = Report("mult-free", ctx._asdict()) if target is None else target
+    the weight window [lo, hi]."""
+    rep = target or Report("mult-free", ctx._asdict())
     for lam in range(lo, hi + 1):
         fac = delta_factors(lam, ctx)
-        top = max(fac.values())
-        if target is None or top != 1:
-            rep.add({"lam": lam, "check": "multiplicity"}, top, 1)
-        else:
-            rep.unlisted += 1
+        rep.add({"lam": lam, "check": "multiplicity"}, max(fac.values()), 1)
         n = len(fac)
         power = n >= 1 and (n & (n - 1)) == 0
-        if target is None or not power:
-            rep.add({"lam": lam, "check": "factor-count"}, n, "a power of two", passed=power)
-        else:
-            rep.unlisted += 1
+        rep.add({"lam": lam, "check": "factor-count"}, n, "a power of two", passed=power)
     return rep
 
 
@@ -241,11 +215,8 @@ def verify_linkage_necessity(
 ) -> Report:
     """Nonzero Hom between tiltings forces the highest weights into one dot
     orbit: the lower is strongly linked to the higher.  Only pairs with
-    nonzero Hom produce items.
-
-    With a target, the failures are added to it and the other items
-    counted; the target is returned."""
-    rep = Report("linkage-necessity", ctx._asdict()) if target is None else target
+    nonzero Hom produce items."""
+    rep = target or Report("linkage-necessity", ctx._asdict())
     tables = {mu: delta_factors(mu, ctx) for mu in range(lo, hi + 1)}
     # Hom is nonzero exactly when two tables share a factor
     holders: dict[int, list[int]] = {}
@@ -255,7 +226,7 @@ def verify_linkage_necessity(
     for lam, fac in tables.items():
         for mu in sorted({mu for nu in fac for mu in holders[nu]}):
             linked = strongly_linked(min(lam, mu), max(lam, mu), ctx)
-            if target is None or not linked:
+            if rep.lists_passes or not linked:
                 rep.add({"lam": lam, "mu": mu}, linked, True)
             else:
                 rep.unlisted += 1

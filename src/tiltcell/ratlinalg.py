@@ -2,7 +2,7 @@
 
 The columns are the indices 0..n-1, and an index is its column's elimination
 priority: smaller indices are pivoted first.  Rows are dicts mapping column
-indices to nonzero `int`s (`quiver._linear_setup` clears the denominators of
+indices to nonzero `int`s (`linear._linear_setup` clears the denominators of
 each relation once).  Each row is divided by its content on entry, and
 elimination cross-multiplies integers and divides out the content gcd after
 every step (Bareiss, Math. Comp. 22, 1968, without the determinant
@@ -106,7 +106,7 @@ class ContractedEchelon:
     """The span of a row stream over the columns 0..n-1 (read until every class
     is dead), with the `rank`, `pivots_among` and `reduce` of a `SparseEchelon`
     fed all of it, provided each row is non-empty with nonzero `int` entries,
-    as every row of `quiver._relation_rows` is.  Nothing checks it: {c: 0}
+    as every row of `linear._relation_rows` is.  Nothing checks it: {c: 0}
     kills c, a two-term row with a zero stores a zero ratio, {} raises."""
 
     def __init__(self, n: int, rows: Iterable[Mapping[int, int]]):

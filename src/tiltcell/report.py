@@ -2,8 +2,12 @@
 
 A report never raises on a mathematical failure: each checked item records
 both sides of its equality so the CLI can render exactly what disagreed.
-A sweep that reports only its failures adds those as items and counts the
-items that passed without listing them.
+
+What a report lists is decided by its type, once: a `Report` lists every
+item added to it, and a `FailureReport` lists only the failing ones and
+counts each passing one in `unlisted`.  A sweep that knows a whole run of
+candidates passes may skip them, and count them, only where its report's
+`lists_passes` is false.
 """
 
 from __future__ import annotations
@@ -28,11 +32,12 @@ class Report:
     count of passing items checked but not listed."""
 
     __slots__ = ("check", "context", "items", "unlisted")
+    lists_passes = True
 
-    def __init__(self, check: str, context: dict, items: list[ReportItem] | None = None) -> None:
+    def __init__(self, check: str, context: dict) -> None:
         self.check = check
         self.context = context
-        self.items = [] if items is None else items
+        self.items: list[ReportItem] = []
         self.unlisted = 0
 
     @property
@@ -46,12 +51,16 @@ class Report:
     def add(self, input: Any, lhs: Any, rhs: Any, passed: bool | None = None) -> None:
         if passed is None:
             passed = lhs == rhs
-        self.items.append(ReportItem(input, lhs, rhs, passed))
+        if passed and not self.lists_passes:
+            self.unlisted += 1
+        else:
+            self.items.append(ReportItem(input, lhs, rhs, passed))
 
     def extend(self, other: "Report") -> None:
-        """Append the items of other and add its unlisted count.  No sweep
-        calls it any more; perfbench/child.py wraps it by name."""
-        self.items.extend(other.items)
+        """Add the items of other, as `add` adds them, and its unlisted
+        count."""
+        for item in other.items:
+            self.add(*item)
         self.unlisted += other.unlisted
 
     def to_dict(self) -> dict:
@@ -61,3 +70,11 @@ class Report:
             "pass": self.all_pass,
             "items": [item.to_dict() for item in self.items],
         }
+
+
+class FailureReport(Report):
+    """A report that lists only its failing items; `verify` prints one per
+    check, with the count of every item checked."""
+
+    __slots__ = ()
+    lists_passes = False
