@@ -478,7 +478,7 @@ def _guard_weight_suites(name: str, lo: int, hi: int, ctx: Context) -> None:
     guard_tables(tables, ctx)
 
 
-def _run_suite(name: str, args) -> list[Report]:
+def _run_suite(name: str, args) -> list[FailureReport]:
     # the sweeps are read on deltafilt, where the benchmark's tracer wraps them
     from . import deltafilt
 
