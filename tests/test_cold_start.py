@@ -168,6 +168,17 @@ def test_verify_reciprocity_loads_the_sweeps():
     assert {"tiltcell.deltafilt", "tiltcell.charring"} <= loaded
 
 
+def test_verify_quiver_suite_loads_what_quiver_check_loads():
+    # the quiver suite runs quiver-check's comparison and no weight sweep;
+    # `all` adds the sweeps
+    loaded = _imported_after("from tiltcell import cli\ncli.run(['verify', '--suite', 'quiver', '--p', '3'])")
+    layers = ("cli", "quiver", "linear", "ratlinalg", "cellbasis", "factors", "report", "weights")
+    assert loaded == {"tiltcell", *(f"tiltcell.{m}" for m in layers)}
+    argv = ["verify", "--suite", "all", "--p", "3", "--r", "2"]
+    loaded = _imported_after(f"from tiltcell import cli\ncli.run({argv!r})")
+    assert {"tiltcell.deltafilt", "tiltcell.charring"} <= loaded
+
+
 def test_unknown_quiver_attribute():
     with pytest.raises(AttributeError, match="no_such_name"):
         quiver.no_such_name
