@@ -49,8 +49,8 @@ if TYPE_CHECKING:
 SCHEMA = 1
 # the keys of quiver.PRESETS; the quiver module is imported only by the
 # commands that build a quiver, and the weight sweeps and characters
-# (deltafilt, charring) only by `verify` and `char`, so that each command
-# compiles only the layers it runs
+# (deltafilt, charring) only by `char` and the weight suites of `verify`, so
+# that each command compiles only the layers it runs
 PRESET_NAMES = ("p1", "p2", "sl3")
 DEFAULT_MAX_WORK = 2_000_000
 # what an omitted --p or --r means; the flags default to None, so that a
@@ -479,14 +479,14 @@ def _guard_weight_suites(name: str, lo: int, hi: int, ctx: Context) -> None:
 
 
 def _run_suite(name: str, args) -> list[FailureReport]:
-    # the sweeps are read on deltafilt, where the benchmark's tracer wraps them
-    from . import deltafilt
-
     if name == "quiver" and any(v is not None for v in (args.r, args.lo, args.hi)):
         raise UsageError("the quiver suite reads no --r, --lo or --hi")
     ctx = _context(args)
     lo, hi = args.lo, args.hi
     if name != "quiver":
+        # the sweeps are read on deltafilt, where the benchmark's tracer wraps them
+        from . import deltafilt
+
         if lo is None or hi is None:
             # a defaulted end is -2q or 2q, and every weight suite sweeps more
             # items than the window holds, so more than q = p**r
