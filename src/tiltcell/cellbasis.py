@@ -2,10 +2,10 @@
 and the distinguished generator sets.
 
 A cellular basis element of Hom(P, Q) between tilting objects is named by a
-triple (cell weight nu, i, j): i indexes the occurrences of the standard
-object at nu in P, j the occurrences in Q.  Nothing here realises morphisms
-as linear maps; the quiver module checks the composition axiom on actual
-path algebras.
+triple (cell, i, j): i indexes the occurrences of the standard object at
+the cell weight in P, j the occurrences in Q.  Nothing here realises
+morphisms as linear maps; the quiver module checks the composition axiom
+on actual path algebras.
 
 The rank-two block of category O for sl3 is stated by the element names of
 S3 and their lengths.  S3 is dihedral, so its Bruhat order is the length
@@ -26,34 +26,22 @@ ObjectLabel = tuple[tuple[int, int], ...]  # sorted ((weight, multiplicity), ...
 
 
 class CellIndex(NamedTuple):
-    """The name c^nu_(i,j) of a cellular basis element of Hom(source, target)."""
+    """The name c^cell_(i,j) of a cellular basis element of Hom(source, target)."""
 
-    cell_weight: int
+    cell: int
     i: int
     j: int
     source: ObjectLabel
     target: ObjectLabel
 
-    def to_dict(self) -> dict:
-        return {
-            "cell": self.cell_weight,
-            "i": self.i,
-            "j": self.j,
-            "source": [list(t) for t in self.source],
-            "target": [list(t) for t in self.target],
-        }
-
 
 class GeneratorSymbol(NamedTuple):
     """A distinguished basis element: the lift of the inclusion of the
-    standard object at low_weight into the tilting at high_weight."""
+    standard object at low into the tilting at high."""
 
-    low_weight: int
-    high_weight: int
+    low: int
+    high: int
     index: int = 1
-
-    def to_dict(self) -> dict:
-        return {"low": self.low_weight, "high": self.high_weight, "index": self.index}
 
 
 def object_label(M: dict[int, int]) -> ObjectLabel:
@@ -95,24 +83,23 @@ def cell_indices(P: dict[int, int], Q: dict[int, int], ctx: Context) -> list[Cel
 
 def dagger(c: CellIndex) -> CellIndex:
     """The anti-involution on index triples: swap (i, j) and the objects."""
-    return CellIndex(c.cell_weight, c.j, c.i, c.target, c.source)
+    return CellIndex(c.cell, c.j, c.i, c.target, c.source)
 
 
 def generator_set_br(ctx: Context) -> list[GeneratorSymbol]:
     """The finite generating family at level r: one symbol for every pair
     0 <= m < p^r, m <= n <= 2*p^r - 2 - m whose tilting at n has a standard
-    factor at m.  Multiplicity one throughout, so every index is 1.
+    factor at m.  Every factor has multiplicity one, so every index is 1.
 
     Each table n = 0 .. 2*p^r - 2 is read once; m <= n holds because a
     tilting's factors lie below its highest weight."""
     q = ctx.q
-    found = [
-        (m, n, mult)
+    return sorted(
+        GeneratorSymbol(m, n)
         for n in range(2 * q - 1)
-        for m, mult in delta_factors(n, ctx).items()
+        for m in delta_factors(n, ctx)
         if 0 <= m < q and n <= 2 * q - 2 - m
-    ]
-    return [GeneratorSymbol(m, n, i) for m, n, mult in sorted(found) for i in range(1, mult + 1)]
+    )
 
 
 def generator_set_br0(ctx: Context) -> list[GeneratorSymbol]:
@@ -123,7 +110,7 @@ def generator_set_br0(ctx: Context) -> list[GeneratorSymbol]:
     return [
         g
         for g in generator_set_br(ctx)
-        if g.low_weight % p2 in keep and g.high_weight % p2 in keep
+        if g.low % p2 in keep and g.high % p2 in keep
     ]
 
 

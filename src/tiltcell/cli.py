@@ -350,7 +350,8 @@ def cmd_cell_basis(args) -> int:
     kp, kq = cellbasis.standard_counts(P, ctx), cellbasis.standard_counts(Q, ctx)
     guard_work(sum(k * kq.get(nu, 0) for nu, k in kp.items()))  # the indices listed
     guard_work(len(P) * len(Q))  # the Hom pairs of their cross-check
-    indices = [c.to_dict() for c in cellbasis.cell_indices(P, Q, ctx)]
+    # a record's fields are the keys printed; JSON writes its labels as lists
+    indices = [c._asdict() for c in cellbasis.cell_indices(P, Q, ctx)]
     _emit_doc(args, {"p": ctx.p, "r": ctx.r, "count": len(indices), "indices": indices})
     return 0
 
@@ -377,9 +378,9 @@ def cmd_generators(args) -> int:
         "p": ctx.p,
         "r": ctx.r,
         "principal_block": bool(args.principal_block),
-        "generators": [g.to_dict() for g in gens],
+        "generators": [g._asdict() for g in gens],
     }
-    _emit_doc(args, doc, [(g.low_weight, g.high_weight, g.index) for g in gens])
+    _emit_doc(args, doc, gens)
     return 0
 
 

@@ -44,10 +44,6 @@ class Report:
     def all_pass(self) -> bool:
         return all(item.passed for item in self.items)
 
-    @property
-    def failures(self) -> list[ReportItem]:
-        return [item for item in self.items if not item.passed]
-
     def add(self, input: Any, lhs: Any, rhs: Any, passed: bool | None = None) -> None:
         if passed is None:
             passed = lhs == rhs

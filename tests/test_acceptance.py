@@ -91,7 +91,7 @@ def test_criterion_3_reciprocity():
                 ctx = Context(p, r)
                 for lam in range(-2 * ctx.q, 2 * ctx.q + 1):
                     rep = verify_reciprocity(lam, ctx)
-                    assert rep.all_pass, (p, r, lam, rep.failures[:3])
+                    assert rep.all_pass, (p, r, lam, [it for it in rep.items if not it.passed][:3])
 
 
 def test_criterion_4_multiplicity_freeness():
@@ -100,7 +100,7 @@ def test_criterion_4_multiplicity_freeness():
             for r in (1, 2, 3):
                 ctx = Context(p, r)
                 rep = verify_mult_free(-4 * ctx.q, 4 * ctx.q, ctx)
-                assert rep.all_pass, (p, r, rep.failures[:3])
+                assert rep.all_pass, (p, r, [it for it in rep.items if not it.passed][:3])
 
 
 def test_criterion_5_weight_bounds():
@@ -110,7 +110,7 @@ def test_criterion_5_weight_bounds():
                 ctx = Context(p, r)
                 for lam in range(-4 * ctx.q, 4 * ctx.q + 1):
                     rep = verify_bounds(lam, ctx)
-                    assert rep.all_pass, (p, r, lam, rep.failures[:3])
+                    assert rep.all_pass, (p, r, lam, [it for it in rep.items if not it.passed][:3])
 
 
 def test_criterion_6_strong_linkage():
@@ -135,7 +135,7 @@ def test_criterion_7_steinberg_equivalence():
                 ctx = Context(p, r)
                 for m in range(-2 * p, 2 * p + 1):
                     rep = verify_steinberg_equivalence(m, ctx)
-                    assert rep.all_pass, (p, r, m, rep.failures[:3])
+                    assert rep.all_pass, (p, r, m, [it for it in rep.items if not it.passed][:3])
 
 
 def test_criterion_8_zigzag_quiver():

@@ -23,14 +23,14 @@ from tiltcell.weights import Context
 def test_cell_indices_endomorphisms():
     ctx = Context(3, 1)
     idx = cell_indices({0: 1}, {0: 1}, ctx)
-    assert [(c.cell_weight, c.i, c.j) for c in idx] == [(0, 1, 1), (-2, 1, 1)]
+    assert [(c.cell, c.i, c.j) for c in idx] == [(0, 1, 1), (-2, 1, 1)]
 
 
 def test_cell_indices_disjoint_and_pair():
     ctx = Context(5, 2)
     assert cell_indices({-1: 1}, {24: 1}, ctx) == []
     idx = cell_indices({0: 1}, {8: 1}, ctx)
-    assert [c.cell_weight for c in idx] == [0, -2]
+    assert [c.cell for c in idx] == [0, -2]
 
 
 def test_cell_indices_count_matches_hom():
@@ -52,7 +52,7 @@ def test_cell_indices_count_checked_loudly(monkeypatch):
 def test_cell_indices_grouped_descending():
     ctx = Context(5, 2)
     idx = cell_indices({10: 1}, {10: 1}, ctx)
-    cells = [c.cell_weight for c in idx]
+    cells = [c.cell for c in idx]
     assert cells == sorted(cells, reverse=True)
 
 
@@ -77,9 +77,9 @@ def test_identity_index_normalisation():
 
 def test_generator_set_small():
     ctx = Context(3, 1)
-    got = {(g.low_weight, g.high_weight, g.index) for g in generator_set_br(ctx)}
+    got = {(g.low, g.high, g.index) for g in generator_set_br(ctx)}
     assert got == {(0, 0, 1), (0, 4, 1), (1, 1, 1), (1, 3, 1), (2, 2, 1)}
-    got0 = {(g.low_weight, g.high_weight) for g in generator_set_br0(ctx)}
+    got0 = {(g.low, g.high) for g in generator_set_br0(ctx)}
     assert got0 == {(0, 0), (0, 4)}
 
 
@@ -88,17 +88,17 @@ def test_generator_set_properties():
         ctx = Context(p, r)
         q = ctx.q
         gens = generator_set_br(ctx)
-        assert all(0 <= g.low_weight < q for g in gens)
-        assert all(g.low_weight <= g.high_weight <= 2 * q - 2 - g.low_weight for g in gens)
+        assert all(0 <= g.low < q for g in gens)
+        assert all(g.low <= g.high <= 2 * q - 2 - g.low for g in gens)
         assert all(g.index == 1 for g in gens)  # multiplicity freeness
         # identities are present for every column weight
-        assert all(any(g.low_weight == m and g.high_weight == m for g in gens) for m in range(q))
+        assert all(any(g.low == m and g.high == m for g in gens) for m in range(q))
         # the top special weight admits only its identity
-        st = [g for g in gens if g.low_weight == q - 1]
-        assert st == [g for g in gens if g.low_weight == q - 1 and g.high_weight == q - 1]
+        st = [g for g in gens if g.low == q - 1]
+        assert st == [g for g in gens if g.low == q - 1 and g.high == q - 1]
         # block filter is a genuine restriction of the full family
-        full = {(g.low_weight, g.high_weight) for g in gens}
-        assert {(g.low_weight, g.high_weight) for g in generator_set_br0(ctx)} <= full
+        full = {(g.low, g.high) for g in gens}
+        assert {(g.low, g.high) for g in generator_set_br0(ctx)} <= full
 
 
 def test_sl3_delta_table():

@@ -451,7 +451,7 @@ def _counted_against_full(argv, calls, ctx, fresh_caches):
     for cache in fresh_caches:
         cache.cache_clear()
     full = [sweep(*args, ctx) for sweep, args in calls]
-    failures = [item.to_dict() for rep in full for item in rep.failures]
+    failures = [item.to_dict() for rep in full for item in rep.items if not item.passed]
     doc = json.loads(out)
     assert code == 1 and not doc["pass"]
     assert doc["reports"][0]["items"] == json.loads(json.dumps(failures))

@@ -18,9 +18,10 @@ dicts.  The three entries with a mult-free report were re-recorded when that
 report's context gained the window (lo, hi) that the other weight reports
 carry.  The eleven entries that print a ladder's `excluded_boundary_pairs`
 were re-recorded when that count became the number of boundary pairs with
-an alive path, no longer the nonzero ones only.  A refactor of `cli.py`, `quiver.py`, `deltafilt.py`, `charring.py`
-or `weights.py` must leave every entry unchanged; a deliberate change of
-output format must update the digests in the same change.
+an alive path, no longer the nonzero ones only.  A refactor of `cli.py`,
+`quiver.py`, `deltafilt.py`, `charring.py`, `weights.py`, `cellbasis.py` or
+`report.py` must leave every entry unchanged; a deliberate change of output
+format must update the digests in the same change.
 """
 
 from __future__ import annotations

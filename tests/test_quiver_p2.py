@@ -76,9 +76,10 @@ def test_printed_families_leave_top_columns_too_big():
     q, rels = build_p2_quiver(3, window=1, boundary_loops=False)
     res = quotient_dims(q, rels, 5, require_saturation=False)
     rep = check_against_cellular(q, res)
-    bad = {tuple(sorted((it.input["source"], it.input["target"]))) for it in rep.failures}
+    failed = [it for it in rep.items if not it.passed]
+    bad = {tuple(sorted((it.input["source"], it.input["target"]))) for it in failed}
     assert bad == {(c, c) for c in (-6, -3, 0, 3, 6)}
-    for it in rep.failures:
+    for it in failed:
         assert (it.lhs, it.rhs) == (3, 2)
 
 
@@ -154,7 +155,7 @@ def test_scalar_locus(p, balanced, unbalanced):
         assert outcome(scalars).all_pass
     collapsed = outcome(unbalanced)
     assert not collapsed.all_pass
-    assert all(it.lhs < it.rhs for it in collapsed.failures)
+    assert all(it.lhs < it.rhs for it in collapsed.items if not it.passed)
 
 
 def test_normal_form_examples():

@@ -221,7 +221,7 @@ def test_hom_dim_matches_reference(case, periods, offset):
 
 @pytest.mark.parametrize("p,r", [(p, r) for p in (3, 5, 7) for r in (1, 2, 3)] + [(3, 4)])
 def test_generators_match_reference(p, r):
-    got = [(g.low_weight, g.high_weight, g.index) for g in generator_set_br(Context(p, r))]
+    got = [(g.low, g.high, g.index) for g in generator_set_br(Context(p, r))]
     assert got == ref_generators(p, r)
 
 
