@@ -16,17 +16,18 @@ certified symmetries is eliminated and the others take its verdict (see
 Folding
 -------
 A map g of paths that sends arrows to arrows (reversing each path if g is an
-anti-automorphism) and the relation set onto itself up to nonzero scalars
-sends the alive paths of a pair bijectively to those of its image pair,
-length by length, and its relation rows to scalar multiples of the image's
-rows.  The two pairs then have the same rank, and the same projected rank on
-the top-length columns, which is what saturation reads (`pivots_among` does
-not depend on the column order within one length).  `quotient_dims` uses
-three such maps, each only once an exact certificate passes:
+anti-automorphism), the monomial redexes onto themselves and the relation
+index onto itself up to content and sign (`_canonical`) sends the alive
+paths of a pair bijectively to those of its image pair, length by length,
+and its relation rows to scalar multiples of the image's rows.  The two
+pairs then have the same rank, and the same projected rank on the top-length
+columns, which is what saturation reads (`pivots_among` does not depend on
+the column order within one length).  `quotient_dims` uses three such maps,
+each only once an exact certificate passes on what the rows read:
 
 * duality: each arrow to its `dual`, paths reversed, (s, t) to (t, s).  The
   builders close every preset under it by construction; it is still
-  certified once per call, relation by relation, for sets built by hand.
+  certified once per call, for sets built by hand.
 * the preset's `mirror`, a vertex involution (sl3: s <-> t, st <-> ts) that
   sends each arrow to the arrow of its kind between the images of its ends,
   certified the same way.
@@ -34,8 +35,8 @@ three such maps, each only once an exact certificate passes:
   window cuts the ladder, so it is certified per pair.  (s, t) and
   (s - P, t - P) are translates when the alive path list of the first,
   translated arrow by arrow (looked up by source, target and kind), is the
-  list of the second, and the relation index at every vertex on those
-  paths, translated, is the index one period below.  A nonzero row only
+  list of the second, and the index entries at every vertex on those
+  paths, translated, are those one period below.  A nonzero row only
   touches alive paths of its pair, so the rows then correspond.  A verdict
   is translated only onto a core pair: no boundary pair is decided, and the
   translates of a core pair that lie in the core are consecutive, so every
@@ -49,11 +50,10 @@ itself.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import eq
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .quiver import (PRESETS, Pair, Path, Quiver, QuotientDims, RelationSet, Vertex, _alive_paths,
                      _pair_key)
@@ -65,10 +65,11 @@ class NotSaturated(RuntimeError):
 
 
 class _LinearSetup(NamedTuple):
-    """What one call of the linear engine shares between vertex pairs."""
+    """What one call of the linear engine reads of the presentation, shared by all pairs."""
 
     max_len: int
     alive: dict[Pair, list[Path]]  # each list in (length, lex) order
+    redexes: frozenset[Path]  # the monomial relations of at most max_len arrows
     # source vertex -> (target, longest term, integer-scaled alive terms) per
     # non-monomial relation with a live term and no term longer than max_len
     index: dict[Vertex, list[tuple[Vertex, int, tuple[tuple[Path, int], ...]]]]
@@ -78,7 +79,8 @@ class _LinearSetup(NamedTuple):
 def _linear_setup(quiver: Quiver, rels: RelationSet, max_len: int) -> _LinearSetup:
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    alive = _alive_paths(quiver, max_len, rels.zero_redexes)
+    redexes = frozenset(w for w in rels.zero_redexes if len(w) <= max_len)
+    alive = _alive_paths(quiver, max_len, redexes)
     index: dict = {}
     for rel in rels.relations:
         span = max(len(term) for term in rel.terms)
@@ -86,13 +88,14 @@ def _linear_setup(quiver: Quiver, rels: RelationSet, max_len: int) -> _LinearSet
             # rows matter only up to a scalar, so clear the denominators
             scale = lcm(*(c.denominator for c in rel.terms.values()))
             live = set(alive.get((rel.source, rel.target), ()))
-            terms = tuple((term, int(c * scale)) for term, c in rel.terms.items() if term in live)
+            terms = tuple((term, c.numerator * (scale // c.denominator))
+                          for term, c in rel.terms.items() if term in live)
             if terms:
                 index.setdefault(rel.source, []).append((rel.target, span, terms))
     reach: dict = {}
     for s, u in alive:
         reach.setdefault(s, []).append(u)
-    return _LinearSetup(max_len, alive, index, reach)
+    return _LinearSetup(max_len, alive, redexes, index, reach)
 
 
 def _relation_rows(setup: _LinearSetup, pair: Pair, col: Mapping[Path, int]) -> Iterator[Row]:
@@ -132,28 +135,35 @@ def _echelon(setup: _LinearSetup, pair: Pair) -> tuple[ContractedEchelon, dict[P
     return ContractedEchelon(len(col), _relation_rows(setup, pair, col)), col
 
 
-def _canonical(source: Vertex, target: Vertex, terms: Mapping[Path, Fraction]) -> tuple:
-    """A relation up to a nonzero scalar: its ends, and its terms in path
-    order scaled so that the first coefficient is 1."""
-    items = sorted(terms.items())
-    lead = items[0][1] if items else 1
-    if lead != 1:
-        items = [(path, c / lead) for path, c in items]
-    return (source, target, tuple(items))
+def _canonical(terms: Iterable[tuple[Path, int]]) -> tuple[tuple[Path, int], ...]:
+    """Integer terms up to a nonzero scalar: sorted by path, divided by their
+    content and signed so that the first coefficient is positive."""
+    items = sorted(terms)
+    g = gcd(*(k for _, k in items))
+    g = g if items[0][1] > 0 else -g
+    return tuple((path, k // g) for path, k in items)
 
 
-def _pair_map(
-    quiver: Quiver, rels: RelationSet, image: list[int | None], reverse: bool
-) -> Callable[[Pair], Pair] | None:
+def _forms(setup: _LinearSetup, move: Callable | None = None, path: Callable | None = None
+           ) -> dict[Vertex, set[tuple]]:
+    """The index as source -> its entries (target, span, `_canonical` terms);
+    given `move` and `path`, its image, the ends moved by `move` and paths by `path`."""
+    forms: dict = {}
+    for s, entries in setup.index.items():
+        for t, span, terms in entries:
+            ends = move((s, t)) if move else (s, t)
+            terms = [(path(q), k) for q, k in terms] if path else terms
+            forms.setdefault(ends[0], set()).add((ends[1], span, _canonical(terms)))
+    return forms
+
+
+def _pair_map(quiver: Quiver, setup: _LinearSetup, image: list[int | None],
+              reverse: bool) -> Callable[[Pair], Pair] | None:
     """The map on vertex pairs of the automorphism of the path algebra that
     sends arrow i to arrow image[i] (an anti-automorphism, reversing every
-    path, if `reverse`).  None unless the certificate holds: the arrow map is
-    a bijection, the arrow ends give one map of the vertices, and every
-    relation goes to a relation of the set up to a nonzero scalar.  As the
-    arrow map permutes the arrow ends, the vertex map takes the finite set of
-    vertices on arrows onto itself, so one to one, and fixes the others.  The
-    pair map carries the alive paths and relation rows of a pair onto those
-    of its image."""
+    path, if `reverse`), or None unless the arrow map is a bijection whose
+    ends give one vertex map (one to one, as it permutes the arrow ends) and
+    it takes the set-up's redexes and index (`_forms`) onto themselves."""
     arrows = quiver.arrows
     if None in image or sorted(image) != list(range(len(arrows))):
         return None
@@ -171,14 +181,12 @@ def _pair_map(
         s, t = vmap[pair[0]], vmap[pair[1]]
         return (t, s) if reverse else (s, t)
 
-    known = {_canonical(rel.source, rel.target, rel.terms) for rel in rels.relations}
-    for rel in rels.relations:
-        terms = {tuple(image[a] for a in path): c for path, c in rel.terms.items()}
-        if reverse:
-            terms = {path[::-1]: c for path, c in terms.items()}
-        if _canonical(*move((rel.source, rel.target)), terms) not in known:
-            return None
-    return move
+    def path(q: Path) -> Path:
+        return tuple(image[a] for a in (q[::-1] if reverse else q))
+
+    redexes = setup.redexes
+    certified = set(map(path, redexes)) == redexes and _forms(setup, move, path) == _forms(setup)
+    return move if certified else None
 
 
 class _Fold:
@@ -187,7 +195,7 @@ class _Fold:
     and saturation: path-reversal duality and the preset's mirror, each
     certified once, and translation by the shift period, certified per pair."""
 
-    def __init__(self, quiver: Quiver, rels: RelationSet, setup: _LinearSetup):
+    def __init__(self, quiver: Quiver, setup: _LinearSetup):
         self.alive, self.core = setup.alive, quiver.core
         arrows, by_name = quiver.arrows, quiver.by_name
         by_ends = {(a.source, a.target, a.kind): i for i, a in enumerate(arrows)}
@@ -196,32 +204,26 @@ class _Fold:
         if m:
             ends = [(m.get(a.source, a.source), m.get(a.target, a.target), a.kind) for a in arrows]
             images.append(([by_ends.get(e) for e in ends], False))
-        maps = (_pair_map(quiver, rels, image, reverse) for image, reverse in images)
+        maps = (_pair_map(quiver, setup, image, reverse) for image, reverse in images)
         self.maps = [move for move in maps if move is not None]
         self.period = period = quiver.shift_period
-        self.same: dict[Vertex, bool] = {}  # index at v, translated, is the index at v - period
+        self.same: dict[Vertex, bool] = {}  # forms at v, translated, are those at v - period
         self.step: list[int | None] = []  # arrow -> its translate by -period, if usable
         if not period or len(by_ends) < len(arrows):
             return
-        shift = [by_ends.get((a.source - period, a.target - period, a.kind)) for a in arrows]
-
-        def moved(entry):
-            target, span, terms = entry
-            return (target - period, span, tuple((tuple(shift[a] for a in t), c) for t, c in terms))
-
-        index = setup.index
-        self.same = {
-            v: [moved(e) for e in index.get(v, ())] == index.get(v - period, [])
-            for v in quiver.vertices
-        }
+        # -1, which names no arrow, where an arrow has no translate: None
+        # would not sort against arrow ids in `_canonical`
+        shift = [by_ends.get((a.source - period, a.target - period, a.kind), -1) for a in arrows]
+        plain, moved = _forms(setup), _forms(
+            setup, lambda e: (e[0] - period, e[1] - period), lambda q: tuple(shift[a] for a in q))
+        self.same = {v: moved.get(v - period) == plain.get(v - period) for v in quiver.vertices}
         self.step = [i if self.same[a.target] else None for i, a in zip(shift, arrows)]
 
     def _translates(self, upper: Pair, lower: Pair) -> bool:
         """Whether `lower` is `upper` moved down one period: each alive path
         of upper, translated arrow by arrow, is the alive path of lower in the
-        same place, and the relation index agrees at every vertex on them.
-        Nonzero rows of a pair only touch its alive paths, so the rows then
-        correspond too."""
+        same place, and the index agrees at every vertex on them (see Folding
+        in the module docstring)."""
         up, low, step = self.alive[upper], self.alive[lower], self.step.__getitem__
         # the same lengths, then the translated arrows in one stream: building
         # the translated paths as tuples raised the peak resident set
@@ -275,7 +277,7 @@ def quotient_dims(
     if max_len is None:
         max_len = PRESETS[quiver.preset].max_len
     setup = _linear_setup(quiver, rels, max_len)
-    fold = _Fold(quiver, rels, setup)
+    fold = _Fold(quiver, setup)
 
     dims: dict[Pair, int] = {}
     unsaturated: list[Pair] = []

@@ -10,14 +10,16 @@ otherwise use."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiltcell import linear
 from tiltcell.linear import (
     NotSaturated,
     _Fold,
+    _canonical,
     _echelon,
     _linear_setup,
     _pair_map,
@@ -358,7 +360,7 @@ def test_symmetry_certificates():
 
     def fold(build, max_len):
         quiver, rels = build()
-        return _Fold(quiver, rels, _linear_setup(quiver, rels, max_len))
+        return _Fold(quiver, _linear_setup(quiver, rels, max_len))
 
     assert len(fold(lambda: build_p2_quiver(3), 5).maps) == 1
     assert len(fold(lambda: build_p1_quiver(3), 4).maps) == 1
@@ -441,11 +443,90 @@ def test_arrow_image_with_a_gap_or_a_repeat_is_refused(case):
     build, max_len = CASES[case]
     quiver, rels = build()
     image = [quiver.by_name.get(a.dual) for a in quiver.arrows]
-    assert _pair_map(quiver, rels, image, True) is None
-    assert not _Fold(quiver, rels, _linear_setup(quiver, rels, max_len)).maps
+    setup = _linear_setup(quiver, rels, max_len)
+    assert _pair_map(quiver, setup, image, True) is None
+    assert not _Fold(quiver, setup).maps
     dual = _toy_duals(("b", "a", "c"))
-    assert _pair_map(*dual, [1, 0, 2], True) is not None
+    assert _pair_map(dual[0], _linear_setup(*dual, max_len), [1, 0, 2], True) is not None
     assert quotient_dims(quiver, rels, max_len).eliminated > quotient_dims(*dual, max_len).eliminated
+
+
+def _word(quiver, word):
+    """The path that `Quiver.format_path` prints as `word`."""
+    return tuple(map(quiver.arrow_id, reversed(word.split("*"))))
+
+
+def _reference_dims(quiver, rels, max_len):
+    """The reference dimensions of the core pairs."""
+    dims, _, _ = reference_quotient_dims(quiver, rels, max_len)
+    return {pair: d for pair, d in dims.items() if quiver.core.issuperset(pair)}
+
+
+def test_duality_reads_the_monomial_redexes():
+    """p2 at p=3 without the monomial relation d0*d1, the dual of u1*u0: every
+    relation of two or more terms is still closed under duality, and so is
+    the relation index, but the redexes are not, so duality is refused.  A
+    certificate that read the index alone would fold pairs whose alive paths
+    differ, and get their dimensions wrong."""
+    quiver, rels = build_p2_quiver(3)
+    dropped = _word(quiver, "d0*d1")
+    relations = [rel for rel in rels.relations if list(rel.terms) != [dropped]]
+    assert len(relations) == len(rels.relations) - 1
+    rels = RelationSet(relations, {}, {}, rels.scalars)
+    setup = _linear_setup(quiver, rels, 5)
+    image = [quiver.by_name[a.dual] for a in quiver.arrows]
+    assert _pair_map(quiver, setup._replace(redexes=frozenset()), image, True) is not None
+    assert _pair_map(quiver, setup, image, True) is None
+    assert quotient_dims(quiver, rels, 5).dims == _reference_dims(quiver, rels, 5)
+
+
+def test_duality_reads_only_the_relations_that_give_rows():
+    """p2 at p=3 with a relation x = y between two alive core paths of six
+    arrows whose dual relation is not in the set.  At max_len 5 it gives no
+    row, so duality still holds and the dimensions are the reference's; at
+    max_len 6 it gives rows, and duality is refused."""
+    quiver, rels = build_p2_quiver(3)
+    x = _word(quiver, "u'-8*d-8*d'-7*u-6*d-6*u-6")
+    y = _word(quiver, "u-5*d'-5*u'-5*d'-5*u'-5*u-6")
+    rel = PathElement(-6, -4, {x: Fraction(1), y: Fraction(-1)})
+    rels = RelationSet(rels.relations + [rel], {}, {}, rels.scalars)
+    assert {x, y} <= set(_linear_setup(quiver, rels, 6).alive[(-6, -4)])
+    fold = _Fold(quiver, _linear_setup(quiver, rels, 5))
+    assert len(fold.maps) == 1
+    assert quotient_dims(quiver, rels, 5).dims == _reference_dims(quiver, rels, 5)
+    assert not _Fold(quiver, _linear_setup(quiver, rels, 6)).maps
+
+
+terms_st = st.dictionaries(
+    st.lists(st.integers(0, 3), max_size=4).map(tuple),
+    st.integers(-6, 6).filter(bool),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _proportional(a, b):
+    """Whether the term vectors a and b (dicts) are nonzero multiples of each other."""
+    if a.keys() != b.keys():
+        return False
+    first = next(iter(a))
+    return all(a[path] * b[first] == b[path] * a[first] for path in a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms_st, terms_st, st.integers(-5, 5).filter(bool), st.randoms())
+def test_canonical_form_is_one_form_per_line(terms, other, k, rnd):
+    """`_canonical` is a function of the term vector up to a nonzero scalar:
+    it does not move under scaling or reordering, it comes back after two
+    reversals, and it separates vectors that are not proportional."""
+    form = _canonical(terms.items())
+    items = [(path, c * k) for path, c in terms.items()]
+    rnd.shuffle(items)
+    assert _canonical(items) == form
+    assert _canonical((path[::-1], c) for path, c in _canonical(
+        (path[::-1], c) for path, c in terms.items())) == form
+    assert form[0][1] > 0 and gcd(*(c for _, c in form)) == 1
+    assert (_canonical(other.items()) == form) == _proportional(terms, other)
 
 
 def suffix_scan_alive_paths(quiver, max_len, words):
