@@ -641,6 +641,27 @@ def test_verify_quiver_bounded_before_build(monkeypatch, suite):
     assert code == 2 and out == ""
 
 
+def test_verify_all_bounds_every_check_before_any_sweep(monkeypatch, capsys):
+    # every check of a suite is bounded before the first sweep runs: the
+    # 72 000 reciprocity items of 2000 weights pass the default cap, which
+    # the 4 000 000 linkage pairs exceed
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    for name in (
+        "verify_reciprocity", "verify_bounds", "verify_strong_linkage",
+        "verify_linkage_necessity", "verify_mult_free", "verify_steinberg_equivalence",
+    ):
+        monkeypatch.setattr(deltafilt, name, refuse)
+    for name in ("build_p1_quiver", "build_p2_quiver", "build_sl3_quiver"):
+        monkeypatch.setattr(qv, name, refuse)
+    monkeypatch.delenv("TILTCELL_MAX_WORK", raising=False)
+    argv = ["verify", "--suite", "all", "--p", "3", "--r", "2", "--lo", "0", "--hi", "1999"]
+    code, out = invoke(argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: sweep of 4000000 items exceeds TILTCELL_MAX_WORK=2000000\n"
+
+
 @pytest.mark.parametrize(
     "argv,digest",
     [
