@@ -915,12 +915,15 @@ def test_argparse_refusal_is_cut(capsys, argv):
         ["delta-factors", "--weight", "x"],
         ["delta-factors", "--weight", "0", "--zz"],
         ["zz"],
+        ["verify", "--suite", "nosuch"],
     ],
-    ids=["kind", "preset", "weight", "flag", "subcommand"],
+    ids=["kind", "preset", "weight", "flag", "subcommand", "suite"],
 )
 def test_short_argparse_refusal_unchanged(monkeypatch, capsys, argv):
-    # below the cut a refusal is argparse's own, byte for byte
-    status, _, err = _refusal(argv, capsys)
+    # below the cut a refusal is argparse's own, byte for byte, and prints
+    # nothing to stdout
+    status, out, err = _refusal(argv, capsys)
+    assert status == 2 and out == ""
     monkeypatch.setattr(cli, "_Parser", cli.argparse.ArgumentParser)
     assert (status, err) == _refusal(argv, capsys)[::2]
 
