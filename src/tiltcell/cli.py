@@ -16,13 +16,14 @@ zero).  A refusal quotes at most a short prefix of the input it names;
 argparse's own refusals are cut to 200 characters.
 
 `verify` output carries per-check item/failure counts plus the failing items
-themselves; passing items are not echoed.  Each check fills one
-`FailureReport`, which counts its passing items (`Report.unlisted`), and the
-quiver suite runs quiver-check's own comparison and pours each report into
-one; the Steinberg sweep computes the Hom pairs of each residue of m mod
-p^(r-1) once.  Its guard bounds all (2*span+1)*(4p^(r-1)+2)
-items it checks, not just the window.  `quiver-check` emits the full
-per-pair comparison.
+themselves; passing items are not echoed.  Each check is bounded, then every
+factor table the checks read, then every quiver build, before any check
+runs.  Each fills one `FailureReport`, which counts its passing items
+(`Report.unlisted`), and the quiver suite runs quiver-check's own comparison
+and pours each report into one; the Steinberg sweep computes the Hom pairs of
+each residue of m mod p^(r-1) once, and its guard bounds all
+(2*span+1)*(4p^(r-1)+2) items it checks, not just the window.  `quiver-check`
+emits the full per-pair comparison.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import os
 import sys
 from itertools import chain
 from math import isqrt
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import tiltcell
 
@@ -439,44 +440,71 @@ def cmd_quiver_check(args) -> int:
 _SUITES = ("reciprocity", "bounds", "linkage", "multfree", "steinberg", "quiver", "all")
 
 
-def _steinberg_span(lo: int, hi: int, ctx: Context) -> int:
-    return max(abs(lo), abs(hi)) // ctx.p + 1
+def _weight_checks(name: str, lo: int, hi: int, ctx: Context) -> list[tuple[str, Callable]]:
+    """Bound the items of each weight check of suite `name` over [lo, hi], in
+    report order, then the entries of every factor table they read; return
+    each check's report name and its unrun sweep, which fills a report."""
+    # the sweeps are read on deltafilt when they run, where the benchmark's
+    # tracer wraps them
+    from . import deltafilt as df
 
+    # the sweep that runs deltafilt's `verify` at each of points
+    def each(verify: str, points: range) -> Callable[[Report], Report]:
+        def sweep(rep: Report) -> Report:
+            check = getattr(df, verify)
+            for point in points:
+                check(point, ctx, rep)
+            return rep
 
-def _guard_weight_suites(name: str, lo: int, hi: int, ctx: Context) -> None:
-    """Bound the sweeps of the weight suites in `name`, then the entries of
-    the factor tables they read, before any sweep runs."""
+        return sweep
+
     window = range(lo, hi + 1)
     n = hi - lo + 1  # len(window) overflows past 2**63 items
+    tildes = (tilde(lam, ctx) for lam in window)  # listed once every check is bounded
+    # the weights whose factor tables the checks read, by part; a part that
+    # two checks read is counted once
+    reads: dict[str, Iterable[int]] = {}
+    checks: list[tuple[str, Callable]] = []
     if name in ("reciprocity", "all"):
         guard_power(4 * n, ctx.p, ctx.r)
         # the index peels a whole period: q standard objects of mass q
         guard_power(1, ctx.p, 2 * ctx.r)
+        reads["tildes"] = tildes
+        checks.append(("reciprocity", each("verify_reciprocity", window)))
     if name in ("bounds", "all"):
         guard_work(n * 8)
+        reads["tildes"] = tildes
+        checks.append(("bounds", each("verify_bounds", window)))
     if name in ("linkage", "all"):
         guard_work(n**2)
+        reads.update(window=window, tildes=tildes)
+        strong = each("verify_strong_linkage", window)
+        # then the necessity sweep over the whole window, into the same report
+        checks.append(
+            ("strong-linkage", lambda rep: df.verify_linkage_necessity(lo, hi, ctx, strong(rep)))
+        )
     if name in ("multfree", "all"):
         guard_work(n * 2)
-    if name == "steinberg" and ctx.r < 2:
-        raise UsageError("the steinberg suite needs --r >= 2")
-    tables: list[int] = []
-    if name in ("linkage", "multfree", "all"):
-        tables += window
-    if name in ("reciprocity", "bounds", "linkage", "all"):
-        tables += [tilde(lam, ctx) for lam in window]
-    if name in ("steinberg", "all") and ctx.r >= 2:
+        reads["window"] = window
+        checks.append(("mult-free", lambda rep: df.verify_mult_free(lo, hi, ctx, rep)))
+    # the level drop needs r >= 2: `all` skips it below that
+    if name == "steinberg" or name == "all" and ctx.r >= 2:
+        if ctx.r < 2:
+            raise UsageError("the steinberg suite needs --r >= 2")
         guard_work(n * 8 * ctx.p)
         # every m of the span checks one factor table and 4p^(r-1) + 1 Hom
         # pairs, however narrow the window; the power is bounded first
-        span = _steinberg_span(lo, hi, ctx)
+        span = max(abs(lo), abs(hi)) // ctx.p + 1
         guard_power(4 * (2 * span + 1), ctx.p, ctx.r - 1)
         guard_work((2 * span + 1) * (4 * ctx.q // ctx.p + 2))
         # p-1+p*m over the m-span, widened by the partners of its hom sweep:
         # 2*reach + 1 tables, fewer than the items bounded just above
         reach = span + 2 * ctx.q // ctx.p
-        tables += range(-reach * ctx.p + ctx.p - 1, reach * ctx.p + ctx.p, ctx.p)
-    guard_tables(tables, ctx)
+        reads["steinberg"] = range(-reach * ctx.p + ctx.p - 1, reach * ctx.p + ctx.p, ctx.p)
+        steps = range(-span, span + 1)
+        checks.append(("steinberg-equivalence", each("verify_steinberg_equivalence", steps)))
+    guard_tables(chain.from_iterable(reads.values()), ctx)
+    return checks
 
 
 def _run_suite(name: str, args) -> list[FailureReport]:
@@ -484,10 +512,8 @@ def _run_suite(name: str, args) -> list[FailureReport]:
         raise UsageError("the quiver suite reads no --r, --lo or --hi")
     ctx = _context(args)
     lo, hi = args.lo, args.hi
+    checks = []
     if name != "quiver":
-        # the sweeps are read on deltafilt, where the benchmark's tracer wraps them
-        from . import deltafilt
-
         if lo is None or hi is None:
             # a defaulted end is -2q or 2q, and every weight suite sweeps more
             # items than the window holds, so more than q = p**r
@@ -496,7 +522,7 @@ def _run_suite(name: str, args) -> list[FailureReport]:
             hi = 2 * ctx.q if hi is None else hi
         if lo > hi:
             raise UsageError("--lo must not exceed --hi")
-        _guard_weight_suites(name, lo, hi, ctx)
+        checks = _weight_checks(name, lo, hi, ctx)
     builds = []
     if name in ("quiver", "all"):
         from . import quiver as qv
@@ -507,33 +533,8 @@ def _run_suite(name: str, args) -> list[FailureReport]:
             p = None if preset.window is None else ctx.p
             builds.append((key, preset.max_len, _preset_build(key, p, max_len=preset.max_len)))
     # one report per check, listing its failures and counting every item
-    reports: list[FailureReport] = []
     context = {"p": ctx.p, "r": ctx.r, "lo": lo, "hi": hi}
-    if name in ("reciprocity", "all"):
-        rep = FailureReport("reciprocity", context)
-        for lam in range(lo, hi + 1):
-            deltafilt.verify_reciprocity(lam, ctx, rep)
-        reports.append(rep)
-    if name in ("bounds", "all"):
-        rep = FailureReport("bounds", context)
-        for lam in range(lo, hi + 1):
-            deltafilt.verify_bounds(lam, ctx, rep)
-        reports.append(rep)
-    if name in ("linkage", "all"):
-        rep = FailureReport("strong-linkage", context)
-        for lam in range(lo, hi + 1):
-            deltafilt.verify_strong_linkage(lam, ctx, rep)
-        deltafilt.verify_linkage_necessity(lo, hi, ctx, rep)
-        reports.append(rep)
-    if name in ("multfree", "all"):
-        rep = FailureReport("mult-free", context)
-        reports.append(deltafilt.verify_mult_free(lo, hi, ctx, rep))
-    if name in ("steinberg", "all") and ctx.r >= 2:
-        rep = FailureReport("steinberg-equivalence", context)
-        span = _steinberg_span(lo, hi, ctx)
-        for m in range(-span, span + 1):
-            deltafilt.verify_steinberg_equivalence(m, ctx, rep)
-        reports.append(rep)
+    reports = [sweep(FailureReport(check, context)) for check, sweep in checks]
     for key, max_len, build in builds:
         full, _ = _quiver_report(build, key, max_len)
         rep = FailureReport(full.check, full.context)
@@ -543,8 +544,6 @@ def _run_suite(name: str, args) -> list[FailureReport]:
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in _SUITES:
-        raise UsageError(f"unknown suite {_quoted(args.suite)}; valid: {', '.join(_SUITES)}")
     reports = _run_suite(args.suite, args)
     ok = all(rep.all_pass for rep in reports)
     doc = {
@@ -626,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a verification suite")
     _add_common(sp, fmt=("json",))
-    sp.add_argument("--suite", required=True)
+    sp.add_argument("--suite", choices=_SUITES, required=True)
     sp.add_argument("--lo", type=int, default=None)
     sp.add_argument("--hi", type=int, default=None)
     sp.set_defaults(func=cmd_verify)
